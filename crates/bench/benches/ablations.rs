@@ -9,7 +9,7 @@
 //!   (and the CEGAR iterations that refute them) vs a model without them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use procheck::cegar::cegar_check;
+use procheck::cegar::{cegar_check, CegarOutcome};
 use procheck::pipeline::{extract_models, AnalysisConfig};
 use procheck_conformance::runner::run_suite;
 use procheck_conformance::suites;
@@ -18,12 +18,32 @@ use procheck_props::registry;
 use procheck_props::Check;
 use procheck_smv::checker::Property;
 use procheck_smv::expr::Expr;
+use procheck_smv::model::Model;
+use procheck_smv::BudgetMeter;
 use procheck_stack::quirks::Implementation;
 use procheck_stack::UeConfig;
+use procheck_telemetry::Collector;
 use procheck_threat::{build_threat_model, StepSemantics, ThreatConfig};
 use std::time::Duration;
 
 const STATE_LIMIT: usize = 6_000_000;
+
+/// One private-exploration CEGAR run: serial, unbudgeted, POR on.
+fn one_shot(model: &Model, prop: &Property, semantics: &StepSemantics) -> CegarOutcome {
+    let meter = BudgetMeter::unlimited();
+    cegar_check(
+        model,
+        prop,
+        semantics,
+        STATE_LIMIT,
+        24,
+        &meter,
+        1,
+        true,
+        &Collector::disabled(),
+    )
+    .unwrap()
+}
 
 fn ablations(c: &mut Criterion) {
     let ue_cfg = UeConfig::reference("001010123456789", 0x42);
@@ -77,10 +97,10 @@ fn ablations(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_secs(3));
     group.bench_function("sliced", |b| {
-        b.iter(|| cegar_check(&sliced, &prop, &semantics, STATE_LIMIT, 24).unwrap())
+        b.iter(|| one_shot(&sliced, &prop, &semantics))
     });
     group.bench_function("fully_observed", |b| {
-        b.iter(|| cegar_check(&full, &prop, &semantics, STATE_LIMIT, 24).unwrap())
+        b.iter(|| one_shot(&full, &prop, &semantics))
     });
     group.finish();
 
@@ -109,10 +129,10 @@ fn ablations(c: &mut Criterion) {
     let exact = build_threat_model(&models.ue, &models.mme, &exact_cfg);
     let exact_sem = StepSemantics::new(exact_cfg);
     group.bench_function("optimistic_with_cegar", |b| {
-        b.iter(|| cegar_check(&optimistic, &prop, &opt_sem, STATE_LIMIT, 24).unwrap())
+        b.iter(|| one_shot(&optimistic, &prop, &opt_sem))
     });
     group.bench_function("exact_crypto", |b| {
-        b.iter(|| cegar_check(&exact, &prop, &exact_sem, STATE_LIMIT, 24).unwrap())
+        b.iter(|| one_shot(&exact, &prop, &exact_sem))
     });
     group.finish();
 }

@@ -3,13 +3,34 @@
 //! hand-built LTEInspector model, for the 14 Table II properties.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use procheck::cegar::cegar_check;
+use procheck::cegar::{cegar_check, CegarOutcome};
 use procheck_bench::Fig8Models;
 use procheck_props::{common_properties, Check};
+use procheck_smv::checker::Property;
+use procheck_smv::model::Model;
+use procheck_smv::BudgetMeter;
+use procheck_telemetry::Collector;
 use procheck_threat::StepSemantics;
 use std::time::Duration;
 
 const STATE_LIMIT: usize = 2_000_000;
+
+/// One private-exploration CEGAR run: serial, unbudgeted, POR on.
+fn one_shot(model: &Model, prop: &Property, semantics: &StepSemantics) -> CegarOutcome {
+    let meter = BudgetMeter::unlimited();
+    cegar_check(
+        model,
+        prop,
+        semantics,
+        STATE_LIMIT,
+        24,
+        &meter,
+        1,
+        true,
+        &Collector::disabled(),
+    )
+    .unwrap()
+}
 
 fn fig8(c: &mut Criterion) {
     let models = Fig8Models::prepare();
@@ -28,13 +49,13 @@ fn fig8(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("lteinspector", idx),
             &lte_model,
-            |b, model| b.iter(|| cegar_check(model, prop, &semantics, STATE_LIMIT, 24).unwrap()),
+            |b, model| b.iter(|| one_shot(model, prop, &semantics)),
         );
         let pro_model = models.prochecker_model(&p);
         group.bench_with_input(
             BenchmarkId::new("prochecker", idx),
             &pro_model,
-            |b, model| b.iter(|| cegar_check(model, prop, &semantics, STATE_LIMIT, 24).unwrap()),
+            |b, model| b.iter(|| one_shot(model, prop, &semantics)),
         );
     }
     group.finish();

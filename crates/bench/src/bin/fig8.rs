@@ -8,9 +8,12 @@
 //! differ from the paper's i7-3750QCM laptop, but the ratio series is
 //! comparable.
 
-use procheck::cegar::{cegar_check, cegar_check_traced};
+use procheck::cegar::{cegar_check, CegarOutcome};
 use procheck_bench::{col, default_threads, parallel_map, Fig8Models};
 use procheck_props::{common_properties, Check};
+use procheck_smv::checker::CheckError;
+use procheck_smv::model::Model;
+use procheck_smv::BudgetMeter;
 use procheck_telemetry::{json, Collector};
 use procheck_threat::StepSemantics;
 use std::path::Path;
@@ -58,10 +61,24 @@ fn main() {
             continue;
         };
 
-        let time = |model: &procheck_smv::model::Model| -> f64 {
+        let check = |model: &Model, collector: &Collector| -> Result<CegarOutcome, CheckError> {
+            let meter = BudgetMeter::unlimited();
+            cegar_check(
+                model,
+                prop,
+                semantics,
+                STATE_LIMIT,
+                24,
+                &meter,
+                1,
+                true,
+                collector,
+            )
+        };
+        let time = |model: &Model| -> f64 {
             let start = Instant::now();
             for _ in 0..RUNS {
-                let _ = cegar_check(model, prop, semantics, STATE_LIMIT, 24);
+                let _ = check(model, &Collector::disabled());
             }
             start.elapsed().as_secs_f64() * 1e3 / RUNS as f64
         };
@@ -71,8 +88,8 @@ fn main() {
         ratios.push(ratio);
         // One untimed traced run per model for the exploration numbers
         // (kept out of the timing loop so the measurement stays clean).
-        let pro = cegar_check_traced(pro_model, prop, semantics, STATE_LIMIT, 24, &collector);
-        let lte = cegar_check_traced(lte_model, prop, semantics, STATE_LIMIT, 24, &collector);
+        let pro = check(pro_model, &collector);
+        let lte = check(lte_model, &collector);
         if let (Ok(pro), Ok(lte)) = (pro, lte) {
             telemetry_rows.push(format!(
                 "    {{\"index\": {}, \"title\": {}, \"lte_ms\": {lte_ms:.3}, \

@@ -29,10 +29,7 @@ use procheck::pipeline::{
 };
 use procheck::telemetry_report::TelemetryReport;
 use procheck_props::{distinct_threat_configs, registry};
-use procheck_smv::checker::{
-    build_reach_graph_budgeted, por_commute_hits_total, states_explored_total, CheckStats,
-    CompiledModel,
-};
+use procheck_smv::checker::{build_reach_graph_budgeted, CheckStats, CompiledModel};
 use procheck_smv::coi::slice_for_property;
 use procheck_smv::BudgetMeter;
 use procheck_stack::quirks::Implementation;
@@ -68,7 +65,7 @@ fn main() {
     let hardware = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let graph_cache_on = std::env::var_os("PROCHECK_NO_GRAPH_CACHE").is_none();
+    let graph_cache_on = AnalysisConfig::default().graph_cache;
     let properties = registry().len();
     let distinct_threat_models = distinct_threat_configs();
     println!(
@@ -105,11 +102,10 @@ fn main() {
                 },
             );
         }
-        let states_before = states_explored_total();
         let start = Instant::now();
         let report = analyze_implementation(Implementation::Reference, &cfg);
         let secs = start.elapsed().as_secs_f64();
-        let states = states_explored_total() - states_before;
+        let states = collector.counter_value("smv.states_explored");
         assert_eq!(
             report.results.len(),
             properties,
@@ -250,6 +246,7 @@ fn main() {
     // measured — and the regression gate enforced — only when the graph
     // cache is enabled.
     let reduction = graph_cache_on.then(|| {
+        // Distinct states explored and POR commute hits of one run.
         let states_with_flags = |slice: bool| {
             let collector = Collector::enabled();
             let report = analyze_implementation(
@@ -263,12 +260,13 @@ fn main() {
                 },
             );
             assert_eq!(report.degraded.total(), 0, "clean measurement runs");
-            collector.counter_value("smv.states_explored")
+            (
+                collector.counter_value("smv.states_explored"),
+                collector.counter_value("reduction.por_commute_hits"),
+            )
         };
-        let unsliced = states_with_flags(false);
-        let por_hits_before = por_commute_hits_total();
-        let sliced = states_with_flags(true);
-        let por_hits = por_commute_hits_total() - por_hits_before;
+        let (unsliced, _) = states_with_flags(false);
+        let (sliced, por_hits) = states_with_flags(true);
         let ratio = (unsliced.saturating_sub(sliced)) as f64 / (unsliced.max(1)) as f64;
         println!(
             "  reduction: {sliced} states sliced vs {unsliced} unsliced \

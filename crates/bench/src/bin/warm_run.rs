@@ -33,8 +33,9 @@ fn render(report: &AnalysisReport) -> String {
 }
 
 fn main() {
-    let (dir, keep): (PathBuf, bool) = match std::env::var_os("PROCHECK_STORE") {
-        Some(d) => (PathBuf::from(d), true),
+    let defaults = AnalysisConfig::default();
+    let (dir, keep): (PathBuf, bool) = match defaults.store_dir.clone() {
+        Some(d) => (d, true),
         None => {
             let d = std::env::temp_dir().join(format!("procheck-warm-run-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&d);
@@ -43,7 +44,7 @@ fn main() {
     };
     let cfg = AnalysisConfig {
         store_dir: Some(dir.clone()),
-        ..AnalysisConfig::default()
+        ..defaults
     };
     assert!(
         cfg.graph_cache,

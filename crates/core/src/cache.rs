@@ -8,7 +8,7 @@
 //! to use from the parallel property-checking pool.
 //!
 //! Between composition and exploration sits the compiled-model layer
-//! ([`ThreatModelCache::get_or_compile_traced`]): each distinct
+//! ([`ThreatModelCache::compile`]): each distinct
 //! configuration's model is lowered once to the checker's id-space
 //! [`CompiledModel`] (interned variable/value/command tables), and every
 //! property query and CEGAR iteration for that configuration reuses the
@@ -18,18 +18,16 @@
 //! costs far more than composing it, and every property keyed to the
 //! same configuration explores the identical reachable state space. The
 //! cache therefore also memoizes one fully-explored
-//! [`ReachGraph`] per configuration
-//! ([`ThreatModelCache::get_or_build_graph_traced`]); properties answer
-//! as queries over the shared graph instead of re-running BFS. Failed
-//! builds (state-limit blowups) are cached too — every property sharing
-//! the configuration sees the same error without re-paying for the
-//! partial exploration. Full graphs are keyed by `ThreatConfig` alone —
-//! so all callers of one cache must use one state limit (the analysis
-//! pipeline has a single per-run limit) — and a second, sliced layer
-//! ([`ThreatModelCache::get_or_build_sliced_graph_budgeted`]) keys
-//! cone-of-influence projections by `(ThreatConfig, ConeSig)`, so
-//! properties whose cones coincide still share one (smaller)
-//! exploration.
+//! [`ReachGraph`] per configuration ([`ThreatModelCache::graph`]);
+//! properties answer as queries over the shared graph instead of
+//! re-running BFS. Failed builds (state-limit blowups) are cached too —
+//! every property sharing the configuration sees the same error without
+//! re-paying for the partial exploration. Graph slots are keyed by
+//! `(ThreatConfig, Option<ConeSig>)`: `None` is the full composition,
+//! `Some(cone)` a cone-of-influence projection, so properties whose
+//! cones coincide still share one (smaller) exploration. The key holds
+//! no state limit, so all callers of one cache must use one limit (the
+//! analysis pipeline has a single per-run limit).
 //!
 //! Locking: the map mutex is held only to fetch/insert a per-key slot;
 //! the (expensive) composition or exploration runs under the slot's
@@ -48,7 +46,7 @@ use crate::store::RunStore;
 use procheck_fsm::Fsm;
 use procheck_smv::budget::{panic_message, BudgetMeter};
 use procheck_smv::checker::{
-    build_reach_graph_budgeted_opts, por_default, CheckError, CheckStats, CompiledModel,
+    build_reach_graph_budgeted_opts, CheckError, CheckStats, CompiledModel,
 };
 use procheck_smv::coi::ConeSig;
 use procheck_smv::model::Model;
@@ -74,6 +72,10 @@ type CompiledSlot = OnceLock<Result<Arc<CompiledModel>, CheckError>>;
 /// isolated panic the one build died with.
 type ComposeSlot = OnceLock<Result<Arc<Model>, CheckError>>;
 
+/// A graph slot's key: the threat configuration, plus the cone of
+/// influence for a sliced graph (`None` for the full composition).
+type GraphKey = (ThreatConfig, Option<ConeSig>);
+
 /// Per-run cache of composed threat models, their compiled (id-space)
 /// forms, and their explored reachability graphs, keyed by the full
 /// [`ThreatConfig`].
@@ -85,8 +87,7 @@ pub struct ThreatModelCache {
     compiled_slots: Mutex<HashMap<ThreatConfig, Arc<CompiledSlot>>>,
     compile_builds: AtomicUsize,
     compile_lookups: AtomicUsize,
-    graph_slots: Mutex<HashMap<ThreatConfig, Arc<GraphSlot>>>,
-    sliced_graph_slots: Mutex<HashMap<(ThreatConfig, ConeSig), Arc<GraphSlot>>>,
+    graph_slots: Mutex<HashMap<GraphKey, Arc<GraphSlot>>>,
     graph_builds: AtomicUsize,
     graph_lookups: AtomicUsize,
     /// Optional persistent-store L2 under the graph layer: a slot's
@@ -100,7 +101,7 @@ pub struct ThreatModelCache {
 /// Snapshot of a cache's hit/miss accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Total `get_or_build` calls.
+    /// Total lookups.
     pub lookups: usize,
     /// Lookups that composed a new model (cache misses).
     pub builds: usize,
@@ -146,29 +147,15 @@ impl ThreatModelCache {
     }
 
     /// Returns the composed `IMP^μ` for `cfg`, building it on first use.
-    /// Every caller passing an equal `cfg` gets the same `Arc`.
+    /// Every caller passing an equal `cfg` gets the same `Arc`. Records
+    /// `compose.lookups`, `compose.builds`, and a `compose.build` span
+    /// per actual composition on `collector`.
     ///
     /// # Errors
     ///
     /// Returns the (cached) [`CheckError::Panic`] when the one build for
     /// this configuration panicked — only that slot is poisoned.
-    pub fn get_or_build(
-        &self,
-        ue: &Fsm,
-        mme: &Fsm,
-        cfg: &ThreatConfig,
-    ) -> Result<Arc<Model>, CheckError> {
-        self.get_or_build_traced(ue, mme, cfg, &Collector::disabled())
-    }
-
-    /// [`Self::get_or_build`] that also records `compose.lookups`,
-    /// `compose.builds`, and a `compose.build` span per actual
-    /// composition on `collector`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::get_or_build`].
-    pub fn get_or_build_traced(
+    pub fn compose(
         &self,
         ue: &Fsm,
         mme: &Fsm,
@@ -198,27 +185,15 @@ impl ThreatModelCache {
     /// Returns the compiled (id-space) form of `model` (the composed
     /// `IMP^μ` for `cfg`), compiling it on first use. Every caller
     /// passing an equal `cfg` gets the same `Arc` — or the same cached
-    /// validation [`CheckError`] when the one compile failed.
+    /// validation [`CheckError`] when the one compile failed. Records
+    /// `compile.lookups`, `compile.builds`, a `compile` span per actual
+    /// compilation, and the high-water `ident.symbols_interned` gauge on
+    /// `collector`.
     ///
     /// # Errors
     ///
     /// Returns the (cached) [`CheckError`] from model validation.
-    pub fn get_or_compile(
-        &self,
-        model: &Model,
-        cfg: &ThreatConfig,
-    ) -> Result<Arc<CompiledModel>, CheckError> {
-        self.get_or_compile_traced(model, cfg, &Collector::disabled())
-    }
-
-    /// [`Self::get_or_compile`] that also records `compile.lookups`,
-    /// `compile.builds`, a `compile` span per actual compilation, and
-    /// the high-water `ident.symbols_interned` gauge on `collector`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::get_or_compile`].
-    pub fn get_or_compile_traced(
+    pub fn compile(
         &self,
         model: &Model,
         cfg: &ThreatConfig,
@@ -244,106 +219,37 @@ impl ThreatModelCache {
         result.clone()
     }
 
-    /// Returns the fully-explored reachability graph for the compiled
-    /// `model` (the composed `IMP^μ` for `cfg`), exploring it on first
-    /// use. Every caller passing an equal `cfg` gets the same `Arc` —
-    /// or the same cached [`CheckError`] when the one build failed.
+    /// Returns the fully-explored reachability graph of `model` — the
+    /// compiled `IMP^μ` for `cfg`, or its projection onto `cone` —
+    /// exploring it on first use. Every caller passing an equal
+    /// `(cfg, cone)` gets the same `Arc`, or the same cached
+    /// [`CheckError`] when the one build failed: a state-limit blowup, an
+    /// exhausted `meter` (charged by the one exploration this slot ever
+    /// runs), or an isolated panic, each with its partial stats kept.
+    ///
+    /// `por` switches the partial-order reduction. It changes no graph
+    /// bytes and no [`CheckStats`] — only how many successor guards are
+    /// evaluated — so graphs built with and without it are
+    /// interchangeable and safely share one slot.
+    ///
+    /// Records `graph_cache.lookups`, `graph_cache.builds`,
+    /// `graph_cache.hits`, a `graph.build` span, and the build's `smv.*`,
+    /// `explore.*` and `reduction.por_commute_hits` counters on
+    /// `collector` — plus `reduction.*` cone counters for a sliced slot.
+    /// The work counters are recorded here, once per distinct slot, and
+    /// *not* by the queries served from the graph — so
+    /// `smv.states_explored` measures genuinely distinct exploration work
+    /// and stays identical at any thread count.
     ///
     /// # Errors
     ///
     /// Returns the (cached) [`CheckError`] from the graph build.
-    pub fn get_or_build_graph(
-        &self,
-        model: &CompiledModel,
-        cfg: &ThreatConfig,
-        state_limit: usize,
-        explore_threads: usize,
-    ) -> Result<Arc<ReachGraph>, CheckError> {
-        self.get_or_build_graph_traced(
-            model,
-            cfg,
-            state_limit,
-            explore_threads,
-            &Collector::disabled(),
-        )
-    }
-
-    /// [`Self::get_or_build_graph`] that also records
-    /// `graph_cache.lookups`, `graph_cache.builds`, `graph_cache.hits`,
-    /// a `graph.build` span, and the build's `smv.*` exploration
-    /// counters on `collector`. The `smv.*` counters are recorded here,
-    /// once per distinct configuration, and *not* by the queries served
-    /// from the graph — so `smv.states_explored` measures genuinely
-    /// distinct exploration work and stays identical at any thread
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::get_or_build_graph`].
-    pub fn get_or_build_graph_traced(
-        &self,
-        model: &CompiledModel,
-        cfg: &ThreatConfig,
-        state_limit: usize,
-        explore_threads: usize,
-        collector: &Collector,
-    ) -> Result<Arc<ReachGraph>, CheckError> {
-        self.get_or_build_graph_budgeted(
-            model,
-            cfg,
-            state_limit,
-            &BudgetMeter::unlimited(),
-            explore_threads,
-            collector,
-        )
-    }
-
-    /// [`Self::get_or_build_graph_traced`] under a live
-    /// [`BudgetMeter`]: the one exploration this slot ever runs charges
-    /// its states against the run-wide budget. Exhaustion is cached as
-    /// [`CheckError::Budget`] (with the partial stats kept), exactly
-    /// like a state-limit failure, so sharers degrade identically
-    /// without re-paying for the aborted exploration.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::get_or_build_graph`], plus the cached
-    /// [`CheckError::Budget`] when the meter tripped mid-build.
-    pub fn get_or_build_graph_budgeted(
-        &self,
-        model: &CompiledModel,
-        cfg: &ThreatConfig,
-        state_limit: usize,
-        meter: &BudgetMeter,
-        explore_threads: usize,
-        collector: &Collector,
-    ) -> Result<Arc<ReachGraph>, CheckError> {
-        self.get_or_build_graph_budgeted_opts(
-            model,
-            cfg,
-            state_limit,
-            meter,
-            explore_threads,
-            por_default(),
-            collector,
-        )
-    }
-
-    /// [`Self::get_or_build_graph_budgeted`] with the partial-order
-    /// reduction switchable per call (the pipeline threads
-    /// `AnalysisConfig::por` through here). POR changes no graph bytes
-    /// and no [`CheckStats`] — only how many successor guards are
-    /// evaluated — so graphs built with and without it are
-    /// interchangeable and safely share one slot per configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::get_or_build_graph_budgeted`].
     #[allow(clippy::too_many_arguments)]
-    pub fn get_or_build_graph_budgeted_opts(
+    pub fn graph(
         &self,
-        model: &CompiledModel,
         cfg: &ThreatConfig,
+        cone: Option<&ConeSig>,
+        model: &CompiledModel,
         state_limit: usize,
         meter: &BudgetMeter,
         explore_threads: usize,
@@ -352,104 +258,8 @@ impl ThreatModelCache {
     ) -> Result<Arc<ReachGraph>, CheckError> {
         let slot = {
             let mut map = self.graph_slots.lock().expect("graph cache map lock");
-            Arc::clone(map.entry(cfg.clone()).or_default())
+            Arc::clone(map.entry((cfg.clone(), cone.cloned())).or_default())
         };
-        self.build_graph_in_slot(
-            &slot,
-            model,
-            state_limit,
-            meter,
-            explore_threads,
-            por,
-            collector,
-        )
-    }
-
-    /// The sliced sibling of [`Self::get_or_build_graph_budgeted_opts`]:
-    /// one fully-explored graph per distinct `(ThreatConfig, ConeSig)`,
-    /// so every property whose cone of influence projects the
-    /// configuration onto the *same* variable/command subset shares one
-    /// (smaller) exploration. Accounting flows into the same
-    /// lookup/build/hit counters as the full-graph layer — a sliced
-    /// build is still exactly one exploration — plus `reduction.*`
-    /// counters recording the cone shape and sliced state count once
-    /// per distinct cone.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::get_or_build_graph_budgeted`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_or_build_sliced_graph_budgeted(
-        &self,
-        sliced: &procheck_smv::coi::SlicedModel,
-        cfg: &ThreatConfig,
-        state_limit: usize,
-        meter: &BudgetMeter,
-        explore_threads: usize,
-        por: bool,
-        collector: &Collector,
-    ) -> Result<Arc<ReachGraph>, CheckError> {
-        let slot = {
-            let mut map = self
-                .sliced_graph_slots
-                .lock()
-                .expect("sliced graph cache map lock");
-            Arc::clone(map.entry((cfg.clone(), sliced.sig.clone())).or_default())
-        };
-        self.build_graph_in_slot_inner(
-            &slot,
-            &sliced.model,
-            state_limit,
-            meter,
-            explore_threads,
-            por,
-            Some(&sliced.sig),
-            collector,
-        )
-    }
-
-    /// The shared build-once body of the graph layers: initializes
-    /// `slot` (exploring `model` under `catch_unwind`, caching failures,
-    /// recording the `smv.*`/`explore.*` build telemetry exactly once)
-    /// and counts the lookup as a build or a hit.
-    #[allow(clippy::too_many_arguments)]
-    fn build_graph_in_slot(
-        &self,
-        slot: &GraphSlot,
-        model: &CompiledModel,
-        state_limit: usize,
-        meter: &BudgetMeter,
-        explore_threads: usize,
-        por: bool,
-        collector: &Collector,
-    ) -> Result<Arc<ReachGraph>, CheckError> {
-        self.build_graph_in_slot_inner(
-            slot,
-            model,
-            state_limit,
-            meter,
-            explore_threads,
-            por,
-            None,
-            collector,
-        )
-    }
-
-    /// [`Self::build_graph_in_slot`] that additionally records
-    /// `reduction.*` cone telemetry inside the (exactly-once) build
-    /// closure when the slot belongs to the sliced layer.
-    #[allow(clippy::too_many_arguments)]
-    fn build_graph_in_slot_inner(
-        &self,
-        slot: &GraphSlot,
-        model: &CompiledModel,
-        state_limit: usize,
-        meter: &BudgetMeter,
-        explore_threads: usize,
-        por: bool,
-        cone: Option<&ConeSig>,
-        collector: &Collector,
-    ) -> Result<Arc<ReachGraph>, CheckError> {
         self.graph_lookups.fetch_add(1, Ordering::Relaxed);
         collector.add("graph_cache.lookups", 1);
         let mut built_now = false;
@@ -518,6 +328,7 @@ impl ThreatModelCache {
                 collector.record_max("explore.workers", u64::from(graph.explore_workers()));
                 collector.add("explore.levels", u64::from(graph.levels()));
                 collector.record_max("explore.peak_level", graph.peak_level());
+                collector.add("reduction.por_commute_hits", graph.por_commute_hits());
                 // Write-through: persist the one successful complete
                 // build so the next run loads instead of exploring.
                 // Partial (limit/budget/panic) results are not reusable
@@ -547,45 +358,17 @@ impl ThreatModelCache {
             .cloned()
     }
 
-    /// What building `cfg`'s graph cost, if a build has happened —
-    /// recorded even when the build failed (partial exploration up to
-    /// the state limit).
-    pub fn graph_build_stats(&self, cfg: &ThreatConfig) -> Option<CheckStats> {
-        let map = self.graph_slots.lock().expect("graph cache map lock");
-        map.get(cfg)
-            .and_then(|slot| slot.get().map(|(_, stats)| *stats))
-    }
-
-    /// What building the sliced graph for `(cfg, sig)` cost, if that
-    /// build has happened — the sliced layer's analogue of
-    /// [`Self::graph_build_stats`].
-    pub fn sliced_graph_build_stats(
+    /// What building the graph slot `(cfg, cone)` cost, if its build has
+    /// happened — recorded even when the build failed (partial
+    /// exploration up to the state limit).
+    pub fn graph_build_stats(
         &self,
         cfg: &ThreatConfig,
-        sig: &ConeSig,
+        cone: Option<&ConeSig>,
     ) -> Option<CheckStats> {
-        let map = self
-            .sliced_graph_slots
-            .lock()
-            .expect("sliced graph cache map lock");
-        map.get(&(cfg.clone(), sig.clone()))
+        let map = self.graph_slots.lock().expect("graph cache map lock");
+        map.get(&(cfg.clone(), cone.cloned()))
             .and_then(|slot| slot.get().map(|(_, stats)| *stats))
-    }
-
-    /// How many distinct threat models this cache has actually composed.
-    pub fn distinct_models_built(&self) -> usize {
-        self.builds.load(Ordering::Relaxed)
-    }
-
-    /// How many distinct threat models this cache has compiled to id
-    /// space.
-    pub fn distinct_models_compiled(&self) -> usize {
-        self.compile_builds.load(Ordering::Relaxed)
-    }
-
-    /// How many distinct reachability graphs this cache has explored.
-    pub fn distinct_graphs_built(&self) -> usize {
-        self.graph_builds.load(Ordering::Relaxed)
     }
 
     /// Hit/miss accounting for the composed-model layer.
@@ -634,6 +417,18 @@ mod tests {
         (ue, mme)
     }
 
+    /// A serial, unbudgeted full-graph lookup with POR on.
+    fn full_graph(
+        cache: &ThreatModelCache,
+        compiled: &CompiledModel,
+        cfg: &ThreatConfig,
+        state_limit: usize,
+        collector: &Collector,
+    ) -> Result<Arc<ReachGraph>, CheckError> {
+        let meter = BudgetMeter::unlimited();
+        cache.graph(cfg, None, compiled, state_limit, &meter, 1, true, collector)
+    }
+
     /// Two properties sharing a ThreatConfig get the *same* model (by
     /// pointer), and the build counter shows one composition.
     #[test]
@@ -643,8 +438,12 @@ mod tests {
         let mut shared = None;
         for p in registry() {
             let cfg = p.slice.threat_config();
-            let a = cache.get_or_build(&ue, &mme, &cfg).expect("compose");
-            let b = cache.get_or_build(&ue, &mme, &cfg).expect("compose");
+            let a = cache
+                .compose(&ue, &mme, &cfg, &Collector::disabled())
+                .expect("compose");
+            let b = cache
+                .compose(&ue, &mme, &cfg, &Collector::disabled())
+                .expect("compose");
             assert!(Arc::ptr_eq(&a, &b), "{}: repeat lookup must share", p.id);
             if let Some((prev_cfg, prev_model)) = &shared {
                 if *prev_cfg == cfg {
@@ -659,7 +458,7 @@ mod tests {
         }
         let distinct: std::collections::HashSet<_> =
             registry().iter().map(|p| p.slice.threat_config()).collect();
-        assert_eq!(cache.distinct_models_built(), distinct.len());
+        assert_eq!(cache.stats().builds, distinct.len());
         assert!(
             distinct.len() < registry().len(),
             "slicing must share configs across properties for the cache to pay off"
@@ -671,20 +470,15 @@ mod tests {
     /// as hits.
     #[test]
     fn graph_layer_shares_one_exploration() {
-        use procheck_telemetry::Collector;
         let (ue, mme) = small_models();
         let cache = ThreatModelCache::new();
         let collector = Collector::enabled();
         let cfg = registry()[0].slice.threat_config();
-        let model = cache.get_or_build(&ue, &mme, &cfg).expect("compose");
-        let compiled = cache.get_or_compile(&model, &cfg).unwrap();
+        let model = cache.compose(&ue, &mme, &cfg, &collector).expect("compose");
+        let compiled = cache.compile(&model, &cfg, &collector).unwrap();
         let mut graphs = Vec::new();
         for _ in 0..3 {
-            graphs.push(
-                cache
-                    .get_or_build_graph_traced(&compiled, &cfg, 1_000_000, 1, &collector)
-                    .unwrap(),
-            );
+            graphs.push(full_graph(&cache, &compiled, &cfg, 1_000_000, &collector).unwrap());
         }
         assert!(Arc::ptr_eq(&graphs[0], &graphs[1]));
         assert!(Arc::ptr_eq(&graphs[0], &graphs[2]));
@@ -692,7 +486,7 @@ mod tests {
         assert_eq!(stats.lookups, 3);
         assert_eq!(stats.builds, 1);
         assert_eq!(stats.hits(), 2);
-        assert_eq!(cache.distinct_graphs_built(), 1);
+        assert_eq!(cache.graph_stats().builds, 1);
         assert_eq!(collector.counter_value("graph_cache.lookups"), 3);
         assert_eq!(collector.counter_value("graph_cache.builds"), 1);
         assert_eq!(collector.counter_value("graph_cache.hits"), 2);
@@ -701,7 +495,14 @@ mod tests {
             collector.counter_value("smv.states_explored"),
             graphs[0].build_stats().states
         );
-        assert_eq!(cache.graph_build_stats(&cfg), Some(graphs[0].build_stats()));
+        assert_eq!(
+            collector.counter_value("reduction.por_commute_hits"),
+            graphs[0].por_commute_hits()
+        );
+        assert_eq!(
+            cache.graph_build_stats(&cfg, None),
+            Some(graphs[0].build_stats())
+        );
     }
 
     /// The compiled-model layer shares one compilation per distinct
@@ -709,24 +510,21 @@ mod tests {
     /// gauge once, and serves repeat lookups from cache.
     #[test]
     fn compiled_layer_shares_one_compilation() {
-        use procheck_telemetry::Collector;
         let (ue, mme) = small_models();
         let cache = ThreatModelCache::new();
         let collector = Collector::enabled();
         let cfg = registry()[0].slice.threat_config();
-        let model = cache.get_or_build(&ue, &mme, &cfg).expect("compose");
-        let a = cache
-            .get_or_compile_traced(&model, &cfg, &collector)
-            .unwrap();
-        let b = cache
-            .get_or_compile_traced(&model, &cfg, &collector)
-            .unwrap();
+        let model = cache
+            .compose(&ue, &mme, &cfg, &Collector::disabled())
+            .expect("compose");
+        let a = cache.compile(&model, &cfg, &collector).unwrap();
+        let b = cache.compile(&model, &cfg, &collector).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "repeat lookup must share");
         assert_eq!(a.command_count(), model.commands().len());
         let stats = cache.compile_stats();
         assert_eq!(stats.lookups, 2);
         assert_eq!(stats.builds, 1);
-        assert_eq!(cache.distinct_models_compiled(), 1);
+        assert_eq!(cache.compile_stats().builds, 1);
         assert_eq!(collector.counter_value("compile.lookups"), 2);
         assert_eq!(collector.counter_value("compile.builds"), 1);
         assert!(
@@ -748,18 +546,18 @@ mod tests {
     /// is paid for once, and the partial stats stay readable.
     #[test]
     fn failed_graph_builds_are_cached() {
-        use procheck_smv::checker::CheckError;
         let (ue, mme) = small_models();
         let cache = ThreatModelCache::new();
+        let collector = Collector::disabled();
         let cfg = registry()[0].slice.threat_config();
-        let model = cache.get_or_build(&ue, &mme, &cfg).expect("compose");
-        let compiled = cache.get_or_compile(&model, &cfg).unwrap();
-        let a = cache.get_or_build_graph(&compiled, &cfg, 1, 1).unwrap_err();
-        let b = cache.get_or_build_graph(&compiled, &cfg, 1, 1).unwrap_err();
+        let model = cache.compose(&ue, &mme, &cfg, &collector).expect("compose");
+        let compiled = cache.compile(&model, &cfg, &collector).unwrap();
+        let a = full_graph(&cache, &compiled, &cfg, 1, &collector).unwrap_err();
+        let b = full_graph(&cache, &compiled, &cfg, 1, &collector).unwrap_err();
         assert!(matches!(a, CheckError::StateLimit(1)));
         assert_eq!(a, b);
         assert_eq!(cache.graph_stats().builds, 1);
-        let partial = cache.graph_build_stats(&cfg).expect("stats recorded");
+        let partial = cache.graph_build_stats(&cfg, None).expect("stats recorded");
         assert!(partial.states > 1, "partial exploration must be visible");
     }
 
@@ -770,38 +568,36 @@ mod tests {
     #[test]
     fn budget_exhausted_graph_builds_are_cached() {
         use procheck_smv::budget::Budget;
-        use procheck_smv::checker::CheckError;
         let (ue, mme) = small_models();
         let cache = ThreatModelCache::new();
+        let collector = Collector::disabled();
         let cfg = registry()[0].slice.threat_config();
-        let model = cache.get_or_build(&ue, &mme, &cfg).expect("compose");
-        let compiled = cache.get_or_compile(&model, &cfg).unwrap();
+        let model = cache.compose(&ue, &mme, &cfg, &collector).expect("compose");
+        let compiled = cache.compile(&model, &cfg, &collector).unwrap();
         let meter = Budget::unlimited().with_total_states(1).start();
         meter.charge_and_probe(1).expect("exactly at cap");
-        let collector = Collector::disabled();
         let a = cache
-            .get_or_build_graph_budgeted(&compiled, &cfg, 1_000_000, &meter, 1, &collector)
+            .graph(
+                &cfg, None, &compiled, 1_000_000, &meter, 1, true, &collector,
+            )
             .unwrap_err();
         assert!(matches!(a, CheckError::Budget(_)), "{a:?}");
-        let b = cache
-            .get_or_build_graph_traced(&compiled, &cfg, 1_000_000, 1, &collector)
-            .unwrap_err();
+        let b = full_graph(&cache, &compiled, &cfg, 1_000_000, &collector).unwrap_err();
         assert_eq!(a, b, "sharers see the cached budget failure");
         assert_eq!(cache.graph_stats().builds, 1);
-        assert!(cache.graph_build_stats(&cfg).is_some());
+        assert!(cache.graph_build_stats(&cfg, None).is_some());
     }
 
     /// Hit/miss accounting: lookups = hits + builds, and the traced path
     /// mirrors the numbers onto the collector.
     #[test]
     fn cache_stats_and_collector_agree() {
-        use procheck_telemetry::Collector;
         let (ue, mme) = small_models();
         let cache = ThreatModelCache::new();
         let collector = Collector::enabled();
         let cfg_a = registry()[0].slice.threat_config();
         for _ in 0..3 {
-            let _ = cache.get_or_build_traced(&ue, &mme, &cfg_a, &collector);
+            let _ = cache.compose(&ue, &mme, &cfg_a, &collector);
         }
         let stats = cache.stats();
         assert_eq!(stats.lookups, 3);

@@ -19,11 +19,10 @@ use procheck_cpv::term::Term;
 use procheck_ident::Sym;
 use procheck_smv::budget::BudgetMeter;
 use procheck_smv::checker::{
-    build_reach_graph_budgeted, CheckError, CheckStats, CompiledModel, Property, QueryStats,
+    build_reach_graph_budgeted_opts, CheckError, CheckStats, CompiledModel, Property, QueryStats,
     Verdict,
 };
 use procheck_smv::model::Model;
-use procheck_smv::reach::ReachGraph;
 use procheck_smv::trace::Counterexample;
 use procheck_smv::{BackendVerdict, CheckBackend, ExplicitBackend};
 use procheck_telemetry::Collector;
@@ -74,10 +73,10 @@ pub struct CegarOutcome {
     /// Adversarial steps the CPV checked across all queries.
     pub cpv_steps: usize,
     /// Exploration charged to this call: the one reachability-graph
-    /// build when the loop explored privately ([`cegar_check`] /
-    /// [`cegar_check_traced`]), or zero when the graph came from a
-    /// shared cache ([`cegar_check_on_graph`] — the build is charged
-    /// once at the cache, not per property).
+    /// build when the loop explored privately ([`cegar_check`]), or zero
+    /// when the backend answers from elsewhere
+    /// ([`cegar_check_backend_budgeted`] — a shared graph's build is
+    /// charged once at the cache, not per property).
     pub explore: CheckStats,
     /// Graph-query totals summed over all iterations: cached nodes
     /// re-used instead of re-explored, product-monitor states, and the
@@ -94,79 +93,33 @@ impl CegarOutcome {
     }
 }
 
-/// Runs the model-checker ⇄ CPV loop for one property.
+/// Runs the model-checker ⇄ CPV loop for one property on a model it
+/// compiles and explores *privately*: one fresh [`ReachGraph`] (built
+/// with `explore_threads` workers and the partial-order reduction
+/// switched by `por`) is re-queried across refinement iterations. The
+/// graph build and every refinement query charge `meter`.
 ///
-/// # Errors
-///
-/// Propagates [`CheckError`] from the model checker (invalid model or
-/// state-limit blowup).
-pub fn cegar_check(
-    model: &Model,
-    property: &Property,
-    semantics: &StepSemantics,
-    state_limit: usize,
-    max_iterations: usize,
-) -> Result<CegarOutcome, CheckError> {
-    cegar_check_traced(
-        model,
-        property,
-        semantics,
-        state_limit,
-        max_iterations,
-        &Collector::disabled(),
-    )
-}
-
-/// [`cegar_check`] that records per-loop telemetry on `collector`:
-/// `cegar.runs`, `cegar.iterations`, `cegar.refinements`, `cpv.queries`,
-/// `cpv.steps`, the checker's `smv.*` counters for the one graph build,
-/// and `graph_cache.nodes_reused` for the per-iteration graph queries.
+/// Records per-loop telemetry on `collector`: `cegar.runs`,
+/// `cegar.iterations`, `cegar.refinements`, `cpv.queries`, `cpv.steps`,
+/// the checker's `smv.*` counters for the one graph build, and
+/// `graph_cache.nodes_reused` for the per-iteration graph queries.
 /// Counter totals depend only on the model and property, never on
 /// scheduling, so parallel callers summing into one collector stay
 /// deterministic.
 ///
-/// This entry point explores *privately*: it builds a fresh
-/// [`ReachGraph`] for the model and re-queries it across refinement
-/// iterations. Callers checking many properties against one threat
-/// configuration should share the graph via
-/// `ThreatModelCache::get_or_build_graph_traced` and call
-/// [`cegar_check_on_graph_traced`] instead.
+/// Callers checking many properties against one threat configuration
+/// should share the graph through the pipeline's cache and call
+/// [`cegar_check_backend_budgeted`] with an [`ExplicitBackend`] instead.
+///
+/// [`ReachGraph`]: procheck_smv::reach::ReachGraph
 ///
 /// # Errors
 ///
-/// Propagates [`CheckError`] from the model checker; the `smv.*`
-/// counters still reflect the partial exploration in that case.
-pub fn cegar_check_traced(
-    model: &Model,
-    property: &Property,
-    semantics: &StepSemantics,
-    state_limit: usize,
-    max_iterations: usize,
-    collector: &Collector,
-) -> Result<CegarOutcome, CheckError> {
-    cegar_check_budgeted(
-        model,
-        property,
-        semantics,
-        state_limit,
-        max_iterations,
-        &BudgetMeter::unlimited(),
-        1,
-        collector,
-    )
-}
-
-/// [`cegar_check_traced`] under a live
-/// [`BudgetMeter`]: the private graph
-/// build and every refinement query charge the run-wide budget, and
-/// exhaustion surfaces as [`CheckError::Budget`] with the `smv.*`
-/// counters still reflecting the partial exploration.
-///
-/// # Errors
-///
-/// Same as [`cegar_check_traced`], plus [`CheckError::Budget`].
+/// Propagates [`CheckError`] from the model checker (invalid model,
+/// state-limit blowup, exhausted budget); the `smv.*` counters still
+/// reflect the partial exploration in that case.
 #[allow(clippy::too_many_arguments)]
-pub fn cegar_check_budgeted(
+pub fn cegar_check(
     model: &Model,
     property: &Property,
     semantics: &StepSemantics,
@@ -174,6 +127,7 @@ pub fn cegar_check_budgeted(
     max_iterations: usize,
     meter: &BudgetMeter,
     explore_threads: usize,
+    por: bool,
     collector: &Collector,
 ) -> Result<CegarOutcome, CheckError> {
     // Flush the loop's counter families even when we fail before it
@@ -203,7 +157,14 @@ pub fn cegar_check_budgeted(
     let mut build = CheckStats::default();
     let built = {
         let _span = collector.span("graph.build");
-        build_reach_graph_budgeted(&compiled, state_limit, meter, &mut build, explore_threads)
+        build_reach_graph_budgeted_opts(
+            &compiled,
+            state_limit,
+            meter,
+            &mut build,
+            explore_threads,
+            por,
+        )
     };
     collector.add("smv.states_explored", build.states);
     collector.add("smv.transitions", build.transitions);
@@ -212,9 +173,9 @@ pub fn cegar_check_budgeted(
         Ok(g) => g,
         Err(e) => return abort(e),
     };
-    let mut outcome = cegar_check_on_graph_budgeted(
+    let mut outcome = cegar_check_backend_budgeted(
         &compiled,
-        &graph,
+        &ExplicitBackend { graph: &graph },
         property,
         semantics,
         state_limit,
@@ -227,123 +188,41 @@ pub fn cegar_check_budgeted(
     Ok(outcome)
 }
 
-/// [`cegar_check_on_graph_traced`] without telemetry.
+/// The CEGAR loop over an arbitrary [`CheckBackend`]: asks `backend`
+/// about `property` on `model`, validates each counterexample with the
+/// CPV, and widens the exclusion mask per refinement.
 ///
-/// # Errors
+/// With an [`ExplicitBackend`] over an already-explored graph (typically
+/// shared behind the per-`ThreatConfig` cache), refinements never
+/// rebuild or re-explore anything: excluding an adversary command only
+/// sets its bit in a [`procheck_ident::CmdIdSet`] mask for the next
+/// query, and the checker synthesizes the deadlock stutter exactly where
+/// the filtered model would have one, so verdicts, traces, and
+/// refinement sequences are identical to a loop that re-explored a
+/// command-filtered model each iteration. The returned outcome's
+/// `explore` is zero — exploration is charged wherever the graph was
+/// built — while `query` accounts for the graph re-use (also recorded as
+/// `graph_cache.nodes_reused` on `collector`).
 ///
-/// Same as [`cegar_check_on_graph_traced`].
-pub fn cegar_check_on_graph(
-    model: &CompiledModel,
-    graph: &ReachGraph,
-    property: &Property,
-    semantics: &StepSemantics,
-    state_limit: usize,
-    max_iterations: usize,
-) -> Result<CegarOutcome, CheckError> {
-    cegar_check_on_graph_traced(
-        model,
-        graph,
-        property,
-        semantics,
-        state_limit,
-        max_iterations,
-        &Collector::disabled(),
-    )
-}
-
-/// Runs the CEGAR loop against an already-explored [`ReachGraph`] for
-/// the compiled `model` (typically shared behind the per-`ThreatConfig`
-/// cache).
+/// `model` may be a cone-of-influence projection
+/// ([`procheck_smv::coi::slice_for_property`]): CPV checks and
+/// refinements work on trace labels, which the projection keeps, so the
+/// loop runs exactly as on the full model, and the caller re-expands a
+/// surviving counterexample with
+/// [`procheck_smv::coi::expand_counterexample`].
 ///
-/// Refinements never rebuild or re-explore anything: excluding an
-/// adversary command only sets its bit in a [`procheck_ident::CmdIdSet`]
-/// mask for the next query, and the checker synthesizes the deadlock
-/// stutter exactly where the filtered model would have one, so verdicts,
-/// traces, and refinement sequences are identical to a loop that
-/// re-explored a command-filtered model each iteration. The shared graph
-/// is never invalidated by property refinement — only a different
-/// `ThreatConfig` (a different composed model) needs a different graph.
-///
-/// The property is compiled once before the loop; every iteration is a
-/// pure id-space query through the [`ExplicitBackend`] seam. The
-/// returned outcome's `explore` is zero — exploration is charged
-/// wherever the graph was built — while `query` accounts for the graph
-/// re-use (also recorded as `graph_cache.nodes_reused` on `collector`).
-///
-/// # Errors
-///
-/// Propagates [`CheckError`] from the graph queries.
-#[allow(clippy::too_many_arguments)]
-pub fn cegar_check_on_graph_traced(
-    model: &CompiledModel,
-    graph: &ReachGraph,
-    property: &Property,
-    semantics: &StepSemantics,
-    state_limit: usize,
-    max_iterations: usize,
-    collector: &Collector,
-) -> Result<CegarOutcome, CheckError> {
-    cegar_check_on_graph_budgeted(
-        model,
-        graph,
-        property,
-        semantics,
-        state_limit,
-        max_iterations,
-        &BudgetMeter::unlimited(),
-        collector,
-    )
-}
-
-/// [`cegar_check_on_graph_traced`] under a live
-/// [`BudgetMeter`]: each refinement
-/// iteration's product query charges the run-wide budget, so a
-/// long-running CEGAR loop degrades mid-refinement instead of outliving
-/// the run's deadline. Exhaustion flushes the loop's counters (like
-/// every other exit path) and surfaces as [`CheckError::Budget`].
-///
-/// # Errors
-///
-/// Same as [`cegar_check_on_graph_traced`], plus [`CheckError::Budget`].
-#[allow(clippy::too_many_arguments)]
-pub fn cegar_check_on_graph_budgeted(
-    model: &CompiledModel,
-    graph: &ReachGraph,
-    property: &Property,
-    semantics: &StepSemantics,
-    state_limit: usize,
-    max_iterations: usize,
-    meter: &BudgetMeter,
-    collector: &Collector,
-) -> Result<CegarOutcome, CheckError> {
-    cegar_loop(
-        model,
-        &ExplicitBackend { graph },
-        property,
-        semantics,
-        state_limit,
-        max_iterations,
-        meter,
-        None,
-        collector,
-    )
-}
-
-/// The CEGAR loop over an arbitrary [`CheckBackend`] — the seam the
-/// pipeline uses to run the bounded symbolic engine
-/// (`procheck_symbolic::BmcBackend`), which needs no prebuilt graph.
-/// Refinement semantics are identical to the explicit path: exclusions
-/// widen a [`procheck_ident::CmdIdSet`] mask handed to the backend each
-/// iteration. A backend answer of
-/// [`BackendVerdict::BoundReached`] ends the
-/// loop with [`FinalVerdict::BoundReached`] — there is no
-/// counterexample to refine and no proof to report.
+/// The bounded symbolic engine (`procheck_symbolic::BmcBackend`) needs
+/// no prebuilt graph. A backend answer of
+/// [`BackendVerdict::BoundReached`] ends the loop with
+/// [`FinalVerdict::BoundReached`] — there is no counterexample to refine
+/// and no proof to report.
 ///
 /// # Errors
 ///
 /// Propagates the backend's [`CheckError`]s, including
-/// [`CheckError::BackendDivergence`] for counterexamples that fail
-/// replay validation.
+/// [`CheckError::Budget`] and [`CheckError::BackendDivergence`] for
+/// counterexamples that fail replay validation. Every exit path flushes
+/// the loop's counters.
 #[allow(clippy::too_many_arguments)]
 pub fn cegar_check_backend_budgeted(
     model: &CompiledModel,
@@ -353,76 +232,6 @@ pub fn cegar_check_backend_budgeted(
     state_limit: usize,
     max_iterations: usize,
     meter: &BudgetMeter,
-    collector: &Collector,
-) -> Result<CegarOutcome, CheckError> {
-    cegar_loop(
-        model,
-        backend,
-        property,
-        semantics,
-        state_limit,
-        max_iterations,
-        meter,
-        None,
-        collector,
-    )
-}
-
-/// [`cegar_check_on_graph_budgeted`] against a *cone-of-influence
-/// sliced* model and its (smaller) graph: `sliced` must be
-/// [`procheck_smv::coi::slice_for_property`]'s projection of `full` for
-/// this property. The loop runs entirely on the sliced model — queries,
-/// CPV feasibility checks (labels are preserved by the projection), and
-/// refinements (exclusions name trace labels, which are kept-command
-/// labels, so the mask evolves exactly as the full loop's would) — and
-/// any surviving counterexample is re-expanded to full-variable form via
-/// [`procheck_smv::coi::expand_counterexample`] before it reaches the
-/// verdict, so `Attack`/`GoalReachable` traces are byte-identical to the
-/// unsliced loop's.
-///
-/// # Errors
-///
-/// Same as [`cegar_check_on_graph_budgeted`].
-#[allow(clippy::too_many_arguments)]
-pub fn cegar_check_sliced_on_graph_budgeted(
-    full: &CompiledModel,
-    sliced: &CompiledModel,
-    graph: &ReachGraph,
-    property: &Property,
-    semantics: &StepSemantics,
-    state_limit: usize,
-    max_iterations: usize,
-    meter: &BudgetMeter,
-    collector: &Collector,
-) -> Result<CegarOutcome, CheckError> {
-    cegar_loop(
-        sliced,
-        &ExplicitBackend { graph },
-        property,
-        semantics,
-        state_limit,
-        max_iterations,
-        meter,
-        Some(full),
-        collector,
-    )
-}
-
-/// The shared loop body: asks `backend` about `property` on `model`,
-/// validating counterexamples with the CPV and widening the exclusion
-/// mask per refinement. When `expand_to` is set, `model` is a sliced
-/// projection of it and the final counterexample (if any) is re-expanded
-/// to the full model's variables at the report edge.
-#[allow(clippy::too_many_arguments)]
-fn cegar_loop(
-    model: &CompiledModel,
-    backend: &dyn CheckBackend,
-    property: &Property,
-    semantics: &StepSemantics,
-    state_limit: usize,
-    max_iterations: usize,
-    meter: &BudgetMeter,
-    expand_to: Option<&CompiledModel>,
     collector: &Collector,
 ) -> Result<CegarOutcome, CheckError> {
     let mut excluded = model.exclusion_set();
@@ -514,14 +323,6 @@ fn cegar_loop(
         cpv_queries += 1;
         cpv_steps += validation.adversarial_steps;
         if validation.feasible {
-            // Sliced traces mention only in-cone variables; re-expand
-            // against the full model before anything user-visible is
-            // built from them. Labels are unchanged, so the CPV
-            // validation above holds of the expanded trace too.
-            let trace = match expand_to {
-                Some(full) => procheck_smv::coi::expand_counterexample(full, &trace),
-                None => trace,
-            };
             let verdict = match check_kind(property) {
                 Kind::Reachability => FinalVerdict::GoalReachable(trace),
                 Kind::Other => FinalVerdict::Attack(trace),
@@ -585,6 +386,22 @@ mod tests {
     use procheck_smv::expr::Expr;
     use procheck_threat::{build_threat_model, ThreatConfig};
 
+    /// [`cegar_check`] serial and unbudgeted, POR on, without telemetry.
+    fn one_shot(model: &Model, p: &Property, sem: &StepSemantics) -> CegarOutcome {
+        cegar_check(
+            model,
+            p,
+            sem,
+            1_000_000,
+            16,
+            &BudgetMeter::unlimited(),
+            1,
+            true,
+            &Collector::disabled(),
+        )
+        .unwrap()
+    }
+
     /// Miniature UE/MME pair where the only way to reach `emm_registered`
     /// with a *forged* message is crypto-infeasible, but a replay works.
     fn mini_models() -> (Fsm, Fsm) {
@@ -622,7 +439,7 @@ mod tests {
         // blame a forged challenge first (spurious); after refinement the
         // genuine replay remains.
         let p = Property::invariant("no_stale", Expr::var_ne("last_auth_sqn", "stale"));
-        let outcome = cegar_check(&model, &p, &sem, 1_000_000, 16).unwrap();
+        let outcome = one_shot(&model, &p, &sem);
         let FinalVerdict::Attack(trace) = &outcome.verdict else {
             panic!("expected an attack, got {:?}", outcome.verdict);
         };
@@ -645,7 +462,7 @@ mod tests {
         // key, so the forge is excluded; the legit MME path remains, so
         // the goal is still reachable — but only through feasible steps.
         let p = Property::reachable("fresh", Expr::var_eq("last_auth_sqn", "fresh"));
-        let outcome = cegar_check(&model, &p, &sem, 1_000_000, 16).unwrap();
+        let outcome = one_shot(&model, &p, &sem);
         match &outcome.verdict {
             FinalVerdict::GoalReachable(trace) => {
                 assert!(trace.command_labels().iter().all(|l| !l.contains("forge")));
@@ -683,7 +500,7 @@ mod tests {
             "never_registered",
             Expr::var_ne("ue_state", "emm_registered"),
         );
-        let outcome = cegar_check(&model, &p, &sem, 1_000_000, 16).unwrap();
+        let outcome = one_shot(&model, &p, &sem);
         assert_eq!(outcome.verdict, FinalVerdict::Verified);
         assert!(
             outcome.refined(),
@@ -699,7 +516,7 @@ mod tests {
     /// charge moves to wherever the graph was built.
     #[test]
     fn on_graph_loop_matches_private_loop() {
-        use procheck_smv::checker::build_reach_graph;
+        use procheck_smv::checker::build_reach_graph_budgeted;
         let (ue, mme) = mini_models();
         for p in [
             Property::invariant("no_stale", Expr::var_ne("last_auth_sqn", "stale")),
@@ -708,10 +525,23 @@ mod tests {
             let cfg = ThreatConfig::lte();
             let model = build_threat_model(&ue, &mme, &cfg);
             let sem = StepSemantics::new(cfg);
-            let private = cegar_check(&model, &p, &sem, 1_000_000, 16).unwrap();
+            let private = one_shot(&model, &p, &sem);
             let compiled = CompiledModel::new(&model).unwrap();
-            let graph = build_reach_graph(&model, 1_000_000).unwrap();
-            let shared = cegar_check_on_graph(&compiled, &graph, &p, &sem, 1_000_000, 16).unwrap();
+            let meter = BudgetMeter::unlimited();
+            let mut build = CheckStats::default();
+            let graph =
+                build_reach_graph_budgeted(&compiled, 1_000_000, &meter, &mut build, 1).unwrap();
+            let shared = cegar_check_backend_budgeted(
+                &compiled,
+                &ExplicitBackend { graph: &graph },
+                &p,
+                &sem,
+                1_000_000,
+                16,
+                &meter,
+                &Collector::disabled(),
+            )
+            .unwrap();
             assert_eq!(private.verdict, shared.verdict);
             assert_eq!(private.iterations, shared.iterations);
             assert_eq!(private.refinements, shared.refinements);
@@ -727,6 +557,39 @@ mod tests {
         }
     }
 
+    /// The one-shot loop records the checker's counters for its private
+    /// build and queries on the collector; a disabled collector yields
+    /// the identical outcome.
+    #[test]
+    fn one_shot_records_collector_counters() {
+        let (ue, mme) = mini_models();
+        let cfg = ThreatConfig::lte();
+        let model = build_threat_model(&ue, &mme, &cfg);
+        let sem = StepSemantics::new(cfg);
+        let p = Property::invariant("no_stale", Expr::var_ne("last_auth_sqn", "stale"));
+        let collector = Collector::enabled();
+        let meter = BudgetMeter::unlimited();
+        let traced =
+            cegar_check(&model, &p, &sem, 1_000_000, 16, &meter, 1, true, &collector).unwrap();
+        assert_eq!(
+            collector.counter_value("smv.checks"),
+            traced.iterations as u64
+        );
+        assert_eq!(
+            collector.counter_value("smv.states_explored"),
+            traced.explore.states
+        );
+        assert_eq!(
+            collector.counter_value("smv.transitions"),
+            traced.explore.transitions
+        );
+        assert_eq!(
+            collector.counter_value("smv.peak_queue"),
+            traced.explore.peak_queue.max(traced.query.peak_queue)
+        );
+        assert_eq!(one_shot(&model, &p, &sem), traced);
+    }
+
     #[test]
     fn holds_without_refinement_when_forge_disabled() {
         let (ue, mme) = mini_models();
@@ -734,7 +597,7 @@ mod tests {
         let model = build_threat_model(&ue, &mme, &cfg);
         let sem = StepSemantics::new(cfg);
         let p = Property::invariant("no_stale", Expr::var_ne("last_auth_sqn", "stale"));
-        let outcome = cegar_check(&model, &p, &sem, 1_000_000, 16).unwrap();
+        let outcome = one_shot(&model, &p, &sem);
         assert_eq!(outcome.verdict, FinalVerdict::Verified);
         assert_eq!(outcome.iterations, 1);
         assert!(!outcome.refined());

@@ -48,7 +48,7 @@ pub mod store;
 pub mod telemetry_report;
 
 pub use cache::{CacheStats, ThreatModelCache};
-pub use cegar::{cegar_check, cegar_check_traced, CegarOutcome, FinalVerdict};
+pub use cegar::{cegar_check, CegarOutcome, FinalVerdict};
 pub use confirm::{testbed_confirm, Confirmation};
 pub use pipeline::{
     analyze_extracted, analyze_implementation, extract_models, AnalysisConfig, AnalysisReport,

@@ -24,10 +24,7 @@
 //! property answers as a query over the shared graph.
 
 use crate::cache::{CacheStats, ThreatModelCache};
-use crate::cegar::{
-    cegar_check_backend_budgeted, cegar_check_budgeted, cegar_check_on_graph_budgeted,
-    cegar_check_sliced_on_graph_budgeted, CegarOutcome, FinalVerdict,
-};
+use crate::cegar::{cegar_check, cegar_check_backend_budgeted, CegarOutcome, FinalVerdict};
 use crate::report::{DegradedStats, Finding, PropertyOutcome, PropertyResult};
 use crate::store::{
     baseline_key, checked_model_fps, cone_intersects_delta, delta_commands, knobs_fingerprint,
@@ -42,8 +39,9 @@ use procheck_fsm::stats::FsmStats;
 use procheck_fsm::Fsm;
 use procheck_props::{registry, BaseProfile, Check, LinkScenario, NasProperty};
 use procheck_smv::budget::{panic_message, Budget, BudgetMeter};
-use procheck_smv::checker::{por_default, CheckError, DEFAULT_STATE_LIMIT};
-use procheck_smv::coi::{slice_default, slice_for_property, ConeSig};
+use procheck_smv::checker::{CheckError, CompiledModel, CompiledProperty, DEFAULT_STATE_LIMIT};
+use procheck_smv::coi::{expand_counterexample, slice_for_property, ConeSig, SlicedModel};
+use procheck_smv::ExplicitBackend;
 use procheck_stack::quirks::Implementation;
 use procheck_stack::UeConfig;
 use procheck_store::{Fingerprint, StoreStats, VerdictRecord};
@@ -86,35 +84,6 @@ pub enum BackendKind {
     Both,
 }
 
-impl BackendKind {
-    /// Parses the `PROCHECK_BACKEND` environment variable
-    /// (case-insensitive `explicit` / `symbolic` / `both`); anything
-    /// else — including unset — is [`BackendKind::Explicit`].
-    pub fn from_env() -> BackendKind {
-        match std::env::var("PROCHECK_BACKEND")
-            .unwrap_or_default()
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "symbolic" => BackendKind::Symbolic,
-            "both" => BackendKind::Both,
-            _ => BackendKind::Explicit,
-        }
-    }
-}
-
-/// Default BMC bound: the `PROCHECK_BMC_BOUND` environment variable
-/// when it parses to ≥ 1, else [`DEFAULT_BMC_BOUND`].
-fn default_bmc_bound() -> usize {
-    match std::env::var("PROCHECK_BMC_BOUND")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => DEFAULT_BMC_BOUND,
-    }
-}
-
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct AnalysisConfig {
@@ -138,17 +107,17 @@ pub struct AnalysisConfig {
     /// every downstream artifact (traces, DOT, SMV) are byte-identical
     /// at any value — the frontier merge interns states in the serial
     /// engine's canonical order. Defaults to `available_parallelism`;
-    /// the `PROCHECK_EXPLORE_THREADS` environment variable overrides
-    /// the default.
+    /// the `PROCHECK_EXPLORE_THREADS` environment variable (a positive
+    /// integer) overrides the default.
     pub explore_threads: usize,
     /// Share one fully-explored reachability graph per distinct threat
     /// configuration ("explore once, check many"): properties keyed to
     /// the same configuration answer as queries over the cached graph
     /// instead of each re-running BFS. Verdicts, counterexample traces,
     /// and CEGAR outcomes are identical either way — only the
-    /// exploration accounting moves. Defaults to on; set the
-    /// `PROCHECK_NO_GRAPH_CACHE` environment variable (any value) to
-    /// default it off, e.g. to measure the re-exploration cost.
+    /// exploration accounting moves. Defaults to on;
+    /// `PROCHECK_NO_GRAPH_CACHE=1` defaults it off, e.g. to measure the
+    /// re-exploration cost.
     pub graph_cache: bool,
     /// Project each model property onto its cone of influence before
     /// exploration: variables the property cannot observe (directly or
@@ -160,9 +129,8 @@ pub struct AnalysisConfig {
     /// sequences are byte-identical either way; only the exploration
     /// accounting moves. Sliced graphs live in the shared cache keyed by
     /// `(ThreatConfig, ConeSig)`, so slicing applies only on the
-    /// [`AnalysisConfig::graph_cache`] path. Defaults to on; set the
-    /// `PROCHECK_NO_SLICE` environment variable (any value) to default
-    /// it off.
+    /// [`AnalysisConfig::graph_cache`] path. Defaults to on;
+    /// `PROCHECK_NO_SLICE=1` defaults it off.
     pub slice: bool,
     /// Apply the independence-based partial-order reduction inside each
     /// graph build: a successor inherits its parent's guard valuations
@@ -171,9 +139,8 @@ pub struct AnalysisConfig {
     /// changes *no* graph bytes and no exploration statistics — node
     /// ids, parents, CSR layout, traces, and `CheckStats` are identical
     /// with it on or off — only the guard-evaluation work avoided (the
-    /// `reduction.por_commute_hits` bench counter). Defaults to on; set
-    /// the `PROCHECK_NO_POR` environment variable (any value) to default
-    /// it off.
+    /// `reduction.por_commute_hits` counter). Defaults to on;
+    /// `PROCHECK_NO_POR=1` defaults it off.
     pub por: bool,
     /// Telemetry sink every pipeline stage reports into. Disabled by
     /// default (all operations are no-ops); pass
@@ -199,37 +166,92 @@ pub struct AnalysisConfig {
     pub store_dir: Option<PathBuf>,
     /// Which checking engine answers model properties. Defaults from
     /// the `PROCHECK_BACKEND` environment variable (`explicit` /
-    /// `symbolic` / `both`; unset = explicit). Linkability properties
+    /// `symbolic` / `both`, any case; unset = explicit). Linkability properties
     /// run on the simulated testbed in every mode — there is no second
     /// engine for them to diverge from.
     pub backend: BackendKind,
     /// Transition bound for the symbolic (BMC) engine: behaviours of up
     /// to this many steps are searched exhaustively; longer ones are
     /// honestly reported as [`PropertyOutcome::BoundReached`]. Part of
-    /// the persistent store's knobs fingerprint. Defaults from
-    /// `PROCHECK_BMC_BOUND`, else [`DEFAULT_BMC_BOUND`].
+    /// the persistent store's knobs fingerprint. Defaults to
+    /// [`DEFAULT_BMC_BOUND`].
     pub bmc_bound: usize,
 }
 
 impl Default for AnalysisConfig {
+    /// The built-in defaults, adjusted by six `PROCHECK_*` environment
+    /// knobs — the one place the pipeline reads its environment:
+    ///
+    /// * `PROCHECK_EXPLORE_THREADS` — a positive integer;
+    /// * `PROCHECK_NO_GRAPH_CACHE`, `PROCHECK_NO_SLICE`,
+    ///   `PROCHECK_NO_POR` — `1`/`true` turns the feature off,
+    ///   `0`/`false` leaves it on;
+    /// * `PROCHECK_STORE` — a store directory;
+    /// * `PROCHECK_BACKEND` — `explicit`, `symbolic` or `both`, any case.
+    ///
+    /// An empty (or blank) value counts as unset.
+    ///
+    /// # Panics
+    ///
+    /// When a knob holds any other value; the message names the
+    /// variable, the value, and the values it accepts.
     fn default() -> Self {
-        AnalysisConfig {
+        AnalysisConfig::from_env(|name| {
+            std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+        })
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+impl AnalysisConfig {
+    /// [`AnalysisConfig::default`] over the knob values `lookup`
+    /// resolves, returning the rejection instead of panicking.
+    fn from_env(lookup: impl Fn(&str) -> Option<String>) -> Result<AnalysisConfig, String> {
+        let knob = |name: &str| lookup(name).filter(|v| !v.trim().is_empty());
+        let reject = |name: &str, value: &str, accepted: &str| {
+            format!("{name}={value:?}: expected {accepted}")
+        };
+        let off = |name: &str| match knob(name) {
+            None => Ok(false),
+            Some(v) => match v.trim().to_ascii_lowercase().as_str() {
+                "1" | "true" => Ok(true),
+                "0" | "false" => Ok(false),
+                _ => Err(reject(name, &v, "1 or true (off), 0 or false (on)")),
+            },
+        };
+        let explore_threads = match knob("PROCHECK_EXPLORE_THREADS") {
+            None => default_threads(),
+            Some(v) => match v.trim().parse::<usize>() {
+                Ok(n) if n >= 1 => n,
+                _ => return Err(reject("PROCHECK_EXPLORE_THREADS", &v, "a positive integer")),
+            },
+        };
+        let backend = match knob("PROCHECK_BACKEND") {
+            None => BackendKind::Explicit,
+            Some(v) => match v.trim().to_ascii_lowercase().as_str() {
+                "explicit" => BackendKind::Explicit,
+                "symbolic" => BackendKind::Symbolic,
+                "both" => BackendKind::Both,
+                _ => return Err(reject("PROCHECK_BACKEND", &v, "explicit, symbolic or both")),
+            },
+        };
+        Ok(AnalysisConfig {
             imsi: "001010123456789".into(),
             key_material: 0x1122_3344_5566_7788,
             state_limit: DEFAULT_STATE_LIMIT,
             max_cegar_iterations: 24,
             property_filter: None,
             threads: default_threads(),
-            explore_threads: default_explore_threads(),
-            graph_cache: std::env::var_os("PROCHECK_NO_GRAPH_CACHE").is_none(),
-            slice: slice_default(),
-            por: por_default(),
+            explore_threads,
+            graph_cache: !off("PROCHECK_NO_GRAPH_CACHE")?,
+            slice: !off("PROCHECK_NO_SLICE")?,
+            por: !off("PROCHECK_NO_POR")?,
             collector: Collector::disabled(),
             budget: Budget::unlimited(),
-            store_dir: std::env::var_os("PROCHECK_STORE").map(PathBuf::from),
-            backend: BackendKind::from_env(),
-            bmc_bound: default_bmc_bound(),
-        }
+            store_dir: knob("PROCHECK_STORE").map(PathBuf::from),
+            backend,
+            bmc_bound: DEFAULT_BMC_BOUND,
+        })
     }
 }
 
@@ -239,20 +261,6 @@ fn default_threads() -> usize {
     thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Default intra-graph exploration width: the `PROCHECK_EXPLORE_THREADS`
-/// environment variable when it parses to ≥ 1, else
-/// `available_parallelism`. Exploration results are identical at any
-/// width, so the override only moves cost, never verdicts.
-fn default_explore_threads() -> usize {
-    match std::env::var("PROCHECK_EXPLORE_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => default_threads(),
-    }
 }
 
 /// The extracted models plus extraction metadata.
@@ -450,35 +458,14 @@ impl AnalysisReport {
 /// Checks one property against the extracted models. The composed
 /// threat model for the property's slice is fetched from (or built
 /// into) `cache`, so callers checking many properties share one
-/// composition per distinct configuration.
+/// composition per distinct configuration. The work is charged to
+/// `meter`, which `analyze_implementation` shares across all properties
+/// so the total-state cap and deadline govern the whole run.
 ///
-/// This standalone entry point starts a private meter from
-/// [`AnalysisConfig::budget`]; `analyze_implementation` shares one meter
-/// across all properties instead (via [`check_property_metered`]), so
-/// the total-state cap and deadline govern the whole run.
-pub fn check_property(
-    prop: &NasProperty,
-    models: &ExtractedModels,
-    implementation: Implementation,
-    cfg: &AnalysisConfig,
-    cache: &ThreatModelCache,
-) -> PropertyResult {
-    check_property_metered(
-        prop,
-        models,
-        implementation,
-        cfg,
-        cache,
-        &cfg.budget.start(),
-    )
-}
-
-/// [`check_property`] charging a caller-owned [`BudgetMeter`] (shared
-/// run-wide by `analyze_implementation`). Every degraded path — budget
-/// exhaustion, a panic isolated in a cached build, a failed extraction —
-/// returns an explicit [`PropertyOutcome`]; this function only panics if
-/// the property evaluation itself does (the worker pool catches that
-/// too).
+/// Every degraded path — budget exhaustion, a panic isolated in a
+/// cached build, a failed extraction — returns an explicit
+/// [`PropertyOutcome`]; this function only panics if the property
+/// evaluation itself does (the worker pool catches that too).
 pub fn check_property_metered(
     prop: &NasProperty,
     models: &ExtractedModels,
@@ -512,54 +499,26 @@ pub fn check_property_metered(
             // arbitrates. Each leg resolves independently — own store
             // key, own store write — so warm stores never cross-
             // pollinate engines.
+            let mut run_leg = |symbolic: bool| {
+                let resolution = check_model_property(
+                    prop,
+                    p,
+                    models,
+                    cfg,
+                    cache,
+                    meter,
+                    limit,
+                    symbolic,
+                    &mut graph_cache_hit,
+                );
+                resolve_model_check(prop, p, resolution, cfg, cache)
+            };
             let leg = match cfg.backend {
-                BackendKind::Explicit => resolve_model_check(
-                    prop,
-                    p,
-                    check_model_property(
-                        prop,
-                        p,
-                        models,
-                        cfg,
-                        cache,
-                        meter,
-                        limit,
-                        &mut graph_cache_hit,
-                    ),
-                    cfg,
-                    cache,
-                ),
-                BackendKind::Symbolic => resolve_model_check(
-                    prop,
-                    p,
-                    check_model_property_symbolic(prop, p, models, cfg, cache, meter, limit),
-                    cfg,
-                    cache,
-                ),
+                BackendKind::Explicit => run_leg(false),
+                BackendKind::Symbolic => run_leg(true),
                 BackendKind::Both => {
-                    let explicit = resolve_model_check(
-                        prop,
-                        p,
-                        check_model_property(
-                            prop,
-                            p,
-                            models,
-                            cfg,
-                            cache,
-                            meter,
-                            limit,
-                            &mut graph_cache_hit,
-                        ),
-                        cfg,
-                        cache,
-                    );
-                    let symbolic = resolve_model_check(
-                        prop,
-                        p,
-                        check_model_property_symbolic(prop, p, models, cfg, cache, meter, limit),
-                        cfg,
-                        cache,
-                    );
+                    let explicit = run_leg(false);
+                    let symbolic = run_leg(true);
                     match backend_divergence(&explicit.outcome, &symbolic.outcome) {
                         Some(msg) => {
                             cfg.collector.add("backend.divergences", 1);
@@ -856,16 +815,27 @@ fn backend_divergence(explicit: &PropertyOutcome, symbolic: &PropertyOutcome) ->
     }
 }
 
-/// The model-property body of [`check_property_metered`]: compose (via
-/// the shared cache), and on the graph-cache path compile, slice, and —
-/// before any exploration — consult the persistent store under the
-/// as-checked model's key. Error precedence is unchanged from the
+/// The model-property body of [`check_property_metered`] for one engine:
+/// the explicit one, or the bounded symbolic one when `symbolic` is set.
+///
+/// Compose (via the shared cache) and, on the graph-cache path, compile
+/// and — before any exploration — consult the persistent store under
+/// the as-checked model's key. Error precedence is unchanged from the
 /// storeless pipeline: compose and compile errors surface before the
 /// property's vocabulary check, which surfaces before any graph work;
-/// the store lookup sits *after* the vocabulary check so even
-/// not-applicable outcomes replay warm, and `graph_cache_hit` is left
-/// `None` on every path that never consulted the graph layer (store
-/// hits included).
+/// the store lookup sits *after* compilation so even not-applicable
+/// outcomes replay warm, and `graph_cache_hit` is left `None` on every
+/// path that never consulted the graph layer (store hits included).
+///
+/// Past the explicit engine's private path when the graph cache is off,
+/// the engines differ in two places only. The explicit engine projects
+/// the property onto its cone of influence and asks the cache for the
+/// (sliced or full) graph; the symbolic engine hands the *full* compiled
+/// model to the BMC backend — no graph is built and no slice applies
+/// (the encoder unrolls transitions symbolically; dropping commands
+/// would change which behaviours the bound covers). And the store key
+/// carries the engine's tag (plus the BMC bound), so warm replays never
+/// cross engines.
 #[allow(clippy::too_many_arguments)]
 fn check_model_property(
     prop: &NasProperty,
@@ -875,22 +845,22 @@ fn check_model_property(
     cache: &ThreatModelCache,
     meter: &BudgetMeter,
     limit: usize,
+    symbolic: bool,
     graph_cache_hit: &mut Option<bool>,
 ) -> ModelCheckResolution {
     let threat_cfg = prop.slice.threat_config();
     let semantics = StepSemantics::new(threat_cfg.clone());
-    let model =
-        match cache.get_or_build_traced(&models.ue, &models.mme, &threat_cfg, &cfg.collector) {
-            Ok(model) => model,
-            Err(e) => return ModelCheckResolution::Live(Err(e), None),
-        };
-    if !cfg.graph_cache {
+    let model = match cache.compose(&models.ue, &models.mme, &threat_cfg, &cfg.collector) {
+        Ok(model) => model,
+        Err(e) => return ModelCheckResolution::Live(Err(e), None),
+    };
+    if !cfg.graph_cache && !symbolic {
         // The store is an L2 under the shared graph cache; with the
         // cache off (`PROCHECK_NO_GRAPH_CACHE`) the whole warm path is
         // off too — the private exploration below neither reads nor
         // writes persisted state.
         return ModelCheckResolution::Live(
-            cegar_check_budgeted(
+            cegar_check(
                 &model,
                 p,
                 &semantics,
@@ -898,6 +868,7 @@ fn check_model_property(
                 cfg.max_cegar_iterations,
                 meter,
                 cfg.explore_threads,
+                cfg.por,
                 &cfg.collector,
             ),
             None,
@@ -908,7 +879,7 @@ fn check_model_property(
     // property must report "not applicable", never the state-limit skip
     // a doomed shared build would produce — the same error precedence
     // as the private path above.
-    let compiled = match cache.get_or_compile_traced(&model, &threat_cfg, &cfg.collector) {
+    let compiled = match cache.compile(&model, &threat_cfg, &cfg.collector) {
         Ok(compiled) => compiled,
         Err(e) => return ModelCheckResolution::Live(Err(e), None),
     };
@@ -917,19 +888,21 @@ fn check_model_property(
     // subset of the model, explore (and query) the projection instead —
     // the cache shares sliced graphs per `(config, cone)`.
     let sliced = match &cp {
-        Ok(cp) if cfg.slice => profitable_slice(&compiled, cp),
+        Ok(cp) if cfg.slice && !symbolic => profitable_slice(&compiled, cp),
         _ => None,
     };
+    let checked = sliced.as_ref().map_or(&*compiled, |s| &s.model);
     // Fingerprint the model *as checked* — the cone projection when the
     // pipeline sliced, the full composition otherwise — so the verdict
     // key is itself the statement "the model this property observes is
     // unchanged". Computed on the vocabulary-error path too: the
     // resulting skip is a settled, replayable outcome.
+    let (backend_tag, bound) = if symbolic {
+        (BACKEND_TAG_SYMBOLIC, cfg.bmc_bound as u64)
+    } else {
+        (BACKEND_TAG_EXPLICIT, 0)
+    };
     let pending = cache.store().map(|_| {
-        let checked = match &sliced {
-            Some(s) => &s.model,
-            None => &*compiled,
-        };
         let fps = checked_model_fps(checked);
         PendingWrite {
             key: verdict_key(
@@ -939,8 +912,8 @@ fn check_model_property(
                 knobs_fingerprint(
                     cfg.state_limit,
                     cfg.max_cegar_iterations,
-                    BACKEND_TAG_EXPLICIT,
-                    0,
+                    backend_tag,
+                    bound,
                 ),
             ),
             model_fp: fps.exact,
@@ -956,126 +929,8 @@ fn check_model_property(
     if let Err(e) = cp {
         return ModelCheckResolution::Live(Err(e), pending);
     }
-    // Placeholder: `analyze_implementation` rewrites this to the
-    // registry-order attribution.
-    *graph_cache_hit = Some(false);
-    let checked = if let Some(sliced) = sliced {
-        cache
-            .get_or_build_sliced_graph_budgeted(
-                &sliced,
-                &threat_cfg,
-                limit,
-                meter,
-                cfg.explore_threads,
-                cfg.por,
-                &cfg.collector,
-            )
-            .and_then(|graph| {
-                cegar_check_sliced_on_graph_budgeted(
-                    &compiled,
-                    &sliced.model,
-                    &graph,
-                    p,
-                    &semantics,
-                    limit,
-                    cfg.max_cegar_iterations,
-                    meter,
-                    &cfg.collector,
-                )
-            })
-    } else {
-        cache
-            .get_or_build_graph_budgeted_opts(
-                &compiled,
-                &threat_cfg,
-                limit,
-                meter,
-                cfg.explore_threads,
-                cfg.por,
-                &cfg.collector,
-            )
-            .and_then(|graph| {
-                cegar_check_on_graph_budgeted(
-                    &compiled,
-                    &graph,
-                    p,
-                    &semantics,
-                    limit,
-                    cfg.max_cegar_iterations,
-                    meter,
-                    &cfg.collector,
-                )
-            })
-    };
-    ModelCheckResolution::Live(checked, pending)
-}
-
-/// The symbolic-engine counterpart of [`check_model_property`]: compose
-/// and compile through the same shared cache (so `Both` mode pays for
-/// one composition), then hand the *full* compiled model to the BMC
-/// backend — no reachability graph is built, no cone-of-influence slice
-/// applies (the encoder unrolls transitions symbolically; dropping
-/// commands would change which behaviours the bound covers), and
-/// `graph_cache_hit` stays `None` throughout. Store lookups and writes
-/// use the symbolic knobs fingerprint (engine tag + BMC bound), so warm
-/// replays never cross engines; like the explicit path, the store rides
-/// the graph-cache switch.
-fn check_model_property_symbolic(
-    prop: &NasProperty,
-    p: &procheck_smv::checker::Property,
-    models: &ExtractedModels,
-    cfg: &AnalysisConfig,
-    cache: &ThreatModelCache,
-    meter: &BudgetMeter,
-    limit: usize,
-) -> ModelCheckResolution {
-    let threat_cfg = prop.slice.threat_config();
-    let semantics = StepSemantics::new(threat_cfg.clone());
-    let model =
-        match cache.get_or_build_traced(&models.ue, &models.mme, &threat_cfg, &cfg.collector) {
-            Ok(model) => model,
-            Err(e) => return ModelCheckResolution::Live(Err(e), None),
-        };
-    let compiled = match cache.get_or_compile_traced(&model, &threat_cfg, &cfg.collector) {
-        Ok(compiled) => compiled,
-        Err(e) => return ModelCheckResolution::Live(Err(e), None),
-    };
-    let cp = compiled.compile_property(p);
-    let pending = if cfg.graph_cache {
-        cache.store().map(|_| {
-            let fps = checked_model_fps(&compiled);
-            PendingWrite {
-                key: verdict_key(
-                    fps.semantic,
-                    threat_fingerprint(&threat_cfg),
-                    prop.id,
-                    knobs_fingerprint(
-                        cfg.state_limit,
-                        cfg.max_cegar_iterations,
-                        BACKEND_TAG_SYMBOLIC,
-                        cfg.bmc_bound as u64,
-                    ),
-                ),
-                model_fp: fps.exact,
-            }
-        })
-    } else {
-        None
-    };
-    if let (Some(store), Some(pw)) = (cache.store(), &pending) {
-        if cfg.graph_cache {
-            if let Some(record) = store.load_verdict(pw.key) {
-                if record.property_id == prop.id && RunStore::verdict_usable(&record, pw.model_fp) {
-                    return ModelCheckResolution::Stored(record);
-                }
-            }
-        }
-    }
-    if let Err(e) = cp {
-        return ModelCheckResolution::Live(Err(e), pending);
-    }
-    let backend = BmcBackend::with_collector(cfg.bmc_bound, cfg.collector.clone());
-    ModelCheckResolution::Live(
+    let outcome = if symbolic {
+        let backend = BmcBackend::with_collector(cfg.bmc_bound, cfg.collector.clone());
         cegar_check_backend_budgeted(
             &compiled,
             &backend,
@@ -1085,9 +940,56 @@ fn check_model_property_symbolic(
             cfg.max_cegar_iterations,
             meter,
             &cfg.collector,
-        ),
-        pending,
-    )
+        )
+    } else {
+        // Placeholder: `analyze_implementation` rewrites this to the
+        // registry-order attribution.
+        *graph_cache_hit = Some(false);
+        let cone = sliced.as_ref().map(|s| &s.sig);
+        cache
+            .graph(
+                &threat_cfg,
+                cone,
+                checked,
+                limit,
+                meter,
+                cfg.explore_threads,
+                cfg.por,
+                &cfg.collector,
+            )
+            .and_then(|graph| {
+                cegar_check_backend_budgeted(
+                    checked,
+                    &ExplicitBackend { graph: &graph },
+                    p,
+                    &semantics,
+                    limit,
+                    cfg.max_cegar_iterations,
+                    meter,
+                    &cfg.collector,
+                )
+            })
+            .map(|mut outcome| {
+                // A sliced loop reports its trace over the cone's
+                // variables; re-expand it against the full model before
+                // anything user-visible is built from it. Labels are
+                // unchanged, so the CPV validation holds of the expanded
+                // trace too.
+                if sliced.is_some() {
+                    outcome.verdict = match outcome.verdict {
+                        FinalVerdict::Attack(ce) => {
+                            FinalVerdict::Attack(expand_counterexample(&compiled, &ce))
+                        }
+                        FinalVerdict::GoalReachable(ce) => {
+                            FinalVerdict::GoalReachable(expand_counterexample(&compiled, &ce))
+                        }
+                        v => v,
+                    };
+                }
+                outcome
+            })
+    };
+    ModelCheckResolution::Live(outcome, pending)
 }
 
 /// The result slot for a property whose check panicked outright (past
@@ -1171,10 +1073,7 @@ fn graph_cone_for(
 /// sharing the full graph is strictly cheaper. Dropping commands, by
 /// contrast, cuts genuine branching: the measured registry cones that
 /// drop commands collapse to a handful of states.
-fn profitable_slice(
-    compiled: &procheck_smv::checker::CompiledModel,
-    cp: &procheck_smv::checker::CompiledProperty,
-) -> Option<procheck_smv::coi::SlicedModel> {
+fn profitable_slice(compiled: &CompiledModel, cp: &CompiledProperty) -> Option<SlicedModel> {
     slice_for_property(compiled, cp).filter(|s| s.sig.cmd_count() < compiled.command_count())
 }
 
@@ -1303,11 +1202,7 @@ pub fn analyze_extracted(
         let cone = graph_cone_for(prop, cfg, &cache, &threat_cfg);
         if built_graphs.insert((threat_cfg.clone(), cone.clone())) {
             result.graph_cache_hit = Some(false);
-            let build = match &cone {
-                Some(sig) => cache.sliced_graph_build_stats(&threat_cfg, sig),
-                None => cache.graph_build_stats(&threat_cfg),
-            };
-            if let Some(build) = build {
+            if let Some(build) = cache.graph_build_stats(&threat_cfg, cone.as_ref()) {
                 result.states_explored = build.states;
                 result.peak_queue = result.peak_queue.max(build.peak_queue);
             }
@@ -1451,6 +1346,90 @@ mod tests {
             property_filter: Some(ids.to_vec()),
             state_limit: 2_000_000,
             ..AnalysisConfig::default()
+        }
+    }
+
+    /// [`AnalysisConfig::from_env`] over a fixed variable table.
+    fn from_vars(vars: &[(&str, &str)]) -> Result<AnalysisConfig, String> {
+        AnalysisConfig::from_env(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn env_knobs_parse_accepted_values() {
+        let cfg = from_vars(&[("PROCHECK_BMC_BOUND", "5")]).unwrap();
+        assert!(cfg.graph_cache && cfg.slice && cfg.por);
+        assert_eq!(cfg.explore_threads, default_threads());
+        assert_eq!(cfg.store_dir, None);
+        assert_eq!(cfg.backend, BackendKind::Explicit);
+        assert_eq!(cfg.bmc_bound, DEFAULT_BMC_BOUND, "the bound has no knob");
+        let cfg = from_vars(&[
+            ("PROCHECK_EXPLORE_THREADS", " 4"),
+            ("PROCHECK_NO_GRAPH_CACHE", "1"),
+            ("PROCHECK_NO_SLICE", "TRUE"),
+            ("PROCHECK_NO_POR", "0"),
+            ("PROCHECK_STORE", "/tmp/procheck-store"),
+            ("PROCHECK_BACKEND", "Symbolic"),
+        ])
+        .unwrap();
+        assert_eq!(cfg.explore_threads, 4);
+        assert!(!cfg.graph_cache && !cfg.slice && cfg.por);
+        assert_eq!(cfg.store_dir, Some(PathBuf::from("/tmp/procheck-store")));
+        assert_eq!(cfg.backend, BackendKind::Symbolic);
+        assert_eq!(
+            from_vars(&[("PROCHECK_BACKEND", "both")]).unwrap().backend,
+            BackendKind::Both
+        );
+    }
+
+    /// An empty value means unset: CI legs that export
+    /// `PROCHECK_NO_SLICE=""` keep the reductions on.
+    #[test]
+    fn empty_env_knobs_are_unset() {
+        let vars: Vec<(&str, &str)> = [
+            "PROCHECK_EXPLORE_THREADS",
+            "PROCHECK_NO_GRAPH_CACHE",
+            "PROCHECK_NO_SLICE",
+            "PROCHECK_NO_POR",
+            "PROCHECK_STORE",
+            "PROCHECK_BACKEND",
+        ]
+        .iter()
+        .map(|name| (*name, ""))
+        .collect();
+        let cfg = from_vars(&vars).unwrap();
+        assert!(cfg.graph_cache && cfg.slice && cfg.por);
+        assert_eq!(cfg.explore_threads, default_threads());
+        assert_eq!(cfg.store_dir, None);
+        assert_eq!(cfg.backend, BackendKind::Explicit);
+    }
+
+    #[test]
+    fn bad_env_knobs_are_rejected_by_name() {
+        for (name, value, accepted) in [
+            ("PROCHECK_BACKEND", "symbolc", "explicit, symbolic or both"),
+            ("PROCHECK_EXPLORE_THREADS", "0", "a positive integer"),
+            ("PROCHECK_EXPLORE_THREADS", "four", "a positive integer"),
+            (
+                "PROCHECK_NO_GRAPH_CACHE",
+                "off",
+                "1 or true (off), 0 or false (on)",
+            ),
+            (
+                "PROCHECK_NO_SLICE",
+                "yes",
+                "1 or true (off), 0 or false (on)",
+            ),
+            ("PROCHECK_NO_POR", "2", "1 or true (off), 0 or false (on)"),
+        ] {
+            let err = from_vars(&[(name, value)]).unwrap_err();
+            assert!(
+                err.contains(name) && err.contains(value) && err.contains(accepted),
+                "{err}"
+            );
         }
     }
 

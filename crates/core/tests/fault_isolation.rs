@@ -56,7 +56,7 @@ fn config(graph_cache: bool, threads: usize) -> AnalysisConfig {
 /// ("unaffected siblings are byte-identical to a fault-free run") is
 /// backend-independent. Cached: one clean run serves every test.
 fn golden_lines() -> BTreeMap<String, String> {
-    if BackendKind::from_env() != BackendKind::Explicit {
+    if AnalysisConfig::default().backend != BackendKind::Explicit {
         static CLEAN: OnceLock<BTreeMap<String, String>> = OnceLock::new();
         return CLEAN
             .get_or_init(|| {
@@ -175,7 +175,7 @@ fn threat_compose_panic_poisons_only_its_config_group() {
 #[test]
 fn graph_build_panic_poisons_only_its_graph() {
     let _guard = lock();
-    if BackendKind::from_env() == BackendKind::Symbolic {
+    if AnalysisConfig::default().backend == BackendKind::Symbolic {
         // The bounded symbolic backend bit-blasts the compiled model
         // directly — no reachability graph is ever built, so this fault
         // site cannot fire and `disarm()` would report a dead plan.

@@ -17,11 +17,13 @@
 //! ```
 
 use procheck::cache::ThreatModelCache;
-use procheck::cegar::cegar_check_on_graph;
+use procheck::cegar::cegar_check_backend_budgeted;
 use procheck::pipeline::{analyze_implementation, extract_models, AnalysisConfig};
 use procheck_props::{registry, Check};
 use procheck_smv::smvformat::to_smv;
+use procheck_smv::{BudgetMeter, ExplicitBackend};
 use procheck_stack::quirks::Implementation;
+use procheck_telemetry::Collector;
 use procheck_threat::{build_threat_model, StepSemantics, ThreatConfig};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -71,6 +73,7 @@ fn render_snapshot(explore_threads: usize) -> String {
     // pipeline uses.
     let models = extract_models(Implementation::Reference, &config(explore_threads));
     let cache = ThreatModelCache::new();
+    let (meter, collector) = (BudgetMeter::unlimited(), Collector::disabled());
     let _ = writeln!(out, "== cegar refinements: Reference ==");
     for prop in registry() {
         let Check::Model(p) = &prop.check else {
@@ -78,31 +81,39 @@ fn render_snapshot(explore_threads: usize) -> String {
         };
         let threat_cfg = prop.slice.threat_config();
         let model = cache
-            .get_or_build(&models.ue, &models.mme, &threat_cfg)
+            .compose(&models.ue, &models.mme, &threat_cfg, &collector)
             .expect("golden models compose cleanly");
         let semantics = StepSemantics::new(threat_cfg.clone());
-        if procheck_smv::checker::validate_property(&model, p).is_err() {
+        let compiled = cache.compile(&model, &threat_cfg, &collector);
+        if !compiled
+            .as_ref()
+            .is_ok_and(|c| c.compile_property(p).is_ok())
+        {
             let _ = writeln!(out, "{}|not-applicable", prop.id);
             continue;
         }
-        let line = match cache
-            .get_or_compile(&model, &threat_cfg)
-            .and_then(|compiled| {
-                let graph = cache.get_or_build_graph(
-                    &compiled,
-                    &threat_cfg,
-                    STATE_LIMIT,
-                    explore_threads,
-                )?;
-                cegar_check_on_graph(
-                    &compiled,
-                    &graph,
-                    p,
-                    &semantics,
-                    STATE_LIMIT,
-                    MAX_ITERATIONS,
-                )
-            }) {
+        let line = match compiled.and_then(|compiled| {
+            let graph = cache.graph(
+                &threat_cfg,
+                None,
+                &compiled,
+                STATE_LIMIT,
+                &meter,
+                explore_threads,
+                true,
+                &collector,
+            )?;
+            cegar_check_backend_budgeted(
+                &compiled,
+                &ExplicitBackend { graph: &graph },
+                p,
+                &semantics,
+                STATE_LIMIT,
+                MAX_ITERATIONS,
+                &meter,
+                &collector,
+            )
+        }) {
             Ok(outcome) => {
                 let refs: Vec<String> = outcome
                     .refinements

@@ -8,15 +8,17 @@
 
 use std::collections::HashMap;
 
-use procheck::cegar::{cegar_check_on_graph, cegar_check_sliced_on_graph_budgeted};
+use procheck::cegar::{cegar_check_backend_budgeted, CegarOutcome, FinalVerdict};
 use procheck::pipeline::{analyze_implementation, extract_models, AnalysisConfig, AnalysisReport};
 use procheck::report::PropertyResult;
 use procheck_props::{registry, Check};
 use procheck_smv::budget::BudgetMeter;
 use procheck_smv::checker::{
-    build_reach_graph, build_reach_graph_compiled, CheckStats, CompiledModel,
+    build_reach_graph_budgeted, build_reach_graph_budgeted_opts, CheckStats, CompiledModel,
+    Property,
 };
-use procheck_smv::coi::slice_for_property;
+use procheck_smv::coi::{expand_counterexample, slice_for_property};
+use procheck_smv::{ExplicitBackend, ReachGraph};
 use procheck_stack::quirks::Implementation;
 use procheck_telemetry::Collector;
 use procheck_threat::{build_threat_model, StepSemantics, ThreatConfig};
@@ -116,13 +118,74 @@ fn slicing_reduces_distinct_states_explored() {
     );
 }
 
+/// A serial, unbudgeted build of `model`'s graph.
+fn explore(model: &CompiledModel, limit: usize) -> ReachGraph {
+    let meter = BudgetMeter::unlimited();
+    build_reach_graph_budgeted(model, limit, &meter, &mut CheckStats::default(), 1)
+        .expect("registry model explores")
+}
+
+/// The CEGAR loop over a prebuilt graph, unbudgeted and untraced.
+fn cegar_on_graph(
+    model: &CompiledModel,
+    graph: &ReachGraph,
+    p: &Property,
+    sem: &StepSemantics,
+    limit: usize,
+) -> CegarOutcome {
+    cegar_check_backend_budgeted(
+        model,
+        &ExplicitBackend { graph },
+        p,
+        sem,
+        limit,
+        16,
+        &BudgetMeter::unlimited(),
+        &Collector::disabled(),
+    )
+    .unwrap()
+}
+
+/// The partial-order reduction engages on a real registry model — it
+/// skips guard evaluations — and still builds the identical graph with
+/// identical build stats.
+#[test]
+fn por_skips_guard_evaluations_without_changing_the_graph() {
+    let models = extract_models(Implementation::Reference, &AnalysisConfig::default());
+    let cfg = registry()[0].slice.threat_config();
+    let model = build_threat_model(&models.ue, &models.mme, &cfg);
+    let compiled = CompiledModel::new(&model).unwrap();
+    let build = |por: bool| {
+        let meter = BudgetMeter::unlimited();
+        let mut stats = CheckStats::default();
+        let graph =
+            build_reach_graph_budgeted_opts(&compiled, 2_000_000, &meter, &mut stats, 1, por)
+                .expect("registry model explores");
+        (graph, stats)
+    };
+    let (on, on_stats) = build(true);
+    let (off, off_stats) = build(false);
+    println!(
+        "{}: {} states, {} POR commute hits",
+        registry()[0].id,
+        on.node_count(),
+        on.por_commute_hits()
+    );
+    assert!(on.por_commute_hits() > 0, "POR must engage");
+    assert_eq!(off.por_commute_hits(), 0);
+    assert_eq!(on.to_data(), off.to_data(), "POR must not change the graph");
+    assert_eq!(on.build_stats(), off.build_stats());
+    assert_eq!(on_stats, off_stats);
+}
+
 /// The sliced CEGAR loop must match the full one refinement by
 /// refinement, over the *real* registry: for every model-checked
 /// property with a proper cone (the lenient slice, not the pipeline's
 /// profitability-filtered one, so refinement-bearing properties like
 /// the replay family are exercised too), run CEGAR on the full graph
 /// and on the cone projection and demand the same verdict (with the
-/// re-expanded trace byte-equal to the full run's), the same iteration
+/// re-expanded trace byte-equal to the full run's, re-expanded at the
+/// call site as the pipeline does), the same iteration
 /// count, the same refinement sequence, and the same CPV traffic.
 #[test]
 fn sliced_cegar_matches_full_refinement_by_refinement() {
@@ -146,7 +209,7 @@ fn sliced_cegar_matches_full_refinement_by_refinement() {
             std::collections::hash_map::Entry::Vacant(e) => {
                 let model = build_threat_model(&models.ue, &models.mme, &threat_cfg);
                 let compiled = CompiledModel::new(&model).unwrap();
-                let graph = build_reach_graph(&model, LIMIT).unwrap();
+                let graph = explore(&compiled, LIMIT);
                 e.insert((compiled, graph))
             }
         };
@@ -158,28 +221,22 @@ fn sliced_cegar_matches_full_refinement_by_refinement() {
             continue;
         };
         sliced_count += 1;
-        let mut stats = CheckStats::default();
-        let sliced_graph = build_reach_graph_compiled(&sliced.model, LIMIT, &mut stats)
-            .expect("sliced registry model explores");
+        let sliced_graph = explore(&sliced.model, LIMIT);
         assert!(
             sliced_graph.node_count() <= full_graph.node_count(),
             "{}: projection may never enlarge the reachable space",
             prop.id
         );
         let sem = StepSemantics::new(threat_cfg.clone());
-        let full = cegar_check_on_graph(compiled, full_graph, p, &sem, LIMIT, 16).unwrap();
-        let reduced = cegar_check_sliced_on_graph_budgeted(
-            compiled,
-            &sliced.model,
-            &sliced_graph,
-            p,
-            &sem,
-            LIMIT,
-            16,
-            &BudgetMeter::unlimited(),
-            &Collector::disabled(),
-        )
-        .unwrap();
+        let full = cegar_on_graph(compiled, full_graph, p, &sem, LIMIT);
+        let mut reduced = cegar_on_graph(&sliced.model, &sliced_graph, p, &sem, LIMIT);
+        reduced.verdict = match reduced.verdict {
+            FinalVerdict::Attack(ce) => FinalVerdict::Attack(expand_counterexample(compiled, &ce)),
+            FinalVerdict::GoalReachable(ce) => {
+                FinalVerdict::GoalReachable(expand_counterexample(compiled, &ce))
+            }
+            v => v,
+        };
         assert_eq!(
             full.verdict, reduced.verdict,
             "{}: verdict (incl. re-expanded trace)",

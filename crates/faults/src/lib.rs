@@ -16,7 +16,7 @@
 //! | `Extractor`       | `extract_fsm_traced` entry (keyed by FSM name)   |
 //! | `ThreatCompose`   | `ThreatModelCache` compose-slot build closure    |
 //! | `GraphBuild`      | `ThreatModelCache` graph-slot build closure      |
-//! | `PropertyEval`    | `check_property` entry (keyed by property id)    |
+//! | `PropertyEval`    | `check_property_metered` entry (keyed by id)     |
 //! | `StoreRead`       | persistent-store record load (keyed by key hex)  |
 //! | `StoreWrite`      | persistent-store record save (keyed by key hex)  |
 //!

@@ -22,7 +22,7 @@
 
 use crate::budget::BudgetMeter;
 use crate::checker::{
-    check_on_graph_budgeted, CheckError, CompiledModel, CompiledProperty, QueryStats, Verdict,
+    check_on_graph, CheckError, CompiledModel, CompiledProperty, QueryStats, Verdict,
 };
 use crate::reach::ReachGraph;
 use procheck_ident::CmdIdSet;
@@ -74,7 +74,7 @@ pub trait CheckBackend {
 
 /// The explicit-state engine as a backend: answers every query over a
 /// prebuilt [`ReachGraph`] via
-/// [`check_on_graph_budgeted`], exactly as the pipeline always has.
+/// [`check_on_graph`], exactly as the pipeline always has.
 /// Complete over the graph, so every answer is
 /// [`BackendVerdict::Definite`].
 pub struct ExplicitBackend<'g> {
@@ -96,7 +96,7 @@ impl CheckBackend for ExplicitBackend<'_> {
         meter: &BudgetMeter,
         stats: &mut QueryStats,
     ) -> Result<BackendVerdict, CheckError> {
-        check_on_graph_budgeted(model, self.graph, property, excluded, limit, meter, stats)
+        check_on_graph(model, self.graph, property, excluded, limit, meter, stats)
             .map(BackendVerdict::Definite)
     }
 }

@@ -3,8 +3,8 @@
 //! States are interned vectors of per-variable value indices. The engine
 //! is split into an *explore* phase and an *evaluate* phase:
 //!
-//! * [`build_reach_graph`] runs one flagless BFS over the model and
-//!   produces a [`ReachGraph`] — packed state
+//! * [`build_reach_graph_budgeted`] runs one flagless BFS over the model
+//!   and produces a [`ReachGraph`] — packed state
 //!   arena, CSR successor adjacency, predecessor links, BFS parents.
 //! * [`check_on_graph`] answers any [`Property`] as a *query* over that
 //!   graph: invariants and reachability are direct scans in BFS order;
@@ -19,7 +19,7 @@
 //! a filtered copy of the model: excluded edges are skipped during the
 //! product BFS, and a node whose outgoing commands are all excluded
 //! receives the same stutter self-loop a fresh exploration of the
-//! filtered model would give it. [`check_bounded_stats`] composes the two
+//! filtered model would give it. [`check_bounded`] composes the two
 //! phases for one-shot callers and behaves exactly like the historical
 //! single-pass checker.
 
@@ -30,12 +30,11 @@ use crate::model::Model;
 use crate::reach::{PackLayout, ReachGraph, StateArena, NO_PARENT, STUTTER_CMD};
 use crate::trace::{Counterexample, TraceStep};
 use procheck_ident::{CmdId, CmdIdSet, Sym, ValId, VarId};
-use procheck_telemetry::Collector;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default bound on explored product states.
 pub const DEFAULT_STATE_LIMIT: usize = 4_000_000;
@@ -45,37 +44,6 @@ pub const DEFAULT_STATE_LIMIT: usize = 4_000_000;
 /// and grows, so a sliced model with a huge *declared* product but a
 /// small *reachable* set does not pay for the difference.
 const PRESIZE_CAP: usize = 1 << 16;
-
-/// Distinct model states interned by graph builds since process start,
-/// across all checks on all threads. Benchmarks read this to report
-/// states/second; it is telemetry only and never feeds back into
-/// verdicts. Product-monitor states visited by graph *queries* are not
-/// counted here — they re-use already-explored states.
-static STATES_EXPLORED: AtomicU64 = AtomicU64::new(0);
-
-/// Reads the cumulative states-explored counter.
-pub fn states_explored_total() -> u64 {
-    STATES_EXPLORED.load(Ordering::Relaxed)
-}
-
-/// Guard evaluations skipped since process start because the
-/// partial-order commute check proved the parent's guard verdict still
-/// applies (the fired command writes no bit the guard reads). Telemetry
-/// only — the reduction never changes which edges are generated, so it
-/// never feeds back into graphs or verdicts.
-static POR_COMMUTE_HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Reads the cumulative partial-order commute-hit counter.
-pub fn por_commute_hits_total() -> u64 {
-    POR_COMMUTE_HITS.load(Ordering::Relaxed)
-}
-
-/// Default for the independence-based partial-order reduction: enabled
-/// unless `PROCHECK_NO_POR` is set in the environment (the kill-switch
-/// mirroring `PROCHECK_NO_GRAPH_CACHE` / `PROCHECK_NO_SLICE`).
-pub fn por_default() -> bool {
-    std::env::var_os("PROCHECK_NO_POR").is_none()
-}
 
 /// A property to check against a model.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -219,15 +187,6 @@ impl fmt::Display for CheckError {
 }
 
 impl Error for CheckError {}
-
-/// Statistics from exploring a model's reachable state space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ExploreStats {
-    /// Number of reachable states.
-    pub states: usize,
-    /// Number of transitions (fired commands, including stutters).
-    pub transitions: usize,
-}
 
 /// Per-check telemetry accumulated by the engine. Deterministic for a
 /// given model and property: none of the fields depend on scheduling or
@@ -714,68 +673,16 @@ impl ArenaBuilder {
 /// outputs, or the panic payload to re-raise on the exploring thread.
 type WorkerOutcome = Result<Vec<(usize, ChunkOut)>, Box<dyn std::any::Any + Send>>;
 
-/// Explores the model's reachable state space once and returns it as a
-/// [`ReachGraph`] ready for any number of property queries.
+/// Explores the compiled model's reachable state space once and returns
+/// it as a [`ReachGraph`] ready for any number of property queries, with
+/// the partial-order reduction on. Exploration cost is absorbed into
+/// `stats` — on the error paths too, so callers see how far an aborted
+/// build got.
 ///
-/// # Errors
-///
-/// Returns [`CheckError`] for invalid models or state-limit blowups.
-pub fn build_reach_graph(model: &Model, limit: usize) -> Result<ReachGraph, CheckError> {
-    let mut stats = CheckStats::default();
-    build_reach_graph_stats(model, limit, &mut stats)
-}
-
-/// [`build_reach_graph`] that additionally accumulates exploration
-/// telemetry into `stats` — including on the state-limit error path, so
-/// callers see how far the blowup got.
-///
-/// # Errors
-///
-/// Same as [`build_reach_graph`].
-pub fn build_reach_graph_stats(
-    model: &Model,
-    limit: usize,
-    stats: &mut CheckStats,
-) -> Result<ReachGraph, CheckError> {
-    let c = CompiledModel::new(model)?;
-    explore_graph(
-        &c,
-        limit,
-        &BudgetMeter::unlimited(),
-        stats,
-        1,
-        por_default(),
-    )
-}
-
-/// [`build_reach_graph_stats`] over an already-compiled model — the
-/// cache's build path, which compiles each model exactly once and then
-/// explores and queries without touching a string table.
-///
-/// # Errors
-///
-/// Returns [`CheckError::StateLimit`] if exploration exceeds `limit`.
-pub fn build_reach_graph_compiled(
-    model: &CompiledModel,
-    limit: usize,
-    stats: &mut CheckStats,
-) -> Result<ReachGraph, CheckError> {
-    explore_graph(
-        model,
-        limit,
-        &BudgetMeter::unlimited(),
-        stats,
-        1,
-        por_default(),
-    )
-}
-
-/// [`build_reach_graph_compiled`] under a live [`BudgetMeter`]: freshly
-/// interned states are charged against the run-wide budget every
+/// The live [`BudgetMeter`] is charged for freshly interned states every
 /// [`PROBE_STRIDE`] pops (serial path) or at each level barrier
-/// (parallel path), and exhaustion aborts this build (with partial
-/// stats absorbed, like the state-limit path) without touching any other
-/// work sharing the meter.
+/// (parallel path), and exhaustion aborts this build without touching
+/// any other work sharing the meter.
 ///
 /// `explore_threads` is the worker count for the level-synchronized
 /// parallel frontier; `1` (or a wide, unpackable arena) keeps the serial
@@ -794,16 +701,15 @@ pub fn build_reach_graph_budgeted(
     stats: &mut CheckStats,
     explore_threads: usize,
 ) -> Result<ReachGraph, CheckError> {
-    build_reach_graph_budgeted_opts(model, limit, meter, stats, explore_threads, por_default())
+    build_reach_graph_budgeted_opts(model, limit, meter, stats, explore_threads, true)
 }
 
 /// [`build_reach_graph_budgeted`] with the partial-order reduction
-/// controlled explicitly instead of by [`por_default`]. The reduction is
-/// graph-preserving: it only skips *re-evaluating* guards whose verdict
-/// provably carried over from the BFS parent (the fired command writes
-/// no packed-key bit the guard reads), so node ids, edges, parents, and
-/// stats are byte-identical with `por` on or off — only the
-/// [`por_commute_hits_total`] telemetry counter differs.
+/// switched by `por`. The reduction is graph-preserving: it only skips
+/// *re-evaluating* guards whose verdict provably carried over from the
+/// BFS parent (the fired command writes no packed-key bit the guard
+/// reads), so node ids, edges, parents, and stats are byte-identical
+/// with `por` on or off — only [`ReachGraph::por_commute_hits`] differs.
 ///
 /// # Errors
 ///
@@ -816,7 +722,17 @@ pub fn build_reach_graph_budgeted_opts(
     explore_threads: usize,
     por: bool,
 ) -> Result<ReachGraph, CheckError> {
-    explore_graph(model, limit, meter, stats, explore_threads, por)
+    let domain_sizes: Vec<usize> = model.vars.iter().map(|v| v.domain.len()).collect();
+    match PackLayout::for_domains(&domain_sizes) {
+        Some(layout) if explore_threads > 1 => {
+            explore_packed_parallel(model, layout, limit, meter, stats, explore_threads, por)
+        }
+        Some(layout) => explore_packed_serial(model, layout, limit, meter, stats, por),
+        // The wide value-vector fallback keeps the serial path: models
+        // too wide to pack are rare and small in this workload. (No POR
+        // either: the commute check works on packed-key bit masks.)
+        None => explore_wide(model, limit, meter, stats),
+    }
 }
 
 /// A guard lowered against a [`PackLayout`]: every atom carries its
@@ -1120,8 +1036,8 @@ impl PackedFrontier {
     }
 }
 
-/// Folds partial exploration cost into `stats` and the process counter
-/// before an aborting error is returned.
+/// Folds partial exploration cost into `stats` before an aborting error
+/// is returned.
 fn abort_partial(
     stats: &mut CheckStats,
     states: u64,
@@ -1129,34 +1045,12 @@ fn abort_partial(
     peak_queue: u64,
     err: CheckError,
 ) -> CheckError {
-    STATES_EXPLORED.fetch_add(states, Ordering::Relaxed);
     stats.absorb(CheckStats {
         states,
         transitions,
         peak_queue,
     });
     err
-}
-
-fn explore_graph(
-    c: &CompiledModel,
-    limit: usize,
-    meter: &BudgetMeter,
-    stats: &mut CheckStats,
-    explore_threads: usize,
-    por: bool,
-) -> Result<ReachGraph, CheckError> {
-    let domain_sizes: Vec<usize> = c.vars.iter().map(|v| v.domain.len()).collect();
-    match PackLayout::for_domains(&domain_sizes) {
-        Some(layout) if explore_threads > 1 => {
-            explore_packed_parallel(c, layout, limit, meter, stats, explore_threads, por)
-        }
-        Some(layout) => explore_packed_serial(c, layout, limit, meter, stats, por),
-        // The wide value-vector fallback keeps the serial path: models
-        // too wide to pack are rare and small in this workload. (No POR
-        // either: the commute check works on packed-key bit masks.)
-        None => explore_wide(c, limit, meter, stats),
-    }
 }
 
 /// Serial BFS over the wide (unpackable) arena — the original generic
@@ -1267,7 +1161,6 @@ fn explore_wide(
         let _ = meter.charge_and_probe((b.len() - charged) as u64);
     }
     let states = b.len() as u64;
-    STATES_EXPLORED.fetch_add(states, Ordering::Relaxed);
     let build_stats = CheckStats {
         states,
         transitions,
@@ -1291,6 +1184,7 @@ fn explore_wide(
         peak_level,
         workers: 1,
         stats: build_stats,
+        por_commute_hits: 0,
     };
     g.build_predecessors();
     Ok(g)
@@ -1426,8 +1320,6 @@ fn explore_packed_serial(
         let _ = meter.charge_and_probe((f.keys.len() - charged) as u64);
     }
     let states = f.keys.len() as u64;
-    STATES_EXPLORED.fetch_add(states, Ordering::Relaxed);
-    POR_COMMUTE_HITS.fetch_add(commute_hits, Ordering::Relaxed);
     let build_stats = CheckStats {
         states,
         transitions,
@@ -1454,6 +1346,7 @@ fn explore_packed_serial(
         peak_level,
         workers: 1,
         stats: build_stats,
+        por_commute_hits: commute_hits,
     };
     g.build_predecessors();
     Ok(g)
@@ -1793,8 +1686,6 @@ fn explore_packed_parallel(
         let _ = meter.charge_and_probe((f.keys.len() - charged) as u64);
     }
     let states = f.keys.len() as u64;
-    STATES_EXPLORED.fetch_add(states, Ordering::Relaxed);
-    POR_COMMUTE_HITS.fetch_add(commute_hits, Ordering::Relaxed);
     let build_stats = CheckStats {
         states,
         transitions,
@@ -1821,6 +1712,7 @@ fn explore_packed_parallel(
         peak_level,
         workers: explore_threads as u32,
         stats: build_stats,
+        por_commute_hits: commute_hits,
     };
     g.build_predecessors();
     Ok(g)
@@ -2097,61 +1989,17 @@ fn scan_product(
 /// deleted from the model and the state space re-explored (same
 /// verdicts, same traces), but touches only the cached adjacency and
 /// never resolves a name. `model` must be the compiled form of the model
-/// the graph was built from.
+/// the graph was built from. Product-monitor states interned by the
+/// query are charged against `meter`, so a CEGAR re-query can exhaust
+/// the run's budget just like a graph build can.
 ///
 /// # Errors
 ///
 /// Returns [`CheckError::InvalidModel`] on a model/graph shape mismatch;
-/// [`CheckError::StateLimit`] if the product BFS exceeds `limit` states.
-pub fn check_on_graph(
-    model: &CompiledModel,
-    graph: &ReachGraph,
-    property: &CompiledProperty,
-    excluded: &CmdIdSet,
-    limit: usize,
-    stats: &mut QueryStats,
-) -> Result<Verdict, CheckError> {
-    check_on_graph_budgeted(
-        model,
-        graph,
-        property,
-        excluded,
-        limit,
-        &BudgetMeter::unlimited(),
-        stats,
-    )
-}
-
-/// [`check_on_graph`] under a live [`BudgetMeter`]: product-monitor
-/// states interned by the query are charged against the run-wide budget,
-/// so a CEGAR re-query can exhaust the run's budget just like a graph
-/// build can.
-///
-/// # Errors
-///
-/// Same as [`check_on_graph`], plus [`CheckError::Budget`] when the
-/// meter trips.
-pub fn check_on_graph_budgeted(
-    model: &CompiledModel,
-    graph: &ReachGraph,
-    property: &CompiledProperty,
-    excluded: &CmdIdSet,
-    limit: usize,
-    meter: &BudgetMeter,
-    stats: &mut QueryStats,
-) -> Result<Verdict, CheckError> {
-    if model.num_vars() != graph.num_vars() {
-        return Err(CheckError::InvalidModel(vec![format!(
-            "graph/model mismatch: graph has {} variables, model declares {}",
-            graph.num_vars(),
-            model.num_vars()
-        )]));
-    }
-    check_compiled_on_graph(model, graph, property, excluded, limit, meter, stats)
-}
-
+/// [`CheckError::StateLimit`] if the product BFS exceeds `limit` states;
+/// [`CheckError::Budget`] when the meter trips.
 #[allow(clippy::too_many_arguments)]
-fn check_compiled_on_graph(
+pub fn check_on_graph(
     c: &CompiledModel,
     g: &ReachGraph,
     property: &CompiledProperty,
@@ -2160,6 +2008,13 @@ fn check_compiled_on_graph(
     meter: &BudgetMeter,
     stats: &mut QueryStats,
 ) -> Result<Verdict, CheckError> {
+    if c.num_vars() != g.num_vars() {
+        return Err(CheckError::InvalidModel(vec![format!(
+            "graph/model mismatch: graph has {} variables, model declares {}",
+            g.num_vars(),
+            c.num_vars()
+        )]));
+    }
     let excluded_cmds: Option<&CmdIdSet> = if excluded.is_empty() {
         None
     } else {
@@ -2312,98 +2167,25 @@ fn check_response_on_graph(
 // Public one-shot API
 // ---------------------------------------------------------------------------
 
-/// Checks a property with the default state limit.
+/// Checks a property with an explicit state limit, accumulating
+/// exploration telemetry into `stats`. `stats` grows even on the error
+/// path (the state-limit case records how many states were interned
+/// before the limit tripped), so CEGAR callers can keep one accumulator
+/// across refinement iterations.
 ///
-/// # Errors
-///
-/// Returns [`CheckError::InvalidModel`] if the model fails validation
-/// and [`CheckError::StateLimit`] if the state space exceeds
-/// [`DEFAULT_STATE_LIMIT`] — use [`check_bounded`] for an explicit
-/// limit. This API never panics.
-pub fn check(model: &Model, property: &Property) -> Result<Verdict, CheckError> {
-    check_bounded(model, property, DEFAULT_STATE_LIMIT)
-}
-
-/// Explores the reachable state space and reports its size.
-///
-/// # Errors
-///
-/// Returns [`CheckError`] for invalid models or state-limit blowups.
-pub fn explore_stats(model: &Model, limit: usize) -> Result<ExploreStats, CheckError> {
-    let g = build_reach_graph(model, limit)?;
-    Ok(ExploreStats {
-        states: g.node_count(),
-        transitions: g.edge_count(),
-    })
-}
-
-/// Validates a property's expressions against a model without exploring
-/// anything — the same checks (and the same error ordering) the full
-/// check would apply before paying for exploration.
-///
-/// # Errors
-///
-/// Returns [`CheckError::InvalidModel`] with the model's problems first,
-/// then the property's.
-pub fn validate_property(model: &Model, property: &Property) -> Result<(), CheckError> {
-    let c = CompiledModel::new(model)?;
-    c.compile_property(property).map(drop)
-}
-
-/// Checks a property with an explicit state limit.
+/// Internally this is explore + evaluate: it builds a private
+/// [`ReachGraph`] and answers the property as a query over it. Callers
+/// checking many properties against one model should build the graph
+/// once ([`build_reach_graph_budgeted`]) and use [`check_on_graph`]
+/// instead.
 ///
 /// # Errors
 ///
 /// Returns [`CheckError::InvalidModel`] if the model references
 /// undeclared variables or out-of-domain values, and
 /// [`CheckError::StateLimit`] if exploration exceeds `limit` states.
+/// This API never panics.
 pub fn check_bounded(
-    model: &Model,
-    property: &Property,
-    limit: usize,
-) -> Result<Verdict, CheckError> {
-    let mut stats = CheckStats::default();
-    check_bounded_stats(model, property, limit, &mut stats)
-}
-
-/// [`check_bounded`] that additionally records the named counters on
-/// `collector`: `smv.checks`, `smv.states_explored`, `smv.transitions`,
-/// and `smv.peak_queue` (high-water mark). Counters are recorded even
-/// when the check errors out, so a state-limit blowup is visible in the
-/// telemetry. Returns the verdict together with this check's stats.
-///
-/// # Errors
-///
-/// Same as [`check_bounded`].
-pub fn check_bounded_traced(
-    model: &Model,
-    property: &Property,
-    limit: usize,
-    collector: &Collector,
-) -> Result<(Verdict, CheckStats), CheckError> {
-    let mut stats = CheckStats::default();
-    let result = check_bounded_stats(model, property, limit, &mut stats);
-    collector.add("smv.checks", 1);
-    collector.add("smv.states_explored", stats.states);
-    collector.add("smv.transitions", stats.transitions);
-    collector.record_max("smv.peak_queue", stats.peak_queue);
-    result.map(|verdict| (verdict, stats))
-}
-
-/// Checks a property, accumulating exploration telemetry into `stats`.
-/// `stats` grows even on the error path (the state-limit case records
-/// how many states were interned before the limit tripped), so CEGAR
-/// callers can keep one accumulator across refinement iterations.
-///
-/// Internally this is explore + evaluate: it builds a private
-/// [`ReachGraph`] and answers the property as a query over it. Callers
-/// checking many properties against one model should build the graph
-/// once ([`build_reach_graph`]) and use [`check_on_graph`] instead.
-///
-/// # Errors
-///
-/// Same as [`check_bounded`].
-pub fn check_bounded_stats(
     model: &Model,
     property: &Property,
     limit: usize,
@@ -2415,9 +2197,9 @@ pub fn check_bounded_stats(
     // property problems, then state-limit blowups).
     let cp = c.compile_property(property)?;
     let meter = BudgetMeter::unlimited();
-    let g = explore_graph(&c, limit, &meter, stats, 1, por_default())?;
+    let g = build_reach_graph_budgeted(&c, limit, &meter, stats, 1)?;
     let mut q = QueryStats::default();
-    let verdict = check_compiled_on_graph(&c, &g, &cp, &c.exclusion_set(), limit, &meter, &mut q)?;
+    let verdict = check_on_graph(&c, &g, &cp, &c.exclusion_set(), limit, &meter, &mut q)?;
     stats.absorb(CheckStats {
         states: q.product_states,
         transitions: q.transitions,
@@ -2606,10 +2388,32 @@ mod tests {
     use super::*;
     use crate::model::GuardedCmd;
 
-    /// `check` with the error path unwrapped — every model in this
-    /// module is valid and far below the default state limit.
+    /// `check_bounded` with the error path unwrapped — every model in
+    /// this module is valid and far below the default state limit.
     fn chk(m: &Model, p: &Property) -> Verdict {
-        check(m, p).expect("test model valid")
+        bounded(m, p, DEFAULT_STATE_LIMIT).expect("test model valid")
+    }
+
+    /// `check_bounded` with a throwaway stats accumulator.
+    fn bounded(m: &Model, p: &Property, limit: usize) -> Result<Verdict, CheckError> {
+        check_bounded(m, p, limit, &mut CheckStats::default())
+    }
+
+    /// Compiles `m` and explores it serially, unbudgeted.
+    fn graph(m: &Model, limit: usize, stats: &mut CheckStats) -> Result<ReachGraph, CheckError> {
+        let c = CompiledModel::new(m)?;
+        build_reach_graph_budgeted(&c, limit, &BudgetMeter::unlimited(), stats, 1)
+    }
+
+    /// An unbudgeted query over a cached graph.
+    fn query(
+        c: &CompiledModel,
+        g: &ReachGraph,
+        p: &CompiledProperty,
+        excluded: &CmdIdSet,
+        q: &mut QueryStats,
+    ) -> Result<Verdict, CheckError> {
+        check_on_graph(c, g, p, excluded, 1000, &BudgetMeter::unlimited(), q)
     }
 
     /// A 3-state token ring: idle -> req -> done -> idle.
@@ -2791,10 +2595,10 @@ mod tests {
                 );
             }
         }
-        let err = check_bounded(&m, &Property::invariant("x", Expr::True), 1000).unwrap_err();
+        let err = bounded(&m, &Property::invariant("x", Expr::True), 1000).unwrap_err();
         assert!(matches!(err, CheckError::StateLimit(1000)));
         // And with an adequate limit it completes.
-        let ok = check_bounded(&m, &Property::invariant("x", Expr::True), 100_000).unwrap();
+        let ok = bounded(&m, &Property::invariant("x", Expr::True), 100_000).unwrap();
         assert_eq!(ok, Verdict::Holds);
     }
 
@@ -2803,27 +2607,41 @@ mod tests {
         let mut m = Model::new("bad");
         m.declare_var("x", &["a"], &["a"]);
         m.add_command(GuardedCmd::new("boom", Expr::var_eq("ghost", "1")));
-        let err = check_bounded(&m, &Property::invariant("x", Expr::True), 100).unwrap_err();
+        let err = bounded(&m, &Property::invariant("x", Expr::True), 100).unwrap_err();
         assert!(matches!(err, CheckError::InvalidModel(_)));
     }
 
+    /// Exploration telemetry lives on the graph a build returns, never
+    /// in process-wide state: 4096 lattice states, and commute hits only
+    /// with the partial-order reduction on.
     #[test]
     fn telemetry_counts_explored_states() {
-        let before = states_explored_total();
-        let m = ring(false);
-        chk(
-            &m,
-            &Property::invariant("domain", Expr::var_in("st", ["idle", "req", "done"])),
-        );
-        assert!(states_explored_total() >= before + 3);
+        let c = CompiledModel::new(&lattice()).expect("valid");
+        let build = |por| {
+            let mut stats = CheckStats::default();
+            build_reach_graph_budgeted_opts(
+                &c,
+                1_000_000,
+                &BudgetMeter::unlimited(),
+                &mut stats,
+                1,
+                por,
+            )
+            .expect("fits")
+        };
+        let (on, off) = (build(true), build(false));
+        assert_eq!(on.build_stats().states, 4096);
+        assert_eq!(on.build_stats(), off.build_stats());
+        assert!(on.por_commute_hits() > 0, "independent toggles commute");
+        assert_eq!(off.por_commute_hits(), 0);
     }
 
     #[test]
     fn explore_stats_counts() {
         let m = ring(false);
-        let stats = explore_stats(&m, 1000).unwrap();
-        assert_eq!(stats.states, 3);
-        assert_eq!(stats.transitions, 3);
+        let g = graph(&m, 1000, &mut CheckStats::default()).unwrap();
+        assert_eq!(g.node_count(), 3);
+        assert_eq!(g.edge_count(), 3);
     }
 
     #[test]
@@ -2831,7 +2649,7 @@ mod tests {
         let m = ring(false);
         let p = Property::invariant("domain", Expr::var_in("st", ["idle", "req", "done"]));
         let mut stats = CheckStats::default();
-        let verdict = check_bounded_stats(&m, &p, 1000, &mut stats).unwrap();
+        let verdict = check_bounded(&m, &p, 1000, &mut stats).unwrap();
         assert_eq!(verdict, Verdict::Holds);
         assert_eq!(stats.states, 3);
         assert_eq!(stats.transitions, 3);
@@ -2840,7 +2658,7 @@ mod tests {
         // The accumulator folds across checks: a second check doubles the
         // monotonic counters and keeps the peak as a max.
         let first = stats;
-        check_bounded_stats(&m, &p, 1000, &mut stats).unwrap();
+        check_bounded(&m, &p, 1000, &mut stats).unwrap();
         assert_eq!(stats.states, first.states * 2);
         assert_eq!(stats.transitions, first.transitions * 2);
         assert_eq!(stats.peak_queue, first.peak_queue);
@@ -2862,33 +2680,10 @@ mod tests {
             }
         }
         let mut stats = CheckStats::default();
-        let err = check_bounded_stats(&m, &Property::invariant("x", Expr::True), 1000, &mut stats)
-            .unwrap_err();
+        let err =
+            check_bounded(&m, &Property::invariant("x", Expr::True), 1000, &mut stats).unwrap_err();
         assert!(matches!(err, CheckError::StateLimit(1000)));
         assert!(stats.states > 1000, "partial exploration must be visible");
-    }
-
-    #[test]
-    fn traced_check_records_collector_counters() {
-        use procheck_telemetry::Collector;
-        let m = ring(false);
-        let p = Property::invariant("domain", Expr::var_in("st", ["idle", "req", "done"]));
-
-        let collector = Collector::enabled();
-        let (verdict, stats) = check_bounded_traced(&m, &p, 1000, &collector).unwrap();
-        assert_eq!(verdict, Verdict::Holds);
-        assert_eq!(collector.counter_value("smv.checks"), 1);
-        assert_eq!(collector.counter_value("smv.states_explored"), stats.states);
-        assert_eq!(
-            collector.counter_value("smv.transitions"),
-            stats.transitions
-        );
-        assert_eq!(collector.counter_value("smv.peak_queue"), stats.peak_queue);
-
-        // A disabled collector yields the identical verdict and stats.
-        let (v2, s2) = check_bounded_traced(&m, &p, 1000, &Collector::disabled()).unwrap();
-        assert_eq!(v2, verdict);
-        assert_eq!(s2, stats);
     }
 
     // --- explore-once / query-many -------------------------------------
@@ -2900,7 +2695,7 @@ mod tests {
         for with_drop in [false, true] {
             let mut m = ring(with_drop);
             m.add_fairness(Expr::var_eq("st", "done"));
-            let g = build_reach_graph(&m, 1000).unwrap();
+            let g = graph(&m, 1000, &mut CheckStats::default()).unwrap();
             assert!(g.is_packed(), "3-value domain must bit-pack");
             let props = [
                 Property::invariant("inv", Expr::var_ne("st", "done")),
@@ -2920,10 +2715,10 @@ mod tests {
             ];
             let c = CompiledModel::new(&m).unwrap();
             for p in &props {
-                let direct = check_bounded(&m, p, 1000).unwrap();
+                let direct = bounded(&m, p, 1000).unwrap();
                 let cp = c.compile_property(p).unwrap();
                 let mut q = QueryStats::default();
-                let cached = check_on_graph(&c, &g, &cp, &c.exclusion_set(), 1000, &mut q).unwrap();
+                let cached = query(&c, &g, &cp, &c.exclusion_set(), &mut q).unwrap();
                 assert_eq!(direct, cached, "{} (with_drop={with_drop})", p.name());
                 assert!(q.nodes_reused > 0, "query must report reuse");
             }
@@ -2936,7 +2731,7 @@ mod tests {
     fn excluded_query_matches_filtered_model() {
         let full = ring(true); // request, serve, reset, adv_drop
         let filtered = ring(false); // identical minus adv_drop
-        let g = build_reach_graph(&full, 1000).unwrap();
+        let g = graph(&full, 1000, &mut CheckStats::default()).unwrap();
         let props = [
             Property::invariant("inv", Expr::var_ne("st", "done")),
             Property::reachable("done", Expr::var_eq("st", "done")),
@@ -2957,10 +2752,10 @@ mod tests {
             mask.insert(id);
         }
         for p in &props {
-            let direct = check_bounded(&filtered, p, 1000).unwrap();
+            let direct = bounded(&filtered, p, 1000).unwrap();
             let cp = c.compile_property(p).unwrap();
             let mut q = QueryStats::default();
-            let masked = check_on_graph(&c, &g, &cp, &mask, 1000, &mut q).unwrap();
+            let masked = query(&c, &g, &cp, &mask, &mut q).unwrap();
             assert_eq!(direct, masked, "{} (mask)", p.name());
             assert!(q.nodes_reused > 0, "masked query must report reuse");
         }
@@ -2971,7 +2766,7 @@ mod tests {
     #[test]
     fn excluding_all_commands_synthesizes_stutter() {
         let m = ring(false);
-        let g = build_reach_graph(&m, 1000).unwrap();
+        let g = graph(&m, 1000, &mut CheckStats::default()).unwrap();
         let c = CompiledModel::new(&m).unwrap();
         let mut mask = c.exclusion_set();
         for id in c.commands_labeled(Sym::intern("serve")) {
@@ -2984,8 +2779,7 @@ mod tests {
         );
         let cp = c.compile_property(&p).unwrap();
         let mut q = QueryStats::default();
-        let Verdict::Violated(ce) = check_on_graph(&c, &g, &cp, &mask, 1000, &mut q).unwrap()
-        else {
+        let Verdict::Violated(ce) = query(&c, &g, &cp, &mask, &mut q).unwrap() else {
             panic!("removing serve must stall the ring");
         };
         assert!(ce.is_lasso());
@@ -2997,7 +2791,7 @@ mod tests {
         stalled
             .add_command(GuardedCmd::new("request", Expr::var_eq("st", "idle")).set("st", "req"));
         stalled.add_command(GuardedCmd::new("reset", Expr::var_eq("st", "done")).set("st", "idle"));
-        let Verdict::Violated(ref_ce) = check_bounded(&stalled, &p, 1000).unwrap() else {
+        let Verdict::Violated(ref_ce) = bounded(&stalled, &p, 1000).unwrap() else {
             panic!("reference model must also stall");
         };
         assert_eq!(ce.command_labels(), ref_ce.command_labels());
@@ -3015,15 +2809,15 @@ mod tests {
             m.declare_var(&format!("x{i}"), &domain_refs, &["v0"]);
         }
         m.add_command(GuardedCmd::new("step", Expr::var_eq("x0", "v0")).set("x0", "v1"));
-        let g = build_reach_graph(&m, 1000).unwrap();
+        let g = graph(&m, 1000, &mut CheckStats::default()).unwrap();
         assert!(!g.is_packed(), "11 x 6 bits must overflow the u64 key");
         assert_eq!(g.node_count(), 2);
         let p = Property::reachable("moved", Expr::var_eq("x0", "v1"));
-        let direct = check_bounded(&m, &p, 1000).unwrap();
+        let direct = bounded(&m, &p, 1000).unwrap();
         let c = CompiledModel::new(&m).unwrap();
         let cp = c.compile_property(&p).unwrap();
         let mut q = QueryStats::default();
-        let cached = check_on_graph(&c, &g, &cp, &c.exclusion_set(), 1000, &mut q).unwrap();
+        let cached = query(&c, &g, &cp, &c.exclusion_set(), &mut q).unwrap();
         assert_eq!(direct, cached);
         assert_eq!(direct.trace().unwrap(), cached.trace().unwrap());
     }
@@ -3033,7 +2827,7 @@ mod tests {
     #[test]
     fn reach_graph_structure_is_consistent() {
         let m = ring(true);
-        let g = build_reach_graph(&m, 1000).unwrap();
+        let g = graph(&m, 1000, &mut CheckStats::default()).unwrap();
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.init_count(), 1);
         // Every successor edge appears as a predecessor link and vice versa.
@@ -3075,22 +2869,23 @@ mod tests {
             }
         }
         let mut stats = CheckStats::default();
-        let err = build_reach_graph_stats(&m, 1000, &mut stats).unwrap_err();
+        let err = graph(&m, 1000, &mut stats).unwrap_err();
         assert!(matches!(err, CheckError::StateLimit(1000)));
         assert!(stats.states > 1000, "partial exploration must be visible");
     }
 
-    /// `validate_property` mirrors the full check's error precedence
-    /// without exploring anything.
+    /// Compiling a property validates it with the full check's error
+    /// precedence, without exploring anything.
     #[test]
     fn validate_property_matches_check_errors() {
         let m = ring(false);
-        assert!(
-            validate_property(&m, &Property::invariant("ok", Expr::var_eq("st", "idle"))).is_ok()
-        );
+        let c = CompiledModel::new(&m).unwrap();
+        assert!(c
+            .compile_property(&Property::invariant("ok", Expr::var_eq("st", "idle")))
+            .is_ok());
         let bad = Property::invariant("bad", Expr::var_eq("ghost", "1"));
-        let via_validate = validate_property(&m, &bad).unwrap_err();
-        let via_check = check_bounded(&m, &bad, 1000).unwrap_err();
+        let via_validate = c.compile_property(&bad).unwrap_err();
+        let via_check = bounded(&m, &bad, 1000).unwrap_err();
         assert_eq!(via_validate, via_check);
     }
 
@@ -3237,14 +3032,18 @@ mod tests {
         ));
     }
 
+    /// Charging a budget that never trips leaves the build identical to
+    /// an unlimited one.
     #[test]
     fn unlimited_budget_matches_unbudgeted_build() {
+        use crate::budget::Budget;
         let c = CompiledModel::new(&lattice()).expect("valid");
         let mut s1 = CheckStats::default();
-        let g1 = build_reach_graph_compiled(&c, 1_000_000, &mut s1).expect("fits");
-        let mut s2 = CheckStats::default();
-        let g2 = build_reach_graph_budgeted(&c, 1_000_000, &BudgetMeter::unlimited(), &mut s2, 1)
+        let g1 = build_reach_graph_budgeted(&c, 1_000_000, &BudgetMeter::unlimited(), &mut s1, 1)
             .expect("fits");
+        let mut s2 = CheckStats::default();
+        let meter = Budget::unlimited().with_total_states(1_000_000).start();
+        let g2 = build_reach_graph_budgeted(&c, 1_000_000, &meter, &mut s2, 1).expect("fits");
         assert_eq!(g1.node_count(), 4096);
         assert_eq!(g1.node_count(), g2.node_count());
         assert_eq!(g1.edge_count(), g2.edge_count());
@@ -3257,7 +3056,8 @@ mod tests {
         let m = ring(true);
         let c = CompiledModel::new(&m).expect("valid");
         let mut build = CheckStats::default();
-        let g = build_reach_graph_compiled(&c, 1000, &mut build).expect("tiny");
+        let g = build_reach_graph_budgeted(&c, 1000, &BudgetMeter::unlimited(), &mut build, 1)
+            .expect("tiny");
         let p = c
             .compile_property(&Property::response(
                 "served",
@@ -3269,7 +3069,7 @@ mod tests {
         let meter = Budget::unlimited().with_total_states(10).start();
         meter.charge_and_probe(10).expect("exactly at cap");
         let mut q = QueryStats::default();
-        let err = check_on_graph_budgeted(&c, &g, &p, &c.exclusion_set(), 1000, &meter, &mut q)
+        let err = check_on_graph(&c, &g, &p, &c.exclusion_set(), 1000, &meter, &mut q)
             .expect_err("query budget exhausted");
         assert_eq!(
             err,

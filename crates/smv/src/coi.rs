@@ -29,8 +29,7 @@
 //! [`expand_counterexample`] replays them against the full model at the
 //! report edge so everything user-visible stays in full-variable form.
 //!
-//! Kill-switch: `PROCHECK_NO_SLICE=1` (see [`slice_default`]), mirrored
-//! by the pipeline's `AnalysisConfig::slice` flag.
+//! The pipeline's `AnalysisConfig::slice` flag switches slicing on or off.
 
 use crate::checker::{CCmd, CExpr, CProp, CVar, CompiledModel, CompiledProperty};
 use crate::fxhash::{FxBuildHasher, FxHashMap};
@@ -39,13 +38,6 @@ use procheck_ident::{Sym, VarId};
 use std::collections::BTreeSet;
 
 type Value = crate::reach::Value;
-
-/// Default for cone-of-influence slicing: enabled unless
-/// `PROCHECK_NO_SLICE` is set in the environment (the kill-switch
-/// mirroring `PROCHECK_NO_GRAPH_CACHE` / `PROCHECK_NO_POR`).
-pub fn slice_default() -> bool {
-    std::env::var_os("PROCHECK_NO_SLICE").is_none()
-}
 
 /// The identity of a cone: which of the full model's variables and
 /// commands survive the projection (both ascending, in source index
@@ -309,8 +301,9 @@ pub fn expand_counterexample(full: &CompiledModel, ce: &Counterexample) -> Count
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::BudgetMeter;
     use crate::checker::{
-        build_reach_graph_compiled, check_bounded, check_on_graph, CheckStats, Property,
+        build_reach_graph_budgeted, check_bounded, check_on_graph, CheckStats, Property,
         QueryStats, Verdict,
     };
     use crate::expr::Expr;
@@ -369,12 +362,13 @@ mod tests {
         let m = two_toggles();
         let c = CompiledModel::new(&m).unwrap();
         let p = Property::reachable("a1", Expr::var_eq("a", "1"));
-        let full = check_bounded(&m, &p, 1000).unwrap();
+        let full = check_bounded(&m, &p, 1000, &mut CheckStats::default()).unwrap();
         let cp = c.compile_property(&p).unwrap();
         let sliced = slice_for_property(&c, &cp).unwrap();
         let scp = sliced.model.compile_property(&p).unwrap();
         let mut stats = CheckStats::default();
-        let g = build_reach_graph_compiled(&sliced.model, 1000, &mut stats).unwrap();
+        let meter = BudgetMeter::unlimited();
+        let g = build_reach_graph_budgeted(&sliced.model, 1000, &meter, &mut stats, 1).unwrap();
         assert_eq!(g.node_count(), 2, "sliced space is the `a` toggle alone");
         let mut q = QueryStats::default();
         let v = check_on_graph(
@@ -383,6 +377,7 @@ mod tests {
             &scp,
             &sliced.model.exclusion_set(),
             1000,
+            &meter,
             &mut q,
         )
         .unwrap();

@@ -36,7 +36,7 @@
 //! ```
 //! use procheck_smv::model::{Model, GuardedCmd};
 //! use procheck_smv::expr::Expr;
-//! use procheck_smv::checker::{check, Property, Verdict};
+//! use procheck_smv::checker::{check_bounded, CheckStats, Property, Verdict, DEFAULT_STATE_LIMIT};
 //!
 //! let mut m = Model::new("toggle");
 //! m.declare_var("light", &["off", "on"], &["off"]);
@@ -46,7 +46,9 @@
 //!     .set("light", "off"));
 //!
 //! // "the light is never stuck": on is reachable
-//! let verdict = check(&m, &Property::reachable("can_turn_on", Expr::var_eq("light", "on")))
+//! let can_turn_on = Property::reachable("can_turn_on", Expr::var_eq("light", "on"));
+//! let mut stats = CheckStats::default();
+//! let verdict = check_bounded(&m, &can_turn_on, DEFAULT_STATE_LIMIT, &mut stats)
 //!     .expect("valid model");
 //! assert!(matches!(verdict, Verdict::Reachable(_)));
 //! ```
@@ -66,10 +68,9 @@ pub mod trace;
 pub use backend::{BackendVerdict, CheckBackend, ExplicitBackend};
 pub use budget::{Budget, BudgetExceeded, BudgetMeter};
 pub use checker::{
-    build_reach_graph_budgeted_opts, check, por_commute_hits_total, por_default, CompiledModel,
-    CompiledProperty, Property, Verdict,
+    build_reach_graph_budgeted_opts, CompiledModel, CompiledProperty, Property, Verdict,
 };
-pub use coi::{expand_counterexample, slice_default, slice_for_property, ConeSig, SlicedModel};
+pub use coi::{expand_counterexample, slice_for_property, ConeSig, SlicedModel};
 pub use expr::Expr;
 pub use model::{GuardedCmd, Model};
 pub use persist::{model_fingerprint, model_semantic_fingerprint, ReachGraphData};

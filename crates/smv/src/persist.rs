@@ -285,6 +285,7 @@ impl ReachGraph {
                 transitions: data.stats[1],
                 peak_queue: data.stats[2],
             },
+            por_commute_hits: 0,
         };
         graph.build_predecessors();
         Ok(graph)
@@ -415,9 +416,22 @@ fn fingerprint_with_labels(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::{build_reach_graph, check_on_graph, Property};
+    use crate::budget::BudgetMeter;
+    use crate::checker::{build_reach_graph_budgeted, check_on_graph, CheckError, Property};
     use crate::expr::Expr;
     use crate::model::{GuardedCmd, Model};
+
+    /// Compiles and explores `m`, unbudgeted.
+    fn explore(m: &Model, limit: usize) -> Result<ReachGraph, CheckError> {
+        let c = CompiledModel::new(m)?;
+        build_reach_graph_budgeted(
+            &c,
+            limit,
+            &BudgetMeter::unlimited(),
+            &mut CheckStats::default(),
+            1,
+        )
+    }
 
     fn toggle_model() -> Model {
         let mut m = Model::new("toggle");
@@ -438,7 +452,7 @@ mod tests {
     fn graph_roundtrips_and_answers_identically() {
         let m = toggle_model();
         let compiled = CompiledModel::new(&m).unwrap();
-        let graph = build_reach_graph(&m, 1000).unwrap();
+        let graph = explore(&m, 1000).unwrap();
         let data = graph.to_data();
         let bytes = data.encode();
         let decoded = ReachGraphData::decode(&bytes).unwrap();
@@ -462,9 +476,27 @@ mod tests {
         let excluded = compiled.exclusion_set();
         let mut live_stats = crate::checker::QueryStats::default();
         let mut warm_stats = crate::checker::QueryStats::default();
-        let live = check_on_graph(&compiled, &graph, &p, &excluded, 1000, &mut live_stats).unwrap();
-        let warm =
-            check_on_graph(&compiled, &restored, &p, &excluded, 1000, &mut warm_stats).unwrap();
+        let meter = BudgetMeter::unlimited();
+        let live = check_on_graph(
+            &compiled,
+            &graph,
+            &p,
+            &excluded,
+            1000,
+            &meter,
+            &mut live_stats,
+        )
+        .unwrap();
+        let warm = check_on_graph(
+            &compiled,
+            &restored,
+            &p,
+            &excluded,
+            1000,
+            &meter,
+            &mut warm_stats,
+        )
+        .unwrap();
         assert_eq!(format!("{live:?}"), format!("{warm:?}"));
         assert_eq!(live_stats, warm_stats);
     }
@@ -472,7 +504,7 @@ mod tests {
     #[test]
     fn from_data_rejects_mismatched_model() {
         let m = toggle_model();
-        let graph = build_reach_graph(&m, 1000).unwrap();
+        let graph = explore(&m, 1000).unwrap();
         let mut other = Model::new("other");
         other.declare_var("light", &["off", "on"], &["off"]);
         let other_compiled = CompiledModel::new(&other).unwrap();
@@ -484,7 +516,7 @@ mod tests {
     fn from_data_rejects_corrupt_indices() {
         let m = toggle_model();
         let compiled = CompiledModel::new(&m).unwrap();
-        let graph = build_reach_graph(&m, 1000).unwrap();
+        let graph = explore(&m, 1000).unwrap();
         let data = graph.to_data();
 
         let mut bad = data.clone();
@@ -514,7 +546,7 @@ mod tests {
     #[test]
     fn decode_rejects_truncation() {
         let m = toggle_model();
-        let graph = build_reach_graph(&m, 1000).unwrap();
+        let graph = explore(&m, 1000).unwrap();
         let bytes = graph.to_data().encode();
         for cut in [0, 1, 8, bytes.len() / 2, bytes.len() - 1] {
             assert!(ReachGraphData::decode(&bytes[..cut]).is_err());

@@ -180,7 +180,8 @@ impl StateArena {
 
 /// A fully-explored reachable state graph for one model.
 ///
-/// Built by [`crate::checker::build_reach_graph`]; immutable afterwards.
+/// Built by [`crate::checker::build_reach_graph_budgeted`]; immutable
+/// afterwards.
 /// Shared (e.g. behind an `Arc` in a per-threat-configuration cache) so
 /// every property keyed to the same model answers its query against one
 /// exploration instead of re-running BFS.
@@ -214,6 +215,11 @@ pub struct ReachGraph {
     pub(crate) workers: u32,
     /// Exploration cost of building this graph.
     pub(crate) stats: CheckStats,
+    /// Guard evaluations the partial-order reduction skipped while
+    /// building this graph (0 with the reduction off, for the wide
+    /// arena, and for graphs loaded from a store). Kept out of
+    /// [`CheckStats`] so the stats are identical with POR on or off.
+    pub(crate) por_commute_hits: u64,
 }
 
 impl ReachGraph {
@@ -262,6 +268,13 @@ impl ReachGraph {
     /// Worker threads exploration ran with (1 = serial path).
     pub fn explore_workers(&self) -> u32 {
         self.workers
+    }
+
+    /// Guard evaluations the partial-order reduction skipped during this
+    /// build: a child inherited its parent's verdict for every guard the
+    /// fired command cannot affect. Identical at any worker count.
+    pub fn por_commute_hits(&self) -> u64 {
+        self.por_commute_hits
     }
 
     /// BFS parent edge of `id` as `(parent node, command index)`, or
@@ -447,6 +460,7 @@ mod tests {
             peak_level: 1,
             workers: 1,
             stats: CheckStats::default(),
+            por_commute_hits: 0,
         };
         g.build_predecessors();
         assert_eq!(g.pred_off, vec![0, 2, 5, 5, 7]);

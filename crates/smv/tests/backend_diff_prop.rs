@@ -197,7 +197,8 @@ proptest! {
         }
 
         let mut qs = QueryStats::default();
-        let explicit = check_on_graph(&compiled, &graph, &cp, &excluded, LIMIT, &mut qs)
+        let meter = BudgetMeter::unlimited();
+        let explicit = check_on_graph(&compiled, &graph, &cp, &excluded, LIMIT, &meter, &mut qs)
             .expect("within limit");
 
         let bmc = BmcBackend::new(BOUND);

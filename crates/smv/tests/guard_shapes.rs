@@ -2,8 +2,15 @@
 //! nested `Not`) and disjunctive initial states — the expression forms
 //! the threat builder and property authors may emit.
 
-use procheck_smv::checker::{check, check_bounded, CheckError, Property, Verdict};
+use procheck_smv::checker::{
+    check_bounded, CheckError, CheckStats, Property, Verdict, DEFAULT_STATE_LIMIT,
+};
 use procheck_smv::model::Model as SmvModel;
+
+/// `check_bounded` at the default limit — every model here is small.
+fn check(m: &SmvModel, p: &Property) -> Result<Verdict, CheckError> {
+    check_bounded(m, p, DEFAULT_STATE_LIMIT, &mut CheckStats::default())
+}
 
 /// `check` with the error path unwrapped — every model here is valid.
 fn chk(m: &SmvModel, p: &Property) -> Verdict {
@@ -74,6 +81,7 @@ fn or_and_implies_properties() {
         &m,
         &Property::invariant("bad", Expr::var_eq("x", "9999")),
         10_000,
+        &mut CheckStats::default(),
     );
     assert!(err.is_err());
 }

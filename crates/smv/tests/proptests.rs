@@ -1,7 +1,7 @@
 //! Property-based tests for the explicit-state checker: internal
 //! consistency laws and counterexample validity on random models.
 
-use procheck_smv::checker::{check_bounded, Property, Verdict};
+use procheck_smv::checker::{check_bounded, CheckStats, Property, Verdict};
 use procheck_smv::expr::Expr;
 use procheck_smv::model::{GuardedCmd, Model};
 use proptest::prelude::*;
@@ -66,11 +66,13 @@ proptest! {
             &rm.model,
             &Property::invariant("p", rm.atom.clone()),
             100_000,
+            &mut CheckStats::default(),
         ).unwrap();
         let reach = check_bounded(
             &rm.model,
             &Property::reachable("notp", Expr::not(rm.atom.clone())),
             100_000,
+            &mut CheckStats::default(),
         ).unwrap();
         match (inv, reach) {
             (Verdict::Holds, Verdict::Unreachable) => {}
@@ -87,6 +89,7 @@ proptest! {
             &rm.model,
             &Property::reachable("goal", rm.atom.clone()),
             100_000,
+            &mut CheckStats::default(),
         ).unwrap();
         let Verdict::Reachable(ce) = verdict else { return Ok(()) };
         let last = ce.steps.last().expect("non-empty trace");
@@ -118,6 +121,7 @@ proptest! {
             &rm.model,
             &Property::response("taut", rm.atom.clone(), rm.atom.clone()),
             100_000,
+            &mut CheckStats::default(),
         ).unwrap();
         prop_assert_eq!(verdict, Verdict::Holds);
     }
@@ -129,6 +133,7 @@ proptest! {
             &rm.model,
             &Property::precedence("taut", Expr::False, rm.atom.clone()),
             100_000,
+            &mut CheckStats::default(),
         ).unwrap();
         prop_assert_eq!(verdict, Verdict::Holds);
     }
@@ -137,8 +142,8 @@ proptest! {
     #[test]
     fn checking_is_deterministic(rm in arb_model()) {
         let p = Property::invariant("p", rm.atom.clone());
-        let a = check_bounded(&rm.model, &p, 100_000).unwrap();
-        let b = check_bounded(&rm.model, &p, 100_000).unwrap();
+        let a = check_bounded(&rm.model, &p, 100_000, &mut CheckStats::default()).unwrap();
+        let b = check_bounded(&rm.model, &p, 100_000, &mut CheckStats::default()).unwrap();
         prop_assert_eq!(a, b);
     }
 }

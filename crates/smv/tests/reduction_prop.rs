@@ -161,8 +161,8 @@ proptest! {
     fn por_graph_equals_unreduced_graph(model in arb_model()) {
         let compiled = CompiledModel::new(&model).expect("generated models are valid");
         let base = build_graph(&compiled, false);
-        // POR forced on at width 1, then the env-default build (which is
-        // POR-on unless PROCHECK_NO_POR is set) at wider frontiers.
+        // POR on at width 1, then the default build (POR on) at a wider
+        // frontier.
         let por_on = build_graph(&compiled, true);
         let mut stats = CheckStats::default();
         let por_wide = build_reach_graph_budgeted(
@@ -233,11 +233,20 @@ proptest! {
                 }
             }
             let mut qs = QueryStats::default();
-            let full_v = check_on_graph(&compiled, &full_graph, &cp, &fex, LIMIT, &mut qs)
+            let meter = BudgetMeter::unlimited();
+            let full_v = check_on_graph(&compiled, &full_graph, &cp, &fex, LIMIT, &meter, &mut qs)
                 .expect("within limit");
             let mut qs = QueryStats::default();
-            let sliced_v = check_on_graph(&sliced.model, &sliced_graph, &scp, &sex, LIMIT, &mut qs)
-                .expect("within limit");
+            let sliced_v = check_on_graph(
+                &sliced.model,
+                &sliced_graph,
+                &scp,
+                &sex,
+                LIMIT,
+                &meter,
+                &mut qs,
+            )
+            .expect("within limit");
             prop_assert_eq!(
                 std::mem::discriminant(&full_v),
                 std::mem::discriminant(&sliced_v),

@@ -39,5 +39,6 @@ pub use solver::{SolveOutcome, Solver, SolverStats};
 
 /// Default BMC bound (transitions), chosen above the longest golden
 /// counterexample in the registry (18 transitions) so stock analyses
-/// cross-validate without truncation. Override with `PROCHECK_BMC_BOUND`.
+/// cross-validate without truncation. Override per run with
+/// `AnalysisConfig::bmc_bound`.
 pub const DEFAULT_BMC_BOUND: usize = 24;

@@ -830,9 +830,10 @@ mod tests {
     fn exclusion_mask_matches_forge_free_model() {
         use procheck_ident::CmdIdSet;
         use procheck_smv::checker::{
-            build_reach_graph_compiled, check_bounded, check_on_graph, CheckStats, Property,
+            build_reach_graph_budgeted, check_bounded, check_on_graph, CheckStats, Property,
             QueryStats,
         };
+        use procheck_smv::BudgetMeter;
 
         let model = build_threat_model(&mini_ue(), &mini_mme(), &ThreatConfig::lte());
         let compiled = procheck_smv::CompiledModel::new(&model).expect("model compiles");
@@ -862,12 +863,15 @@ mod tests {
 
         let p = Property::reachable("forged_dl", Expr::var_eq("chan_dl_meta", "adv_forged"));
         let mut stats = CheckStats::default();
-        let graph = build_reach_graph_compiled(&compiled, 1_000_000, &mut stats).expect("explore");
+        let meter = BudgetMeter::unlimited();
+        let graph = build_reach_graph_budgeted(&compiled, 1_000_000, &meter, &mut stats, 1)
+            .expect("explore");
         let cp = compiled.compile_property(&p).expect("property compiles");
         let mut q = QueryStats::default();
-        let masked =
-            check_on_graph(&compiled, &graph, &cp, &mask, 1_000_000, &mut q).expect("masked query");
-        let reference = check_bounded(&no_forge, &p, 1_000_000).expect("reference check");
+        let masked = check_on_graph(&compiled, &graph, &cp, &mask, 1_000_000, &meter, &mut q)
+            .expect("masked query");
+        let reference = check_bounded(&no_forge, &p, 1_000_000, &mut CheckStats::default())
+            .expect("reference check");
         // Forged delivery is reachable in the full model, and both the
         // masked query and the forge-free model agree it is not once the
         // forge commands are out of play.
@@ -877,6 +881,7 @@ mod tests {
             &cp,
             &CmdIdSet::default(),
             1_000_000,
+            &meter,
             &mut q,
         )
         .expect("unmasked query");

@@ -4,7 +4,9 @@
 use procheck_conformance::runner::run_suite;
 use procheck_conformance::suites;
 use procheck_extractor::{extract_fsm, ExtractorConfig};
-use procheck_smv::checker::{check_bounded, explore_stats, Property, Verdict};
+use procheck_smv::checker::{
+    build_reach_graph_budgeted, check_bounded, CheckStats, CompiledModel, Property, Verdict,
+};
 use procheck_smv::expr::Expr;
 use procheck_smv::smvformat::to_smv;
 use procheck_stack::UeConfig;
@@ -27,7 +29,10 @@ fn composed_model_is_tractable() {
     let (ue, mme) = models(&cfg);
     let model = build_threat_model(&ue, &mme, &ThreatConfig::lte());
     assert!(model.validate().is_empty(), "{:?}", model.validate());
-    let stats = explore_stats(&model, 3_000_000).expect("within limits");
+    let compiled = CompiledModel::new(&model).expect("composed model compiles");
+    let meter = procheck_smv::BudgetMeter::unlimited();
+    let mut stats = CheckStats::default();
+    build_reach_graph_budgeted(&compiled, 3_000_000, &meter, &mut stats, 1).expect("within limits");
     assert!(stats.states > 100, "non-trivial: {} states", stats.states);
     assert!(
         stats.states < 3_000_000,
@@ -79,7 +84,7 @@ fn attach_completion_reachable_under_adversary() {
             Expr::var_eq("mme_state", "mme_registered"),
         ]),
     );
-    let v = check_bounded(&model, &p, 3_000_000).expect("check runs");
+    let v = check_bounded(&model, &p, 3_000_000, &mut CheckStats::default()).expect("check runs");
     assert!(
         matches!(v, Verdict::Reachable(_)),
         "normal attach must survive composition"
@@ -92,7 +97,7 @@ fn p1_stale_acceptance_reachable_in_imp() {
     let (ue, mme) = models(&cfg);
     let model = build_threat_model(&ue, &mme, &ThreatConfig::lte());
     let p = Property::reachable("stale_sqn_accepted", Expr::var_eq("last_auth_sqn", "stale"));
-    let v = check_bounded(&model, &p, 3_000_000).expect("check runs");
+    let v = check_bounded(&model, &p, 3_000_000, &mut CheckStats::default()).expect("check runs");
     let Verdict::Reachable(ce) = v else {
         panic!("P1's stale acceptance must be reachable in the threat model");
     };

@@ -10,7 +10,9 @@ use procheck::pipeline::{extract_models, AnalysisConfig};
 use procheck_fsm::dot;
 use procheck_props::registry;
 use procheck_props::Check;
+use procheck_smv::BudgetMeter;
 use procheck_stack::quirks::Implementation;
+use procheck_telemetry::Collector;
 use procheck_threat::{build_threat_model, StepSemantics};
 
 fn main() {
@@ -45,7 +47,18 @@ fn main() {
     let Check::Model(formula) = &prop.check else {
         unreachable!("S06 is a model property")
     };
-    let outcome = cegar_check(&model, formula, &semantics, 2_000_000, 24).expect("check runs");
+    let outcome = cegar_check(
+        &model,
+        formula,
+        &semantics,
+        2_000_000,
+        24,
+        &BudgetMeter::unlimited(),
+        1,
+        true,
+        &Collector::disabled(),
+    )
+    .expect("check runs");
 
     // 4. Report. On srsUE this property is violated: issue I1.
     match outcome.verdict {
