@@ -18,6 +18,7 @@ use procheck_smv::checker::{
     Property,
 };
 use procheck_smv::coi::{expand_counterexample, slice_for_property};
+use procheck_smv::reach::STUTTER_CMD;
 use procheck_smv::{ExplicitBackend, ReachGraph};
 use procheck_stack::quirks::Implementation;
 use procheck_telemetry::Collector;
@@ -176,6 +177,56 @@ fn por_skips_guard_evaluations_without_changing_the_graph() {
     assert_eq!(on.to_data(), off.to_data(), "POR must not change the graph");
     assert_eq!(on.build_stats(), off.build_stats());
     assert_eq!(on_stats, off_stats);
+}
+
+/// The table-driven packed explorers agree with direct guard evaluation
+/// on a real registry model: at every node, the successors are exactly
+/// the commands whose compiled guard holds on the node's state, in
+/// ascending order, each leading to the updated state, with the stutter
+/// only where no guard holds — serial and parallel, POR on and off.
+#[test]
+fn registry_successors_equal_direct_guard_evaluation() {
+    let models = extract_models(Implementation::Reference, &AnalysisConfig::default());
+    let cfg = registry()[0].slice.threat_config();
+    let model = build_threat_model(&models.ue, &models.mme, &cfg);
+    let compiled = CompiledModel::new(&model).unwrap();
+    for explore_threads in [1, 4] {
+        for por in [true, false] {
+            let meter = BudgetMeter::unlimited();
+            let mut stats = CheckStats::default();
+            let graph = build_reach_graph_budgeted_opts(
+                &compiled,
+                2_000_000,
+                &meter,
+                &mut stats,
+                explore_threads,
+                por,
+            )
+            .expect("registry model explores");
+            assert!(graph.is_packed());
+            for id in 0..graph.node_count() as u32 {
+                let state = graph.state_of(id);
+                let enabled: Vec<u32> = (0..compiled.command_count())
+                    .filter(|&i| compiled.commands()[i].guard.eval(&state))
+                    .map(|i| i as u32)
+                    .collect();
+                let succ: Vec<(u32, u32)> = graph.successors(id).collect();
+                if enabled.is_empty() {
+                    assert_eq!(succ, vec![(STUTTER_CMD, id)], "node {id}: stutter");
+                    continue;
+                }
+                let cmds: Vec<u32> = succ.iter().map(|&(cmd, _)| cmd).collect();
+                assert_eq!(cmds, enabled, "node {id}: enabled commands");
+                for (cmd, next) in succ {
+                    let mut want = state.clone();
+                    for &(v, x) in &compiled.commands()[cmd as usize].updates {
+                        want[v.index()] = x.0;
+                    }
+                    assert_eq!(graph.state_of(next), want, "node {id}, command {cmd}");
+                }
+            }
+        }
+    }
 }
 
 /// The sliced CEGAR loop must match the full one refinement by

@@ -34,6 +34,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default bound on explored product states.
@@ -705,11 +706,11 @@ pub fn build_reach_graph_budgeted(
 }
 
 /// [`build_reach_graph_budgeted`] with the partial-order reduction
-/// switched by `por`. The reduction is graph-preserving: it only skips
-/// *re-evaluating* guards whose verdict provably carried over from the
-/// BFS parent (the fired command writes no packed-key bit the guard
-/// reads), so node ids, edges, parents, and stats are byte-identical
-/// with `por` on or off — only [`ReachGraph::por_commute_hits`] differs.
+/// switched by `por`. The reduction is graph-preserving: a node inherits
+/// from its BFS parent the verdict of every guard the fired command
+/// cannot affect (it writes no packed-key bit the guard reads), so node
+/// ids, edges, parents, and stats are byte-identical with `por` on or
+/// off — only [`ReachGraph::por_commute_hits`] differs.
 ///
 /// # Errors
 ///
@@ -738,8 +739,9 @@ pub fn build_reach_graph_budgeted_opts(
 /// A guard lowered against a [`PackLayout`]: every atom carries its
 /// variable's field mask precomputed, so evaluation on the raw packed
 /// key is an AND plus a compare — no per-atom layout lookup, no unpack
-/// into a scratch vector. Built once per graph build by
-/// [`lower_packed_cmds`], then evaluated millions of times.
+/// into a scratch vector. Exploration lowers the guard conjuncts the
+/// [`EnableTables`] cannot table; queries lower their predicates once and
+/// evaluate them on every node's key.
 enum PGuard {
     True,
     False,
@@ -853,53 +855,141 @@ fn lower_guard(e: &CExpr, l: &PackLayout) -> PGuard {
     }
 }
 
-/// A command lowered against a [`PackLayout`]: guard evaluated directly
-/// on the packed key, updates applied as one `(key & clear) | set`.
+/// A command's updates lowered against a [`PackLayout`]: firing it on a
+/// packed state is one `(key & clear) | set`.
 struct PackedCmd {
-    guard: PGuard,
     clear: u64,
     set: u64,
 }
 
-/// Independence tables for the guard-inheritance partial-order
-/// reduction. For commands `a` (fired) and `b` (any guard), bit `b` of
-/// `preserves[a]` is set when `b`'s guard reads no packed-key bit that
-/// `a` writes — adversary drop/inject steps on the two unidirectional
-/// channels are the motivating case: they commute, so after firing one,
-/// the other's guard verdict is inherited from the BFS parent instead of
-/// being re-evaluated. The reduction is *graph-preserving*: inherited
-/// bits equal what evaluation would produce, so the explored graph is
-/// byte-identical with the tables on or off.
-struct PorTables {
-    /// Per fired command: bitset (over command indices) of guards whose
-    /// verdict survives the firing unchanged.
-    preserves: Vec<GuardWord>,
+/// The packed explorers' guard kernel: a state's enabled commands by
+/// table lookup instead of per-command guard evaluation.
+///
+/// Every guard splits into its top-level conjuncts. A conjunct that
+/// reads one variable becomes a column of that variable's table, whose
+/// row `v` is the word of commands the conjunct admits when the variable
+/// holds `v`; a conjunct that reads none folds into `base`. A state's
+/// enabled word is then `base & row[f0][v0] & row[f1][v1] & …`, one AND
+/// per tabled field and word. Conjuncts over several variables stay as
+/// residual [`PGuard`]s, evaluated only for commands the tables leave
+/// enabled, so any guard shape explores through the same kernel. Words
+/// are `ceil(commands / 64)` wide: there is no command-count cap.
+/// Singleton-domain variables occupy no key bits and always hold value
+/// 0, so they never get a table and constant conjuncts see them as 0.
+struct EnableTables {
+    /// `u64` words per enabled-command word (two for the registry's
+    /// threat models, which reach 123 commands).
+    words: usize,
+    /// Every command, minus those with a conjunct that is always false.
+    base: Vec<u64>,
+    /// Per tabled field: `(shift, value mask, offset of row 0 in rows)`.
+    fields: Vec<(u8, u64, usize)>,
+    /// Field `f`'s row for value `v` is `rows[offset + v * words..]`.
+    rows: Vec<u64>,
+    /// `(command, its multi-variable conjuncts)`, ascending by command.
+    residual: Vec<(usize, PGuard)>,
 }
 
-/// One 64-bit word per 64 commands in a guard-verdict bitset. POR
-/// supports models up to `64 * GW_WORDS` commands; two words cover the
-/// registry's threat-composed models (which top out around 115
-/// commands) without widening the hot per-pop state for small models
-/// beyond a pair of registers.
-const GW_WORDS: usize = 2;
-
-/// Guard-verdict bitset: bit `i % 64` of word `i / 64` is command `i`.
-type GuardWord = [u64; GW_WORDS];
-
-/// `(parent & kept) | eval` — inherited verdicts merged with the
-/// freshly evaluated remainder.
-fn gw_inherit(parent: GuardWord, kept: GuardWord, eval: GuardWord) -> GuardWord {
-    std::array::from_fn(|w| (parent[w] & kept[w]) | eval[w])
+/// `e`'s top-level conjuncts (nested `And`s flattened).
+fn conjuncts<'a>(e: &'a CExpr, out: &mut Vec<&'a CExpr>) {
+    match e {
+        CExpr::And(xs) => xs.iter().for_each(|x| conjuncts(x, out)),
+        _ => out.push(e),
+    }
 }
 
-/// `a & !b` per word.
-fn gw_andnot(a: GuardWord, b: GuardWord) -> GuardWord {
-    std::array::from_fn(|w| a[w] & !b[w])
-}
+impl EnableTables {
+    fn new(c: &CompiledModel, layout: &PackLayout) -> Self {
+        let n = c.commands.len();
+        let words = n.div_ceil(64);
+        let mut base = vec![0u64; words];
+        for i in 0..n {
+            base[i / 64] |= 1 << (i % 64);
+        }
+        // Per variable: its rows, allocated when a conjunct first reads it.
+        let mut tables: Vec<Vec<u64>> = vec![Vec::new(); c.num_vars()];
+        let mut residual = Vec::new();
+        // Conjuncts are tabled by evaluating them on a state that is 0
+        // everywhere but the tabled variable.
+        let mut state: State = vec![0; c.num_vars()];
+        let mut parts = Vec::new();
+        for (i, cmd) in c.commands.iter().enumerate() {
+            let (w, bit) = (i / 64, 1u64 << (i % 64));
+            parts.clear();
+            conjuncts(&cmd.guard, &mut parts);
+            let mut multi = Vec::new();
+            for &e in &parts {
+                let read = guard_read_mask(e, layout);
+                if read == 0 {
+                    if !e.eval(&state) {
+                        base[w] &= !bit;
+                    }
+                } else if let Some(v) = (0..c.num_vars()).find(|&v| layout.field_mask(v) == read) {
+                    let values = 1usize << layout.field(v).1;
+                    let rows = &mut tables[v];
+                    if rows.is_empty() {
+                        *rows = vec![u64::MAX; values * words];
+                    }
+                    for x in 0..values {
+                        state[v] = x as Value;
+                        if !e.eval(&state) {
+                            rows[x * words + w] &= !bit;
+                        }
+                    }
+                    state[v] = 0;
+                } else {
+                    multi.push(lower_guard(e, layout));
+                }
+            }
+            if !multi.is_empty() {
+                residual.push((i, PGuard::And(multi)));
+            }
+        }
+        let mut fields = Vec::new();
+        let mut rows = Vec::new();
+        for (v, table) in tables.into_iter().enumerate() {
+            if !table.is_empty() {
+                let (shift, width) = layout.field(v);
+                fields.push((shift, (1u64 << width) - 1, rows.len()));
+                rows.extend(table);
+            }
+        }
+        EnableTables {
+            words,
+            base,
+            fields,
+            rows,
+            residual,
+        }
+    }
 
-/// Population count across the words.
-fn gw_count_ones(a: GuardWord) -> u64 {
-    a.iter().map(|w| u64::from(w.count_ones())).sum()
+    /// Writes the enabled-command word of `key` to `out`. With
+    /// `inherit = Some((kept, parent))`, the commands in `kept` take
+    /// their verdict from the BFS parent's word `parent` (the
+    /// partial-order reduction), and residual conjuncts are evaluated
+    /// only for the rest.
+    #[inline]
+    fn enabled(&self, key: u64, inherit: Option<(&[u64], &[u64])>, out: &mut [u64]) {
+        out.copy_from_slice(&self.base);
+        for &(shift, mask, offset) in &self.fields {
+            let row = offset + ((key >> shift) & mask) as usize * self.words;
+            for (o, r) in out.iter_mut().zip(&self.rows[row..row + self.words]) {
+                *o &= r;
+            }
+        }
+        if let Some((kept, parent)) = inherit {
+            for ((o, k), p) in out.iter_mut().zip(kept).zip(parent) {
+                *o = (*o & !k) | (p & k);
+            }
+        }
+        for (i, guard) in &self.residual {
+            let (w, bit) = (i / 64, 1u64 << (i % 64));
+            let inherited = inherit.is_some_and(|(kept, _)| kept[w] & bit != 0);
+            if out[w] & bit != 0 && !inherited && !guard.eval(key) {
+                out[w] &= !bit;
+            }
+        }
+    }
 }
 
 /// Union of the packed-key field masks a compiled guard reads. Singleton
@@ -914,98 +1004,142 @@ fn guard_read_mask(e: &CExpr, l: &PackLayout) -> u64 {
     }
 }
 
-/// Builds the commute tables, or `None` when the reduction is disabled
-/// or the model has more than `64 * GW_WORDS` commands (the bitset
-/// capacity).
-fn por_tables(
-    c: &CompiledModel,
-    layout: &PackLayout,
-    cmds: &[PackedCmd],
-    por: bool,
-) -> Option<PorTables> {
-    if !por || cmds.len() > 64 * GW_WORDS {
-        return None;
+/// Calls `f` with the index of every set bit of a multi-word bitset, in
+/// ascending order.
+#[inline]
+fn for_each_bit(word: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &bits) in word.iter().enumerate() {
+        let mut m = bits;
+        while m != 0 {
+            f(w * 64 + m.trailing_zeros() as usize);
+            m &= m - 1;
+        }
     }
-    let reads: Vec<u64> = c
-        .commands
-        .iter()
-        .map(|cmd| guard_read_mask(&cmd.guard, layout))
-        .collect();
-    let preserves = cmds
-        .iter()
-        .map(|a| {
-            // `clear` zeroes exactly the fields `a` updates (and `set`
-            // bits live inside them), so the write set is its complement.
-            let write = !a.clear;
-            let mut word = [0u64; GW_WORDS];
-            for (b, &read) in reads.iter().enumerate() {
-                if read & write == 0 {
-                    word[b / 64] |= 1u64 << (b % 64);
+}
+
+/// What both packed explorers build once per graph: every command's
+/// lowered updates, the enable tables, and (with `por`) the commute
+/// rows.
+struct PackedKernel {
+    cmds: Vec<PackedCmd>,
+    tables: EnableTables,
+    /// Independence rows for the guard-inheritance partial-order
+    /// reduction, one enable word per fired command (`None` with the
+    /// reduction off). For commands `a` (fired) and `b` (any guard), bit
+    /// `b` of row `a` is set when `b`'s guard reads no packed-key bit
+    /// that `a` writes — adversary drop/inject steps on the two
+    /// unidirectional channels are the motivating case: they commute, so
+    /// after firing one, the other's guard verdict is inherited from the
+    /// BFS parent instead of being looked up again. The reduction is
+    /// *graph-preserving*: inherited bits equal what the lookup would
+    /// produce, so the explored graph is byte-identical with it on or
+    /// off.
+    preserves: Option<Vec<u64>>,
+}
+
+impl PackedKernel {
+    fn new(c: &CompiledModel, layout: &PackLayout, por: bool) -> Self {
+        let cmds: Vec<PackedCmd> = c
+            .commands
+            .iter()
+            .map(|cmd| {
+                let updates: Vec<(usize, Value)> = cmd
+                    .updates
+                    .iter()
+                    .map(|&(vi, value)| (vi.index(), value.0))
+                    .collect();
+                let (clear, set) = layout.update_masks(&updates);
+                PackedCmd { clear, set }
+            })
+            .collect();
+        let tables = EnableTables::new(c, layout);
+        let words = tables.words;
+        let preserves = por.then(|| {
+            let reads: Vec<u64> = c
+                .commands
+                .iter()
+                .map(|cmd| guard_read_mask(&cmd.guard, layout))
+                .collect();
+            let mut preserves = vec![0u64; cmds.len() * words];
+            for (a, fired) in cmds.iter().enumerate() {
+                // `clear` zeroes exactly the fields `fired` updates (and
+                // `set` bits live inside them), so the write set is its
+                // complement.
+                let write = !fired.clear;
+                for (b, &read) in reads.iter().enumerate() {
+                    if read & write == 0 {
+                        preserves[a * words + b / 64] |= 1u64 << (b % 64);
+                    }
                 }
             }
-            word
-        })
-        .collect();
-    Some(PorTables { preserves })
-}
+            preserves
+        });
+        PackedKernel {
+            cmds,
+            tables,
+            preserves,
+        }
+    }
 
-/// Evaluates the guards selected by `eval_mask` against a packed key,
-/// returning their verdicts as a bitset (ascending command order, same
-/// as the serial enumerate loop).
-fn eval_guard_word(cmds: &[PackedCmd], key: u64, eval_mask: GuardWord) -> GuardWord {
-    let mut word = [0u64; GW_WORDS];
-    for (w, mut m) in eval_mask.into_iter().enumerate() {
-        while m != 0 {
-            let i = w * 64 + m.trailing_zeros() as usize;
-            m &= m - 1;
-            if cmds[i].guard.eval(key) {
-                word[w] |= 1u64 << (i % 64);
+    /// Writes the enabled-command word of a node with packed `key` and
+    /// BFS parent edge `parent` to `out`, and returns how many guard
+    /// verdicts it inherited from the parent. `stored` holds the words of
+    /// earlier nodes by node id; the explorers keep it only with the
+    /// reduction on, and a node's parent is always expanded first.
+    #[inline]
+    fn node_word(&self, key: u64, parent: (u32, u32), stored: &[u64], out: &mut [u64]) -> u64 {
+        let w = self.tables.words;
+        match &self.preserves {
+            Some(preserves) if parent.0 != NO_PARENT => {
+                let kept = &preserves[parent.1 as usize * w..][..w];
+                let from = &stored[parent.0 as usize * w..][..w];
+                self.tables.enabled(key, Some((kept, from)), out);
+                kept.iter().map(|k| u64::from(k.count_ones())).sum()
+            }
+            _ => {
+                self.tables.enabled(key, None, out);
+                0
             }
         }
     }
-    word
 }
 
-/// Bitset with one bit per command (all guards "must evaluate").
-/// Clamped to the bitset capacity: over-wide models never build POR
-/// tables, so the excess commands are only ever enumerated directly.
-fn all_cmds_mask(n: usize) -> GuardWord {
-    let n = n.min(64 * GW_WORDS);
-    std::array::from_fn(|w| {
-        let width = n.saturating_sub(w * 64).min(64);
-        if width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
+/// Hasher for the packed-key index. `FxHasher` hashes a `u64` as
+/// `key * SEED`, and the map takes the bucket index from the hash's low
+/// bits — which depend only on the key's low bits, i.e. on the first
+/// few packed fields, so states differing only in later fields pile
+/// into few buckets. Rotating the product brings its high bits, which
+/// every key bit reaches, down into the bucket bits.
+#[derive(Default)]
+struct PackedKeyHasher(u64);
+
+impl Hasher for PackedKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
         }
-    })
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0xf135_7aea_2e62_a9c5).rotate_left(26);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
-fn lower_packed_cmds(c: &CompiledModel, layout: &PackLayout) -> Vec<PackedCmd> {
-    c.commands
-        .iter()
-        .map(|cmd| {
-            let updates: Vec<(usize, Value)> = cmd
-                .updates
-                .iter()
-                .map(|&(vi, value)| (vi.index(), value.0))
-                .collect();
-            let (clear, set) = layout.update_masks(&updates);
-            PackedCmd {
-                guard: lower_guard(&cmd.guard, layout),
-                clear,
-                set,
-            }
-        })
-        .collect()
-}
+/// Packed key → node id.
+type PackedIndex = HashMap<u64, u32, BuildHasherDefault<PackedKeyHasher>>;
 
 /// Interner for the packed exploration paths: one `u64` key per state,
 /// BFS parent info recorded on first sight.
 struct PackedFrontier {
     layout: PackLayout,
     keys: Vec<u64>,
-    index: FxHashMap<u64, u32>,
+    index: PackedIndex,
     parent_node: Vec<u32>,
     parent_cmd: Vec<u32>,
 }
@@ -1015,7 +1149,7 @@ impl PackedFrontier {
         PackedFrontier {
             layout,
             keys: Vec::with_capacity(cap),
-            index: FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default()),
+            index: PackedIndex::with_capacity_and_hasher(cap, Default::default()),
             parent_node: Vec::with_capacity(cap),
             parent_cmd: Vec::with_capacity(cap),
         }
@@ -1191,9 +1325,9 @@ fn explore_wide(
 }
 
 /// Serial BFS over the packed arena, expanding successors straight from
-/// the raw `u64` key: guards are evaluated field-wise on the key and
-/// updates applied as precomputed `(clear, set)` masks, so the per-pop
-/// `arena.load` unpack into a scratch `Vec<Value>` is gone entirely.
+/// the raw `u64` key: the enabled commands come from the per-field
+/// [`EnableTables`] and updates apply as precomputed `(clear, set)`
+/// masks, so nothing is unpacked and no guard is evaluated per command.
 /// Probe placement (state limit per pop, budget every [`PROBE_STRIDE`]
 /// pops) matches [`explore_wide`] exactly, so partial stats on the error
 /// paths stay bit-identical to the historical serial engine.
@@ -1207,13 +1341,12 @@ fn explore_packed_serial(
 ) -> Result<ReachGraph, CheckError> {
     let num_vars = c.num_vars();
     let cap = c.capacity_hint(limit);
-    let cmds = lower_packed_cmds(c, &layout);
-    let por = por_tables(c, &layout, &cmds, por);
-    let all_mask = all_cmds_mask(cmds.len());
-    // Guard verdict word per popped node (only filled when the reduction
-    // is active); a node's BFS parent is always popped first, so the
+    let k = PackedKernel::new(c, &layout, por);
+    let mut word = vec![0u64; k.tables.words];
+    // Enabled word per popped node (only kept when the reduction is
+    // active); a node's BFS parent is always popped first, so the
     // parent's word is present when a child inherits from it.
-    let mut guard_bits: Vec<GuardWord> = Vec::new();
+    let mut node_words: Vec<u64> = Vec::new();
     let mut commute_hits = 0u64;
     let mut f = PackedFrontier::with_capacity(layout, cap);
 
@@ -1266,52 +1399,24 @@ fn explore_packed_serial(
         }
         let id = next as u32;
         next += 1;
-        let key = f.keys[next - 1];
-        let mut any = false;
-        if let Some(tables) = &por {
-            let parent = f.parent_node[id as usize];
-            let word = if parent == NO_PARENT {
-                eval_guard_word(&cmds, key, all_mask)
-            } else {
-                let kept = tables.preserves[f.parent_cmd[id as usize] as usize];
-                commute_hits += gw_count_ones(kept);
-                gw_inherit(
-                    guard_bits[parent as usize],
-                    kept,
-                    eval_guard_word(&cmds, key, gw_andnot(all_mask, kept)),
-                )
-            };
-            guard_bits.push(word);
-            for (w, mut m) in word.into_iter().enumerate() {
-                while m != 0 {
-                    let i = w * 64 + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    any = true;
-                    transitions += 1;
-                    let pc = &cmds[i];
-                    let succ = (key & pc.clear) | pc.set;
-                    let sid = f.intern_key(succ, (id, i as u32));
-                    succ_cmd.push(i as u32);
-                    succ_node.push(sid);
-                }
-            }
-        } else {
-            for (i, pc) in cmds.iter().enumerate() {
-                if pc.guard.eval(key) {
-                    any = true;
-                    transitions += 1;
-                    let succ = (key & pc.clear) | pc.set;
-                    let sid = f.intern_key(succ, (id, i as u32));
-                    succ_cmd.push(i as u32);
-                    succ_node.push(sid);
-                }
-            }
+        let key = f.keys[id as usize];
+        let parent = (f.parent_node[id as usize], f.parent_cmd[id as usize]);
+        commute_hits += k.node_word(key, parent, &node_words, &mut word);
+        if k.preserves.is_some() {
+            node_words.extend_from_slice(&word);
         }
-        if !any {
-            transitions += 1;
+        let first_edge = succ_cmd.len();
+        for_each_bit(&word, |i| {
+            let pc = &k.cmds[i];
+            let sid = f.intern_key((key & pc.clear) | pc.set, (id, i as u32));
+            succ_cmd.push(i as u32);
+            succ_node.push(sid);
+        });
+        if succ_cmd.len() == first_edge {
             succ_cmd.push(STUTTER_CMD);
             succ_node.push(id);
         }
+        transitions += (succ_cmd.len() - first_edge) as u64;
         succ_off.push(succ_cmd.len() as u32);
         peak_queue = peak_queue.max((f.keys.len() - next) as u64);
     }
@@ -1370,12 +1475,12 @@ struct ChunkEdge {
 /// A worker's output for one claimed chunk: per-node enabled-edge counts
 /// (0 means the merge emits the deadlock stutter) and the flat edge list
 /// in `(node, command index)` order. When the partial-order reduction is
-/// active, `bits` carries each node's guard verdict word (for the next
+/// active, `words` carries each node's enabled word (for the next
 /// level's inheritance) and `hits` the commute hits counted here.
 struct ChunkOut {
     counts: Vec<u32>,
     edges: Vec<ChunkEdge>,
-    bits: Vec<GuardWord>,
+    words: Vec<u64>,
     hits: u64,
 }
 
@@ -1385,76 +1490,46 @@ fn expand_chunk(
     level_start: usize,
     level_end: usize,
     keys: &[u64],
-    index: &FxHashMap<u64, u32>,
-    cmds: &[PackedCmd],
+    index: &PackedIndex,
+    k: &PackedKernel,
     parents: (&[u32], &[u32]),
-    guard_bits: &[GuardWord],
-    por: Option<&PorTables>,
-    all_mask: GuardWord,
+    node_words: &[u64],
 ) -> ChunkOut {
     let lo = level_start + ci * LEVEL_CHUNK;
     let hi = (lo + LEVEL_CHUNK).min(level_end);
     let mut counts = Vec::with_capacity(hi - lo);
     let mut edges = Vec::new();
-    let mut bits = Vec::new();
-    let mut hits = 0u64;
-    if por.is_some() {
-        bits.reserve(hi - lo);
+    let mut words = Vec::new();
+    if k.preserves.is_some() {
+        words.reserve((hi - lo) * k.tables.words);
     }
+    let mut hits = 0u64;
+    let mut word = vec![0u64; k.tables.words];
     for (j, &key) in keys[lo..hi].iter().enumerate() {
-        let mut cnt = 0u32;
-        if let Some(tables) = por {
-            // Parents of this level's nodes were interned (and popped)
-            // strictly before the level froze, so their guard words are
-            // already in the read-only `guard_bits` prefix.
-            let parent = parents.0[lo + j];
-            let word = if parent == NO_PARENT {
-                eval_guard_word(cmds, key, all_mask)
-            } else {
-                let kept = tables.preserves[parents.1[lo + j] as usize];
-                hits += gw_count_ones(kept);
-                gw_inherit(
-                    guard_bits[parent as usize],
-                    kept,
-                    eval_guard_word(cmds, key, gw_andnot(all_mask, kept)),
-                )
-            };
-            bits.push(word);
-            for (w, mut m) in word.into_iter().enumerate() {
-                while m != 0 {
-                    let i = w * 64 + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let pc = &cmds[i];
-                    let succ = (key & pc.clear) | pc.set;
-                    let known = index.get(&succ).copied().unwrap_or(u32::MAX);
-                    edges.push(ChunkEdge {
-                        cmd: i as u32,
-                        known,
-                        key: succ,
-                    });
-                    cnt += 1;
-                }
-            }
-        } else {
-            for (i, pc) in cmds.iter().enumerate() {
-                if pc.guard.eval(key) {
-                    let succ = (key & pc.clear) | pc.set;
-                    let known = index.get(&succ).copied().unwrap_or(u32::MAX);
-                    edges.push(ChunkEdge {
-                        cmd: i as u32,
-                        known,
-                        key: succ,
-                    });
-                    cnt += 1;
-                }
-            }
+        // Parents of this level's nodes were interned (and popped)
+        // strictly before the level froze, so their words are already in
+        // the read-only `node_words` prefix.
+        let parent = (parents.0[lo + j], parents.1[lo + j]);
+        hits += k.node_word(key, parent, node_words, &mut word);
+        if k.preserves.is_some() {
+            words.extend_from_slice(&word);
         }
-        counts.push(cnt);
+        let first_edge = edges.len();
+        for_each_bit(&word, |i| {
+            let pc = &k.cmds[i];
+            let succ = (key & pc.clear) | pc.set;
+            edges.push(ChunkEdge {
+                cmd: i as u32,
+                known: index.get(&succ).copied().unwrap_or(u32::MAX),
+                key: succ,
+            });
+        });
+        counts.push((edges.len() - first_edge) as u32);
     }
     ChunkOut {
         counts,
         edges,
-        bits,
+        words,
         hits,
     }
 }
@@ -1492,13 +1567,12 @@ fn explore_packed_parallel(
 ) -> Result<ReachGraph, CheckError> {
     let num_vars = c.num_vars();
     let cap = c.capacity_hint(limit);
-    let cmds = lower_packed_cmds(c, &layout);
-    let por = por_tables(c, &layout, &cmds, por);
-    let all_mask = all_cmds_mask(cmds.len());
-    // Guard words by node id; frozen (read-only) while a level expands —
-    // every parent of a level's nodes sits below `level_start` — and
-    // extended by the merge, so the next level sees this one's words.
-    let mut guard_bits: Vec<GuardWord> = Vec::new();
+    let k = PackedKernel::new(c, &layout, por);
+    // Enabled words by node id (only kept when the reduction is active);
+    // frozen (read-only) while a level expands — every parent of a
+    // level's nodes sits below `level_start` — and extended by the
+    // merge, so the next level sees this one's words.
+    let mut node_words: Vec<u64> = Vec::new();
     let mut commute_hits = 0u64;
     let mut f = PackedFrontier::with_capacity(layout, cap);
 
@@ -1569,21 +1643,18 @@ fn explore_packed_parallel(
                     level_end,
                     &f.keys,
                     &f.index,
-                    &cmds,
+                    &k,
                     (&f.parent_node, &f.parent_cmd),
-                    &guard_bits,
-                    por.as_ref(),
-                    all_mask,
+                    &node_words,
                 ));
             }
         } else {
             let next_chunk = AtomicUsize::new(0);
             let keys_ref: &[u64] = &f.keys;
             let index_ref = &f.index;
-            let cmds_ref = &cmds;
+            let kernel_ref = &k;
             let parents_ref = (&f.parent_node[..], &f.parent_cmd[..]);
-            let guard_ref: &[GuardWord] = &guard_bits;
-            let por_ref = por.as_ref();
+            let words_ref: &[u64] = &node_words;
             let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
@@ -1603,11 +1674,9 @@ fn explore_packed_parallel(
                                             level_end,
                                             keys_ref,
                                             index_ref,
-                                            cmds_ref,
+                                            kernel_ref,
                                             parents_ref,
-                                            guard_ref,
-                                            por_ref,
-                                            all_mask,
+                                            words_ref,
                                         ),
                                     ));
                                 }
@@ -1650,9 +1719,9 @@ fn explore_packed_parallel(
         for (ci, slot) in slots.into_iter().enumerate() {
             let out = slot.expect("every chunk claimed exactly once");
             // Chunks cover the level contiguously in order, so appending
-            // their guard words here keeps `guard_bits` indexed by node
+            // their enabled words here keeps `node_words` indexed by node
             // id, ready for the next level's inheritance.
-            guard_bits.extend_from_slice(&out.bits);
+            node_words.extend_from_slice(&out.words);
             commute_hits += out.hits;
             let base = level_start + ci * LEVEL_CHUNK;
             let mut e = 0usize;
@@ -1736,20 +1805,22 @@ struct ProductGraph {
     edges: Vec<Vec<(u32, u32)>>,
 }
 
+/// Interns `(gid, flag)`. `index` is dense over the pairs: entry
+/// `2 * gid + flag` holds the product id, `u32::MAX` while unseen.
 fn product_intern(
     pg: &mut ProductGraph,
-    index: &mut FxHashMap<u64, u32>,
+    index: &mut [u32],
     gid: u32,
     flag: bool,
     parent: Option<(u32, u32)>,
     record_edges: bool,
 ) -> u32 {
-    let key = ((gid as u64) << 1) | flag as u64;
-    if let Some(&id) = index.get(&key) {
-        return id;
+    let slot = &mut index[2 * gid as usize + usize::from(flag)];
+    if *slot != u32::MAX {
+        return *slot;
     }
     let id = pg.nodes.len() as u32;
-    index.insert(key, id);
+    *slot = id;
     pg.nodes.push((gid, flag));
     pg.parent.push(parent);
     if record_edges {
@@ -1782,8 +1853,7 @@ fn product_bfs(
     if record_edges {
         pg.edges.reserve(cap);
     }
-    let mut index: FxHashMap<u64, u32> =
-        FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default());
+    let mut index = vec![u32::MAX; 2 * g.node_count()];
     let mut transitions = 0u64;
 
     for gid in 0..g.init_count() {
@@ -1877,15 +1947,27 @@ fn product_bfs(
     Ok(pg)
 }
 
-/// Evaluates a compiled expression in every graph node, in id order.
-fn eval_nodes(g: &ReachGraph, e: &CExpr) -> Vec<bool> {
+/// A compiled expression's value in every graph node, in id order. On a
+/// packed arena the expression is lowered once and read straight off the
+/// keys; only the wide arena unpacks states.
+fn node_values<'a>(g: &'a ReachGraph, e: &'a CExpr) -> impl Iterator<Item = bool> + 'a {
+    let packed = match &g.arena {
+        StateArena::Packed { layout, keys } => Some((lower_guard(e, layout), keys)),
+        StateArena::Wide { .. } => None,
+    };
     let mut cur: State = vec![0; g.num_vars()];
-    (0..g.node_count() as u32)
-        .map(|id| {
+    (0..g.node_count() as u32).map(move |id| match &packed {
+        Some((guard, keys)) => guard.eval(keys[id as usize]),
+        None => {
             g.load_state(id, &mut cur);
             e.eval(&cur)
-        })
-        .collect()
+        }
+    })
+}
+
+/// Evaluates a compiled expression in every graph node, in id order.
+fn eval_nodes(g: &ReachGraph, e: &CExpr) -> Vec<bool> {
+    node_values(g, e).collect()
 }
 
 /// Rebuilds the BFS-shortest path to `target` from the graph's own
@@ -1942,26 +2024,22 @@ fn rebuild_product_path(
     rev
 }
 
-/// Scans graph nodes in BFS (id) order for the first state matching
-/// `bad`; the trace comes straight from the graph's parent pointers.
+/// Scans graph nodes in BFS (id) order for the first state where `e`
+/// evaluates to `bad`; the trace comes straight from the graph's parent
+/// pointers.
 fn scan_graph(
     c: &CompiledModel,
     g: &ReachGraph,
     stats: &mut QueryStats,
-    bad: impl Fn(&[Value]) -> bool,
+    e: &CExpr,
+    bad: bool,
 ) -> Option<Counterexample> {
-    let mut cur: State = vec![0; g.num_vars()];
-    for id in 0..g.node_count() as u32 {
-        g.load_state(id, &mut cur);
-        stats.nodes_reused += 1;
-        if bad(&cur) {
-            return Some(Counterexample {
-                steps: rebuild_graph_path(c, g, id),
-                lasso_start: None,
-            });
-        }
-    }
-    None
+    let hit = node_values(g, e).position(|v| v == bad);
+    stats.nodes_reused += hit.map_or(g.node_count(), |id| id + 1) as u64;
+    hit.map(|id| Counterexample {
+        steps: rebuild_graph_path(c, g, id as u32),
+        lasso_start: None,
+    })
 }
 
 /// Scans product nodes in BFS order for the first node matching `bad`.
@@ -2025,7 +2103,7 @@ pub fn check_on_graph(
             match excluded_cmds {
                 // No refinement: every graph node is reachable, so the
                 // invariant is a straight scan in BFS order.
-                None => Ok(match scan_graph(c, g, stats, |s| !holds.eval(s)) {
+                None => Ok(match scan_graph(c, g, stats, holds, false) {
                     Some(ce) => Verdict::Violated(ce),
                     None => Verdict::Holds,
                 }),
@@ -2051,7 +2129,7 @@ pub fn check_on_graph(
             }
         }
         CProp::Reachable { goal } => match excluded_cmds {
-            None => Ok(match scan_graph(c, g, stats, |s| goal.eval(s)) {
+            None => Ok(match scan_graph(c, g, stats, goal, true) {
                 Some(ce) => Verdict::Reachable(ce),
                 None => Verdict::Unreachable,
             }),
@@ -3075,5 +3153,216 @@ mod tests {
             err,
             CheckError::Budget(BudgetExceeded::TotalStates { limit: 10 })
         );
+    }
+
+    // --- the packed kernel against direct guard evaluation --------------
+
+    /// Values `v0..v{n}` as owned names.
+    fn values(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("v{i}")).collect()
+    }
+
+    /// Declares `name` over `v0..v{n}` starting at `v0`.
+    fn declare(m: &mut Model, name: &str, n: usize) {
+        let domain = values(n);
+        let refs: Vec<&str> = domain.iter().map(String::as_str).collect();
+        m.declare_var(name, &refs, &["v0"]);
+    }
+
+    /// Guards of every shape the enable tables must handle: `Eq`, `Ne`
+    /// and `In` on a narrow (3-bit) and a wide (7-bit) field, `Or`, `Not`
+    /// and `Implies` across two variables (residual conjuncts), constant
+    /// `True`/`False` conjuncts, a singleton-domain variable, two
+    /// literals on one variable, and a command mixing tabled and residual
+    /// conjuncts. Counter commands walk `n` and `w` through their domains
+    /// so the shapes are tested on 1,000 reachable states.
+    fn guard_shapes() -> Model {
+        let mut m = Model::new("guard_shapes");
+        declare(&mut m, "n", 5);
+        declare(&mut m, "w", 100);
+        declare(&mut m, "b", 2);
+        m.declare_var("s", &["only"], &["only"]);
+        for i in 0..5 {
+            m.add_command(
+                GuardedCmd::new(format!("n{i}"), Expr::var_eq("n", format!("v{i}")))
+                    .set("n", format!("v{}", (i + 1) % 5)),
+            );
+        }
+        for i in 0..100 {
+            m.add_command(
+                GuardedCmd::new(format!("w{i}"), Expr::var_eq("w", format!("v{i}")))
+                    .set("w", format!("v{}", (i + 1) % 100)),
+            );
+        }
+        let shapes = [
+            Expr::var_eq("n", "v2"),
+            Expr::var_ne("n", "v3"),
+            Expr::var_in("n", ["v0", "v4"]),
+            Expr::var_eq("w", "v77"),
+            Expr::var_ne("w", "v5"),
+            Expr::var_in("w", ["v3", "v50", "v64", "v99"]),
+            Expr::or([Expr::var_eq("n", "v1"), Expr::var_eq("w", "v10")]),
+            Expr::not(Expr::and([
+                Expr::var_eq("b", "v1"),
+                Expr::var_in("n", ["v1", "v2"]),
+            ])),
+            Expr::implies(Expr::var_eq("b", "v1"), Expr::var_ne("w", "v0")),
+            Expr::and([Expr::True, Expr::var_eq("n", "v0")]),
+            Expr::and([Expr::False, Expr::var_eq("n", "v0")]),
+            Expr::var_eq("s", "only"),
+            Expr::var_ne("s", "only"),
+            Expr::and([Expr::var_eq("s", "only"), Expr::var_eq("b", "v0")]),
+            Expr::or([Expr::var_ne("s", "only"), Expr::var_eq("w", "v9")]),
+            Expr::and([Expr::var_ne("n", "v0"), Expr::var_ne("n", "v1")]),
+            Expr::and([Expr::var_in("w", values(50)), Expr::var_ne("w", "v20")]),
+            Expr::not(Expr::or([Expr::var_eq("n", "v0"), Expr::var_eq("n", "v1")])),
+            Expr::and([
+                Expr::var_eq("n", "v2"),
+                Expr::or([Expr::var_eq("b", "v0"), Expr::var_eq("w", "v3")]),
+                Expr::and([Expr::var_ne("w", "v4"), Expr::True]),
+            ]),
+            Expr::True,
+            Expr::False,
+        ];
+        for (i, guard) in shapes.into_iter().enumerate() {
+            let flip = if i % 2 == 0 { "v1" } else { "v0" };
+            m.add_command(GuardedCmd::new(format!("shape{i}"), guard).set("b", flip));
+        }
+        m
+    }
+
+    /// 200 commands (four enable words), with residual guards past the
+    /// second word, stepping `x`, `y` and `z` through their domains.
+    fn two_hundred_commands() -> Model {
+        let mut m = Model::new("wide_command_set");
+        declare(&mut m, "x", 10);
+        declare(&mut m, "y", 20);
+        declare(&mut m, "z", 10);
+        let v = |i: usize| format!("v{i}");
+        for i in 0..200 {
+            let (var, other, size, j) = match i {
+                0..100 => ("x", "y", 10, i),
+                100..150 => ("y", "z", 20, i - 100),
+                _ => ("z", "x", 10, i - 150),
+            };
+            let at = Expr::var_eq(var, v(j % size));
+            let guard = if i >= 128 && i % 3 == 0 {
+                Expr::or([at, Expr::var_eq(other, "v3")])
+            } else {
+                Expr::and([at, Expr::var_ne(other, v(j / size + 5))])
+            };
+            m.add_command(GuardedCmd::new(format!("c{i}"), guard).set(var, v((j + 1) % size)));
+        }
+        m
+    }
+
+    /// Two variables, three initial states, no commands: every node is a
+    /// deadlock.
+    fn no_commands() -> Model {
+        let mut m = Model::new("no_commands");
+        m.declare_var("p", &["a", "b", "c"], &["a", "b", "c"]);
+        m.declare_var("q", &["only"], &["only"]);
+        m
+    }
+
+    /// The explored successors of every node are exactly the commands
+    /// whose compiled guard holds on the node's state, in ascending
+    /// order, each leading to the updated state; the stutter appears
+    /// only when no guard holds.
+    fn assert_successors_match_guards(c: &CompiledModel, g: &ReachGraph) {
+        for id in 0..g.node_count() as u32 {
+            let s = g.state_of(id);
+            let want: Vec<u32> = (0..c.command_count())
+                .filter(|&i| c.commands()[i].guard.eval(&s))
+                .map(|i| i as u32)
+                .collect();
+            let got: Vec<(u32, u32)> = g.successors(id).collect();
+            if want.is_empty() {
+                assert_eq!(got, vec![(STUTTER_CMD, id)], "node {id}: stutter");
+                continue;
+            }
+            let cmds: Vec<u32> = got.iter().map(|&(cmd, _)| cmd).collect();
+            assert_eq!(cmds, want, "node {id} {s:?}: enabled commands");
+            for (cmd, succ) in got {
+                let mut next = s.clone();
+                for &(v, x) in &c.commands()[cmd as usize].updates {
+                    next[v.index()] = x.0;
+                }
+                assert_eq!(g.state_of(succ), next, "node {id} cmd {cmd}: successor");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_successors_equal_direct_guard_evaluation() {
+        for (model, states) in [
+            (guard_shapes(), 1000),
+            (two_hundred_commands(), 2000),
+            (no_commands(), 3),
+            (ring(true), 3),
+            (lattice(), 4096),
+        ] {
+            let c = CompiledModel::new(&model).expect("valid");
+            for threads in [1usize, 4] {
+                for por in [true, false] {
+                    let g = build_reach_graph_budgeted_opts(
+                        &c,
+                        1_000_000,
+                        &BudgetMeter::unlimited(),
+                        &mut CheckStats::default(),
+                        threads,
+                        por,
+                    )
+                    .expect("fits");
+                    assert!(g.is_packed());
+                    assert_eq!(g.node_count(), states, "{}", model.name());
+                    assert_successors_match_guards(&c, &g);
+                }
+            }
+        }
+    }
+
+    /// Packed queries read predicates straight off the keys: each shape
+    /// must agree with `CExpr::eval` on the unpacked state at every node.
+    #[test]
+    fn packed_predicates_equal_direct_evaluation() {
+        let m = guard_shapes();
+        let c = CompiledModel::new(&m).expect("valid");
+        let g = graph(&m, 1_000_000, &mut CheckStats::default()).expect("fits");
+        let mut shapes: Vec<Expr> = m.commands().iter().map(|cmd| cmd.guard.clone()).collect();
+        shapes.push(Expr::var_in("b", ["v1"]));
+        shapes.push(Expr::var_in("w", values(100)));
+        shapes.push(Expr::var_in("w", Vec::<String>::new()));
+        for shape in &shapes {
+            let e = c.compile(shape);
+            let direct: Vec<bool> = (0..g.node_count() as u32)
+                .map(|id| e.eval(&g.state_of(id)))
+                .collect();
+            assert_eq!(eval_nodes(&g, &e), direct, "{shape:?}");
+        }
+    }
+
+    /// `FxHasher` maps a `u64` to `key * SEED`, so keys differing only
+    /// above bit 16 share their low 16 hash bits — the bits a hash map's
+    /// bucket index comes from. The packed-key hasher must spread them.
+    #[test]
+    fn packed_key_hasher_spreads_high_fields_over_buckets() {
+        use crate::fxhash::FxBuildHasher;
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let packed = BuildHasherDefault::<PackedKeyHasher>::default();
+        for shift in [32u32, 17] {
+            let keys: Vec<u64> = (0..4096u64).map(|i| 0x5a5a | (i << shift)).collect();
+            let buckets = |h: &dyn Fn(u64) -> u64| -> usize {
+                keys.iter()
+                    .map(|&k| h(k) & 0xffff)
+                    .collect::<HashSet<_>>()
+                    .len()
+            };
+            let fx = buckets(&|k| FxBuildHasher::default().hash_one(k));
+            let spread = buckets(&|k| packed.hash_one(k));
+            assert_eq!(fx, 1, "bits {shift}..: FxHasher ignores high fields");
+            assert!(spread >= 4000, "bits {shift}..: only {spread} of 4096");
+        }
     }
 }

@@ -215,9 +215,9 @@ pub struct ReachGraph {
     pub(crate) workers: u32,
     /// Exploration cost of building this graph.
     pub(crate) stats: CheckStats,
-    /// Guard evaluations the partial-order reduction skipped while
-    /// building this graph (0 with the reduction off, for the wide
-    /// arena, and for graphs loaded from a store). Kept out of
+    /// Guard verdicts the partial-order reduction inherited from BFS
+    /// parents while building this graph (0 with the reduction off, for
+    /// the wide arena, and for graphs loaded from a store). Kept out of
     /// [`CheckStats`] so the stats are identical with POR on or off.
     pub(crate) por_commute_hits: u64,
 }
@@ -270,8 +270,8 @@ impl ReachGraph {
         self.workers
     }
 
-    /// Guard evaluations the partial-order reduction skipped during this
-    /// build: a child inherited its parent's verdict for every guard the
+    /// Guard verdicts the partial-order reduction inherited during this
+    /// build: a child takes its parent's verdict for every guard the
     /// fired command cannot affect. Identical at any worker count.
     pub fn por_commute_hits(&self) -> u64 {
         self.por_commute_hits
