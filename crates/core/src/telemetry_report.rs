@@ -4,9 +4,9 @@
 //! paper reports its measurements in: a per-property row set mirroring
 //! Table II (states explored, CEGAR iterations, CPV queries, cache
 //! behaviour, wall-clock), plus pipeline-stage totals read off the
-//! run's [`Collector`] counters and spans. The bench binaries render
-//! it next to their existing outputs as `BENCH_telemetry.json`, and
-//! `scripts/check_bench_regression.sh` gates CI on the totals.
+//! run's [`Collector`] counters and spans. The `table1` bench binary
+//! writes one [`TelemetryReport::to_json`] payload per analysed stack
+//! into `BENCH_telemetry_table1.json`.
 //!
 //! Everything in the report except the `elapsed_ms`/`*_us` fields is
 //! deterministic: identical for every `threads` value and across runs
@@ -257,101 +257,8 @@ impl TelemetryReport {
         }
     }
 
-    /// Table II-style text rendering.
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "telemetry — {}", self.implementation);
-        let _ = writeln!(
-            out,
-            "  {:6} {:>15} {:>10} {:>6} {:>5} {:>5} {:>6} {:>10}",
-            "prop", "outcome", "states", "queue", "cegar", "cpv", "cache", "ms"
-        );
-        for p in &self.properties {
-            let _ = writeln!(
-                out,
-                "  {:6} {:>15} {:>10} {:>6} {:>5} {:>5} {:>6} {:>10.2}",
-                p.property_id,
-                p.outcome,
-                p.states_explored,
-                p.peak_queue,
-                p.cegar_iterations,
-                p.cpv_queries,
-                if p.cache_hit { "hit" } else { "miss" },
-                p.elapsed_ms,
-            );
-        }
-        let t = &self.totals;
-        let _ = writeln!(
-            out,
-            "  totals: {} cases / {} rounds replayed, {} records -> {} blocks dissected",
-            t.conformance_cases, t.conformance_rounds, t.extract_log_records, t.extract_blocks
-        );
-        let _ = writeln!(
-            out,
-            "          {} compositions for {} lookups (hit rate {:.1}%), \
-             {} states / {} transitions explored",
-            t.compose_builds,
-            t.compose_lookups,
-            t.compose_hit_rate() * 100.0,
-            t.smv_states_explored,
-            t.smv_transitions
-        );
-        let _ = writeln!(
-            out,
-            "          graph cache: {} builds for {} lookups (hit rate {:.1}%), \
-             {} nodes re-used / {} total state visits",
-            t.graph_cache_builds,
-            t.graph_cache_lookups,
-            t.graph_cache_hit_rate() * 100.0,
-            t.graph_cache_nodes_reused,
-            t.total_state_visits()
-        );
-        let _ = writeln!(
-            out,
-            "          explore: {} worker(s), {} BFS levels, peak level width {}",
-            t.explore_workers, t.explore_levels, t.explore_peak_level
-        );
-        let _ = writeln!(
-            out,
-            "          {} compilations for {} lookups, {} symbols interned",
-            t.compile_builds, t.compile_lookups, t.symbols_interned
-        );
-        if t.backend_clauses > 0 || t.backend_bound_reached > 0 || t.backend_divergences > 0 {
-            let _ = writeln!(
-                out,
-                "          symbolic: {} clauses, {} decisions, {} propagations, \
-                 {} conflicts, {} restarts, {} learned, {} bound-reached, {} divergences",
-                t.backend_clauses,
-                t.backend_decisions,
-                t.backend_propagations,
-                t.backend_conflicts,
-                t.backend_restarts,
-                t.backend_learned,
-                t.backend_bound_reached,
-                t.backend_divergences
-            );
-        }
-        let _ = writeln!(
-            out,
-            "          {} CEGAR iterations, {} CPV queries ({} adversarial steps)",
-            t.cegar_iterations, t.cpv_queries, t.cpv_steps
-        );
-        let _ = writeln!(
-            out,
-            "          degraded: {} ({} budget-exhausted, {} isolated panics, {} skipped)",
-            t.degraded_total(),
-            t.degraded_budget_exhausted,
-            t.degraded_panics_isolated,
-            t.degraded_skipped
-        );
-        for (name, us) in &t.stage_elapsed_us {
-            let _ = writeln!(out, "          span {:20} {:>10} us", name, us);
-        }
-        out
-    }
-
-    /// JSON rendering (the `BENCH_telemetry.json` payload for one run).
+    /// JSON rendering of the report (one entry of the `runs` array in
+    /// `BENCH_telemetry_table1.json`).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
@@ -657,14 +564,10 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"backend_clauses\": 0"));
         assert!(json.contains("\"backend_divergences\": 0"));
-        assert!(
-            !report.render_text().contains("symbolic:"),
-            "text rendering omits the symbolic line when the backend did no work"
-        );
     }
 
     /// A symbolic-backend run surfaces non-zero solver counters in the
-    /// totals, the JSON payload, and the text rendering.
+    /// totals and the JSON payload.
     #[test]
     fn symbolic_runs_report_backend_counters() {
         let collector = Collector::enabled();
@@ -682,11 +585,10 @@ mod tests {
         assert!(t.backend_propagations > 0, "solver propagates");
         assert_eq!(t.backend_divergences, 0, "single backend cannot diverge");
         assert!(telemetry.to_json().contains("\"backend_clauses\""));
-        assert!(telemetry.render_text().contains("symbolic:"));
     }
 
-    /// A clean run reports a zero degraded section — in the totals, the
-    /// JSON payload (which CI gates on), and the text rendering.
+    /// A clean run reports a zero degraded section — in the totals and
+    /// the JSON payload.
     #[test]
     fn clean_runs_report_zero_degraded() {
         let (report, _) = run(&["S01", "S02", "PR07"], 2);
@@ -698,9 +600,6 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"degraded_total\": 0"));
         assert!(json.contains("\"degraded_budget_exhausted\": 0"));
-        assert!(report
-            .render_text()
-            .contains("degraded: 0 (0 budget-exhausted, 0 isolated panics, 0 skipped)"));
     }
 
     /// Rendered JSON parses with the crate's own parser and preserves
@@ -739,9 +638,5 @@ mod tests {
         assert!(report.totals.explore_workers >= 1, "worker gauge recorded");
         assert!(report.totals.explore_levels >= 1, "BFS levels recorded");
         assert!(report.totals.explore_peak_level >= 1, "peak level recorded");
-        let rendered = report.render_text();
-        assert!(rendered.contains("S01"));
-        assert!(rendered.contains("CPV queries"));
-        assert!(rendered.contains("explore:"));
     }
 }

@@ -18,7 +18,7 @@
 
 use procheck::cache::ThreatModelCache;
 use procheck::cegar::cegar_check_backend_budgeted;
-use procheck::pipeline::{analyze_implementation, extract_models, AnalysisConfig};
+use procheck::pipeline::{analyze_implementation, extract_models, AnalysisConfig, BackendKind};
 use procheck_props::{registry, Check};
 use procheck_smv::smvformat::to_smv;
 use procheck_smv::{BudgetMeter, ExplicitBackend};
@@ -56,7 +56,23 @@ fn render_snapshot(explore_threads: usize) -> String {
     // Verdicts and complete counterexample traces via `Debug` (which
     // spells out every step's command label and state assignment), plus
     // the CEGAR trajectory counters.
-    let report = analyze_implementation(Implementation::Reference, &config(explore_threads));
+    let telemetry = Collector::enabled();
+    let cfg = AnalysisConfig {
+        collector: telemetry.clone(),
+        ..config(explore_threads)
+    };
+    let report = analyze_implementation(Implementation::Reference, &cfg);
+    // Under `PROCHECK_BACKEND=symbolic` or `both` the symbolic engine
+    // must have done real work, and under `both` it must agree with the
+    // explicit engine on every model property.
+    if cfg.backend != BackendKind::Explicit {
+        let divergences = telemetry.counter_value("backend.divergences");
+        assert_eq!(divergences, 0, "{divergences} backend divergences");
+        assert!(
+            telemetry.counter_value("backend.clauses") > 0,
+            "the symbolic backend emitted no clauses"
+        );
+    }
     let _ = writeln!(out, "== results: Reference ==");
     for r in &report.results {
         let _ = writeln!(

@@ -5,9 +5,13 @@
 //! thread count. Only the exploration *accounting* may differ (that is
 //! the point of the cache).
 
-use procheck::pipeline::{analyze_implementation, AnalysisConfig, AnalysisReport};
+use procheck::pipeline::{analyze_implementation, AnalysisConfig, AnalysisReport, BackendKind};
 use procheck::report::PropertyResult;
 use procheck_stack::quirks::Implementation;
+
+/// Lowest acceptable threat-model composition hit rate for a
+/// full-registry run: the measured 0.673077 less 25%.
+const COMPOSE_HIT_RATE_FLOOR: f64 = 0.504808;
 
 /// Everything checked for equivalence across cache modes: identity,
 /// outcome (including every counterexample step and command label via
@@ -36,6 +40,10 @@ fn run_explore(graph_cache: bool, threads: usize, explore_threads: usize) -> Ana
             // Hermetic against an ambient PROCHECK_STORE: stored
             // verdicts would bypass the graph cache under test.
             store_dir: None,
+            // And against an ambient PROCHECK_BACKEND: only the explicit
+            // engine consults the graph cache, and `Both` doubles the
+            // composition lookups asserted below.
+            backend: BackendKind::Explicit,
             ..AnalysisConfig::default()
         },
     )
@@ -139,4 +147,14 @@ fn cache_accounting_matches_each_mode() {
         cached_states * 3 < uncached_states * 2,
         "cached run must explore < 2/3 of the states ({cached_states} vs {uncached_states})"
     );
+
+    // Threat-model composition is shared per distinct configuration in
+    // both modes: 17 builds for 52 lookups.
+    for (mode, report) in [("uncached", &uncached), ("cached", &cached)] {
+        let rate = report.cache_stats.hit_rate();
+        assert!(
+            rate >= COMPOSE_HIT_RATE_FLOOR,
+            "{mode} run: composition hit rate {rate:.6} below {COMPOSE_HIT_RATE_FLOOR}"
+        );
+    }
 }

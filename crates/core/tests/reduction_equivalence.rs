@@ -83,9 +83,9 @@ fn reduced_and_unreduced_runs_agree_on_every_property() {
 }
 
 /// The tentpole claim: cone-of-influence slicing visits strictly fewer
-/// distinct states than the full per-configuration exploration. The
-/// printed totals are what `BENCH_baseline.json`'s
-/// `max_states_explored` ceiling is calibrated against.
+/// distinct states than the full per-configuration exploration, and a
+/// full-registry run stays under an absolute ceiling on distinct states
+/// explored.
 #[test]
 fn slicing_reduces_distinct_states_explored() {
     let states_with = |slice: bool| {
@@ -110,12 +110,16 @@ fn slicing_reduces_distinct_states_explored() {
     println!("states explored: sliced={sliced} unsliced={unsliced}");
     // Measured: 268,993 sliced vs 294,770 unsliced (8.7%). The floor
     // asserted here is looser (4%) so registry growth does not flake
-    // the suite; `BENCH_baseline.json`'s `max_states_explored` ceiling
-    // pins the absolute number.
+    // the suite; the 280,000 ceiling pins the absolute number, so a
+    // change that rebuilds graphs or weakens the slices fails here.
     assert!(
         sliced * 25 < unsliced * 24,
         "slicing must cut the distinct states explored by at least 4% \
          ({sliced} vs {unsliced})"
+    );
+    assert!(
+        sliced <= 280_000,
+        "a full-registry run explored {sliced} distinct states, above the 280,000 ceiling"
     );
 }
 

@@ -189,11 +189,13 @@ pub fn unframe(data: &[u8], kind: Kind, key: Fingerprint) -> Result<Vec<u8>, Str
         return Err("key mismatch".to_string());
     }
     let payload_len = u64::from_le_bytes(data[25..33].try_into().expect("8 bytes"));
-    let expected = HEADER_LEN as u64 + payload_len + CHECKSUM_LEN as u64;
-    if data.len() as u64 != expected {
+    // The length field is untrusted and may be near `u64::MAX`, so it is
+    // compared with what the file holds, never added to. The truncation
+    // check above keeps this subtraction from underflowing.
+    let actual = data.len() - HEADER_LEN - CHECKSUM_LEN;
+    if payload_len != actual as u64 {
         return Err(format!(
-            "length mismatch: header says {expected} bytes, file has {}",
-            data.len()
+            "length mismatch: header says a {payload_len}-byte payload, file holds {actual}"
         ));
     }
     let body_end = data.len() - CHECKSUM_LEN;
@@ -429,6 +431,15 @@ mod tests {
         let framed = std::fs::read(store.path_for(Kind::Verdict, k)).unwrap();
         assert!(unframe(&framed, Kind::Graph, k).is_err());
         assert!(unframe(&framed, Kind::Verdict, key("other")).is_err());
+    }
+
+    #[test]
+    fn huge_length_field_is_a_length_mismatch() {
+        let k = key("huge");
+        let mut framed = frame(Kind::Verdict, k, b"");
+        framed[25..33].copy_from_slice(&u64::MAX.to_le_bytes());
+        let why = unframe(&framed, Kind::Verdict, k).expect_err("length field lies");
+        assert!(why.contains("length mismatch"), "got: {why}");
     }
 
     #[test]

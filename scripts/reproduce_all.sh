@@ -36,8 +36,5 @@ cargo bench -p procheck-bench
 echo "== warm-run demonstration (persistent store: cold -> warm -> 1-transition mutation) =="
 cargo run --release -p procheck-bench --bin warm_run
 
-echo "== parallel-engine speedup + telemetry (writes BENCH_pipeline.json, BENCH_telemetry.json) =="
-cargo run --release -p procheck-bench --bin pipeline_speedup
-
-echo "== benchmark regression gate (vs BENCH_baseline.json) =="
-scripts/check_bench_regression.sh
+echo "== timing floors (median of 5 samples per gate) =="
+cargo test --release -p procheck-bench --test timing_floors -- --ignored --test-threads=1 --nocapture
