@@ -28,7 +28,7 @@ use std::time::Duration;
 
 const STATE_LIMIT: usize = 6_000_000;
 
-/// One private-exploration CEGAR run: serial, unbudgeted, POR on.
+/// One private-exploration CEGAR run: serial and unbudgeted.
 fn one_shot(model: &Model, prop: &Property, semantics: &StepSemantics) -> CegarOutcome {
     let meter = BudgetMeter::unlimited();
     cegar_check(
@@ -39,7 +39,6 @@ fn one_shot(model: &Model, prop: &Property, semantics: &StepSemantics) -> CegarO
         24,
         &meter,
         1,
-        true,
         &Collector::disabled(),
     )
     .unwrap()

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 const STATE_LIMIT: usize = 2_000_000;
 
-/// One private-exploration CEGAR run: serial, unbudgeted, POR on.
+/// One private-exploration CEGAR run: serial and unbudgeted.
 fn one_shot(model: &Model, prop: &Property, semantics: &StepSemantics) -> CegarOutcome {
     let meter = BudgetMeter::unlimited();
     cegar_check(
@@ -26,7 +26,6 @@ fn one_shot(model: &Model, prop: &Property, semantics: &StepSemantics) -> CegarO
         24,
         &meter,
         1,
-        true,
         &Collector::disabled(),
     )
     .unwrap()

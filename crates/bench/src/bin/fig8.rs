@@ -71,7 +71,6 @@ fn main() {
                 24,
                 &meter,
                 1,
-                true,
                 collector,
             )
         };

@@ -45,9 +45,7 @@
 use crate::store::RunStore;
 use procheck_fsm::Fsm;
 use procheck_smv::budget::{panic_message, BudgetMeter};
-use procheck_smv::checker::{
-    build_reach_graph_budgeted_opts, CheckError, CheckStats, CompiledModel,
-};
+use procheck_smv::checker::{build_reach_graph_budgeted, CheckError, CheckStats, CompiledModel};
 use procheck_smv::coi::ConeSig;
 use procheck_smv::model::Model;
 use procheck_smv::model_semantic_fingerprint;
@@ -227,15 +225,10 @@ impl ThreatModelCache {
     /// exhausted `meter` (charged by the one exploration this slot ever
     /// runs), or an isolated panic, each with its partial stats kept.
     ///
-    /// `por` switches the partial-order reduction. It changes no graph
-    /// bytes and no [`CheckStats`] — only how many successor guards are
-    /// evaluated — so graphs built with and without it are
-    /// interchangeable and safely share one slot.
-    ///
     /// Records `graph_cache.lookups`, `graph_cache.builds`,
-    /// `graph_cache.hits`, a `graph.build` span, and the build's `smv.*`,
-    /// `explore.*` and `reduction.por_commute_hits` counters on
-    /// `collector` — plus `reduction.*` cone counters for a sliced slot.
+    /// `graph_cache.hits`, a `graph.build` span, and the build's `smv.*`
+    /// and `explore.*` counters on `collector` — plus `reduction.*` cone
+    /// counters for a sliced slot.
     /// The work counters are recorded here, once per distinct slot, and
     /// *not* by the queries served from the graph — so
     /// `smv.states_explored` measures genuinely distinct exploration work
@@ -253,7 +246,6 @@ impl ThreatModelCache {
         state_limit: usize,
         meter: &BudgetMeter,
         explore_threads: usize,
-        por: bool,
         collector: &Collector,
     ) -> Result<Arc<ReachGraph>, CheckError> {
         let slot = {
@@ -292,13 +284,12 @@ impl ThreatModelCache {
                 #[cfg(feature = "fault-inject")]
                 procheck_faults::inject(procheck_faults::FaultSite::GraphBuild, None);
                 let mut stats = CheckStats::default();
-                let result = build_reach_graph_budgeted_opts(
+                let result = build_reach_graph_budgeted(
                     model,
                     state_limit,
                     meter,
                     &mut stats,
                     explore_threads,
-                    por,
                 )
                 .map(Arc::new);
                 (result, stats)
@@ -328,7 +319,6 @@ impl ThreatModelCache {
                 collector.record_max("explore.workers", u64::from(graph.explore_workers()));
                 collector.add("explore.levels", u64::from(graph.levels()));
                 collector.record_max("explore.peak_level", graph.peak_level());
-                collector.add("reduction.por_commute_hits", graph.por_commute_hits());
                 // Write-through: persist the one successful complete
                 // build so the next run loads instead of exploring.
                 // Partial (limit/budget/panic) results are not reusable
@@ -417,7 +407,7 @@ mod tests {
         (ue, mme)
     }
 
-    /// A serial, unbudgeted full-graph lookup with POR on.
+    /// A serial, unbudgeted full-graph lookup.
     fn full_graph(
         cache: &ThreatModelCache,
         compiled: &CompiledModel,
@@ -426,7 +416,7 @@ mod tests {
         collector: &Collector,
     ) -> Result<Arc<ReachGraph>, CheckError> {
         let meter = BudgetMeter::unlimited();
-        cache.graph(cfg, None, compiled, state_limit, &meter, 1, true, collector)
+        cache.graph(cfg, None, compiled, state_limit, &meter, 1, collector)
     }
 
     /// Two properties sharing a ThreatConfig get the *same* model (by
@@ -494,10 +484,6 @@ mod tests {
         assert_eq!(
             collector.counter_value("smv.states_explored"),
             graphs[0].build_stats().states
-        );
-        assert_eq!(
-            collector.counter_value("reduction.por_commute_hits"),
-            graphs[0].por_commute_hits()
         );
         assert_eq!(
             cache.graph_build_stats(&cfg, None),
@@ -577,9 +563,7 @@ mod tests {
         let meter = Budget::unlimited().with_total_states(1).start();
         meter.charge_and_probe(1).expect("exactly at cap");
         let a = cache
-            .graph(
-                &cfg, None, &compiled, 1_000_000, &meter, 1, true, &collector,
-            )
+            .graph(&cfg, None, &compiled, 1_000_000, &meter, 1, &collector)
             .unwrap_err();
         assert!(matches!(a, CheckError::Budget(_)), "{a:?}");
         let b = full_graph(&cache, &compiled, &cfg, 1_000_000, &collector).unwrap_err();

@@ -19,7 +19,7 @@ use procheck_cpv::term::Term;
 use procheck_ident::Sym;
 use procheck_smv::budget::BudgetMeter;
 use procheck_smv::checker::{
-    build_reach_graph_budgeted_opts, CheckError, CheckStats, CompiledModel, Property, QueryStats,
+    build_reach_graph_budgeted, CheckError, CheckStats, CompiledModel, Property, QueryStats,
     Verdict,
 };
 use procheck_smv::model::Model;
@@ -95,9 +95,9 @@ impl CegarOutcome {
 
 /// Runs the model-checker ⇄ CPV loop for one property on a model it
 /// compiles and explores *privately*: one fresh [`ReachGraph`] (built
-/// with `explore_threads` workers and the partial-order reduction
-/// switched by `por`) is re-queried across refinement iterations. The
-/// graph build and every refinement query charge `meter`.
+/// with `explore_threads` workers) is re-queried across refinement
+/// iterations. The graph build and every refinement query charge
+/// `meter`.
 ///
 /// Records per-loop telemetry on `collector`: `cegar.runs`,
 /// `cegar.iterations`, `cegar.refinements`, `cpv.queries`, `cpv.steps`,
@@ -127,7 +127,6 @@ pub fn cegar_check(
     max_iterations: usize,
     meter: &BudgetMeter,
     explore_threads: usize,
-    por: bool,
     collector: &Collector,
 ) -> Result<CegarOutcome, CheckError> {
     // Flush the loop's counter families even when we fail before it
@@ -157,14 +156,7 @@ pub fn cegar_check(
     let mut build = CheckStats::default();
     let built = {
         let _span = collector.span("graph.build");
-        build_reach_graph_budgeted_opts(
-            &compiled,
-            state_limit,
-            meter,
-            &mut build,
-            explore_threads,
-            por,
-        )
+        build_reach_graph_budgeted(&compiled, state_limit, meter, &mut build, explore_threads)
     };
     collector.add("smv.states_explored", build.states);
     collector.add("smv.transitions", build.transitions);
@@ -386,7 +378,7 @@ mod tests {
     use procheck_smv::expr::Expr;
     use procheck_threat::{build_threat_model, ThreatConfig};
 
-    /// [`cegar_check`] serial and unbudgeted, POR on, without telemetry.
+    /// [`cegar_check`] serial and unbudgeted, without telemetry.
     fn one_shot(model: &Model, p: &Property, sem: &StepSemantics) -> CegarOutcome {
         cegar_check(
             model,
@@ -396,7 +388,6 @@ mod tests {
             16,
             &BudgetMeter::unlimited(),
             1,
-            true,
             &Collector::disabled(),
         )
         .unwrap()
@@ -569,8 +560,7 @@ mod tests {
         let p = Property::invariant("no_stale", Expr::var_ne("last_auth_sqn", "stale"));
         let collector = Collector::enabled();
         let meter = BudgetMeter::unlimited();
-        let traced =
-            cegar_check(&model, &p, &sem, 1_000_000, 16, &meter, 1, true, &collector).unwrap();
+        let traced = cegar_check(&model, &p, &sem, 1_000_000, 16, &meter, 1, &collector).unwrap();
         assert_eq!(
             collector.counter_value("smv.checks"),
             traced.iterations as u64

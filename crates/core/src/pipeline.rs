@@ -132,15 +132,10 @@ pub struct AnalysisConfig {
     /// [`AnalysisConfig::graph_cache`] path. Defaults to on;
     /// `PROCHECK_NO_SLICE=1` defaults it off.
     pub slice: bool,
-    /// Apply the independence-based partial-order reduction inside each
-    /// graph build: a successor inherits its parent's guard valuations
-    /// for every command whose guard reads no field the parent's firing
-    /// command wrote, skipping those guard re-evaluations. The reduction
-    /// changes *no* graph bytes and no exploration statistics — node
-    /// ids, parents, CSR layout, traces, and `CheckStats` are identical
-    /// with it on or off — only the guard-evaluation work avoided (the
-    /// `reduction.por_commute_hits` counter). Defaults to on;
-    /// `PROCHECK_NO_POR=1` defaults it off.
+    /// Read by nothing: exploration has one way to find enabled commands
+    /// and no reduction to switch. The field stays only because the
+    /// repository benchmark (`benchmark/`) sets and prints it. Defaults
+    /// to `true`.
     pub por: bool,
     /// Telemetry sink every pipeline stage reports into. Disabled by
     /// default (all operations are no-ops); pass
@@ -179,13 +174,12 @@ pub struct AnalysisConfig {
 }
 
 impl Default for AnalysisConfig {
-    /// The built-in defaults, adjusted by six `PROCHECK_*` environment
+    /// The built-in defaults, adjusted by five `PROCHECK_*` environment
     /// knobs — the one place the pipeline reads its environment:
     ///
     /// * `PROCHECK_EXPLORE_THREADS` — a positive integer;
-    /// * `PROCHECK_NO_GRAPH_CACHE`, `PROCHECK_NO_SLICE`,
-    ///   `PROCHECK_NO_POR` — `1`/`true` turns the feature off,
-    ///   `0`/`false` leaves it on;
+    /// * `PROCHECK_NO_GRAPH_CACHE`, `PROCHECK_NO_SLICE` — `1`/`true`
+    ///   turns the feature off, `0`/`false` leaves it on;
     /// * `PROCHECK_STORE` — a store directory;
     /// * `PROCHECK_BACKEND` — `explicit`, `symbolic` or `both`, any case.
     ///
@@ -245,7 +239,7 @@ impl AnalysisConfig {
             explore_threads,
             graph_cache: !off("PROCHECK_NO_GRAPH_CACHE")?,
             slice: !off("PROCHECK_NO_SLICE")?,
-            por: !off("PROCHECK_NO_POR")?,
+            por: true,
             collector: Collector::disabled(),
             budget: Budget::unlimited(),
             store_dir: knob("PROCHECK_STORE").map(PathBuf::from),
@@ -868,7 +862,6 @@ fn check_model_property(
                 cfg.max_cegar_iterations,
                 meter,
                 cfg.explore_threads,
-                cfg.por,
                 &cfg.collector,
             ),
             None,
@@ -954,7 +947,6 @@ fn check_model_property(
                 limit,
                 meter,
                 cfg.explore_threads,
-                cfg.por,
                 &cfg.collector,
             )
             .and_then(|graph| {
@@ -1361,7 +1353,7 @@ mod tests {
     #[test]
     fn env_knobs_parse_accepted_values() {
         let cfg = from_vars(&[("PROCHECK_BMC_BOUND", "5")]).unwrap();
-        assert!(cfg.graph_cache && cfg.slice && cfg.por);
+        assert!(cfg.graph_cache && cfg.slice);
         assert_eq!(cfg.explore_threads, default_threads());
         assert_eq!(cfg.store_dir, None);
         assert_eq!(cfg.backend, BackendKind::Explicit);
@@ -1370,13 +1362,12 @@ mod tests {
             ("PROCHECK_EXPLORE_THREADS", " 4"),
             ("PROCHECK_NO_GRAPH_CACHE", "1"),
             ("PROCHECK_NO_SLICE", "TRUE"),
-            ("PROCHECK_NO_POR", "0"),
             ("PROCHECK_STORE", "/tmp/procheck-store"),
             ("PROCHECK_BACKEND", "Symbolic"),
         ])
         .unwrap();
         assert_eq!(cfg.explore_threads, 4);
-        assert!(!cfg.graph_cache && !cfg.slice && cfg.por);
+        assert!(!cfg.graph_cache && !cfg.slice);
         assert_eq!(cfg.store_dir, Some(PathBuf::from("/tmp/procheck-store")));
         assert_eq!(cfg.backend, BackendKind::Symbolic);
         assert_eq!(
@@ -1386,14 +1377,13 @@ mod tests {
     }
 
     /// An empty value means unset: CI legs that export
-    /// `PROCHECK_NO_SLICE=""` keep the reductions on.
+    /// `PROCHECK_NO_SLICE=""` keep slicing on.
     #[test]
     fn empty_env_knobs_are_unset() {
         let vars: Vec<(&str, &str)> = [
             "PROCHECK_EXPLORE_THREADS",
             "PROCHECK_NO_GRAPH_CACHE",
             "PROCHECK_NO_SLICE",
-            "PROCHECK_NO_POR",
             "PROCHECK_STORE",
             "PROCHECK_BACKEND",
         ]
@@ -1401,7 +1391,7 @@ mod tests {
         .map(|name| (*name, ""))
         .collect();
         let cfg = from_vars(&vars).unwrap();
-        assert!(cfg.graph_cache && cfg.slice && cfg.por);
+        assert!(cfg.graph_cache && cfg.slice);
         assert_eq!(cfg.explore_threads, default_threads());
         assert_eq!(cfg.store_dir, None);
         assert_eq!(cfg.backend, BackendKind::Explicit);
@@ -1423,7 +1413,6 @@ mod tests {
                 "yes",
                 "1 or true (off), 0 or false (on)",
             ),
-            ("PROCHECK_NO_POR", "2", "1 or true (off), 0 or false (on)"),
         ] {
             let err = from_vars(&[(name, value)]).unwrap_err();
             assert!(

@@ -100,7 +100,7 @@ pub fn threat_fingerprint(cfg: &ThreatConfig) -> Fingerprint {
 /// checking engine itself plus its BMC bound, so verdicts settled by
 /// one engine are never replayed as another's (an explicit `Verified`
 /// must not answer a symbolic query, whose honest answer may only be
-/// `BoundReached`). Thread counts, POR, and the graph cache are proven
+/// `BoundReached`). Thread counts and the graph cache are proven
 /// result-invariant and deliberately excluded — a store written at one
 /// thread count must hit at another.
 ///

@@ -116,7 +116,6 @@ fn render_snapshot(explore_threads: usize) -> String {
                 STATE_LIMIT,
                 &meter,
                 explore_threads,
-                true,
                 &collector,
             )?;
             cegar_check_backend_budgeted(

@@ -1,10 +1,8 @@
-//! The state-space reductions must be invisible in results: a run that
-//! projects each property onto its cone of influence (and skips
-//! commuting guard evaluations via the partial-order reduction) returns
-//! byte-identical verdicts, counterexample traces, and CEGAR outcomes
-//! to an unreduced run — at any thread count, with or without the graph
-//! cache. Only the exploration *accounting* may differ (that is the
-//! point of the reductions).
+//! Cone-of-influence slicing must be invisible in results: a run that
+//! projects each property onto its cone returns byte-identical
+//! verdicts, counterexample traces, and CEGAR outcomes to an unsliced
+//! run — at any thread count, with or without the graph cache. Only the
+//! exploration *accounting* may differ (that is the point of slicing).
 
 use std::collections::HashMap;
 
@@ -13,10 +11,7 @@ use procheck::pipeline::{analyze_implementation, extract_models, AnalysisConfig,
 use procheck::report::PropertyResult;
 use procheck_props::{registry, Check};
 use procheck_smv::budget::BudgetMeter;
-use procheck_smv::checker::{
-    build_reach_graph_budgeted, build_reach_graph_budgeted_opts, CheckStats, CompiledModel,
-    Property,
-};
+use procheck_smv::checker::{build_reach_graph_budgeted, CheckStats, CompiledModel, Property};
 use procheck_smv::coi::{expand_counterexample, slice_for_property};
 use procheck_smv::reach::STUTTER_CMD;
 use procheck_smv::{ExplicitBackend, ReachGraph};
@@ -24,7 +19,7 @@ use procheck_stack::quirks::Implementation;
 use procheck_telemetry::Collector;
 use procheck_threat::{build_threat_model, StepSemantics, ThreatConfig};
 
-/// Everything checked for equivalence across reduction modes: identity,
+/// Everything checked for equivalence across slicing modes: identity,
 /// outcome (including every counterexample step and command label via
 /// `Debug`), and the CEGAR trajectory. Exploration accounting
 /// (`states_explored`, `peak_queue`, `graph_cache_hit`) legitimately
@@ -36,12 +31,11 @@ fn fingerprint(r: &PropertyResult) -> String {
     )
 }
 
-fn run(slice: bool, por: bool, threads: usize, explore_threads: usize) -> AnalysisReport {
+fn run(slice: bool, threads: usize, explore_threads: usize) -> AnalysisReport {
     analyze_implementation(
         Implementation::Reference,
         &AnalysisConfig {
             slice,
-            por,
             threads,
             explore_threads,
             state_limit: 2_000_000,
@@ -53,30 +47,24 @@ fn run(slice: bool, por: bool, threads: usize, explore_threads: usize) -> Analys
     )
 }
 
-/// The reduction matrix (off/off, on/off, off/on, on/on) against the
-/// unreduced serial baseline, plus the fully-reduced configuration at 4
-/// property threads × 4 explore threads: no verdict, trace step, or
-/// CEGAR counter may move.
+/// The sliced runs, serial and at 4 property threads × 4 explore
+/// threads, against the unsliced serial baseline: no verdict, trace
+/// step, or CEGAR counter may move.
 #[test]
 fn reduced_and_unreduced_runs_agree_on_every_property() {
-    let baseline = run(false, false, 1, 1);
+    let baseline = run(false, 1, 1);
     assert!(
         baseline.results.len() >= 62,
         "full registry must be checked"
     );
     let expected: Vec<String> = baseline.results.iter().map(fingerprint).collect();
-    for (slice, por, threads, explore_threads) in [
-        (true, false, 1, 1),
-        (false, true, 1, 1),
-        (true, true, 1, 1),
-        (true, true, 4, 4),
-    ] {
-        let report = run(slice, por, threads, explore_threads);
+    for (threads, explore_threads) in [(1, 1), (4, 4)] {
+        let report = run(true, threads, explore_threads);
         let got: Vec<String> = report.results.iter().map(fingerprint).collect();
         assert_eq!(
             expected, got,
-            "slice={slice} por={por} threads={threads} explore_threads={explore_threads} \
-             diverged from the unreduced serial run"
+            "sliced run at threads={threads} explore_threads={explore_threads} \
+             diverged from the unsliced serial run"
         );
         assert_eq!(report.degraded.total(), 0, "clean runs stay clean");
     }
@@ -151,43 +139,11 @@ fn cegar_on_graph(
     .unwrap()
 }
 
-/// The partial-order reduction engages on a real registry model — it
-/// skips guard evaluations — and still builds the identical graph with
-/// identical build stats.
-#[test]
-fn por_skips_guard_evaluations_without_changing_the_graph() {
-    let models = extract_models(Implementation::Reference, &AnalysisConfig::default());
-    let cfg = registry()[0].slice.threat_config();
-    let model = build_threat_model(&models.ue, &models.mme, &cfg);
-    let compiled = CompiledModel::new(&model).unwrap();
-    let build = |por: bool| {
-        let meter = BudgetMeter::unlimited();
-        let mut stats = CheckStats::default();
-        let graph =
-            build_reach_graph_budgeted_opts(&compiled, 2_000_000, &meter, &mut stats, 1, por)
-                .expect("registry model explores");
-        (graph, stats)
-    };
-    let (on, on_stats) = build(true);
-    let (off, off_stats) = build(false);
-    println!(
-        "{}: {} states, {} POR commute hits",
-        registry()[0].id,
-        on.node_count(),
-        on.por_commute_hits()
-    );
-    assert!(on.por_commute_hits() > 0, "POR must engage");
-    assert_eq!(off.por_commute_hits(), 0);
-    assert_eq!(on.to_data(), off.to_data(), "POR must not change the graph");
-    assert_eq!(on.build_stats(), off.build_stats());
-    assert_eq!(on_stats, off_stats);
-}
-
 /// The table-driven packed explorers agree with direct guard evaluation
 /// on a real registry model: at every node, the successors are exactly
 /// the commands whose compiled guard holds on the node's state, in
 /// ascending order, each leading to the updated state, with the stutter
-/// only where no guard holds — serial and parallel, POR on and off.
+/// only where no guard holds — serial and parallel.
 #[test]
 fn registry_successors_equal_direct_guard_evaluation() {
     let models = extract_models(Implementation::Reference, &AnalysisConfig::default());
@@ -195,39 +151,31 @@ fn registry_successors_equal_direct_guard_evaluation() {
     let model = build_threat_model(&models.ue, &models.mme, &cfg);
     let compiled = CompiledModel::new(&model).unwrap();
     for explore_threads in [1, 4] {
-        for por in [true, false] {
-            let meter = BudgetMeter::unlimited();
-            let mut stats = CheckStats::default();
-            let graph = build_reach_graph_budgeted_opts(
-                &compiled,
-                2_000_000,
-                &meter,
-                &mut stats,
-                explore_threads,
-                por,
-            )
-            .expect("registry model explores");
-            assert!(graph.is_packed());
-            for id in 0..graph.node_count() as u32 {
-                let state = graph.state_of(id);
-                let enabled: Vec<u32> = (0..compiled.command_count())
-                    .filter(|&i| compiled.commands()[i].guard.eval(&state))
-                    .map(|i| i as u32)
-                    .collect();
-                let succ: Vec<(u32, u32)> = graph.successors(id).collect();
-                if enabled.is_empty() {
-                    assert_eq!(succ, vec![(STUTTER_CMD, id)], "node {id}: stutter");
-                    continue;
+        let meter = BudgetMeter::unlimited();
+        let mut stats = CheckStats::default();
+        let graph =
+            build_reach_graph_budgeted(&compiled, 2_000_000, &meter, &mut stats, explore_threads)
+                .expect("registry model explores");
+        assert!(graph.is_packed());
+        for id in 0..graph.node_count() as u32 {
+            let state = graph.state_of(id);
+            let enabled: Vec<u32> = (0..compiled.command_count())
+                .filter(|&i| compiled.commands()[i].guard.eval(&state))
+                .map(|i| i as u32)
+                .collect();
+            let succ: Vec<(u32, u32)> = graph.successors(id).collect();
+            if enabled.is_empty() {
+                assert_eq!(succ, vec![(STUTTER_CMD, id)], "node {id}: stutter");
+                continue;
+            }
+            let cmds: Vec<u32> = succ.iter().map(|&(cmd, _)| cmd).collect();
+            assert_eq!(cmds, enabled, "node {id}: enabled commands");
+            for (cmd, next) in succ {
+                let mut want = state.clone();
+                for &(v, x) in &compiled.commands()[cmd as usize].updates {
+                    want[v.index()] = x.0;
                 }
-                let cmds: Vec<u32> = succ.iter().map(|&(cmd, _)| cmd).collect();
-                assert_eq!(cmds, enabled, "node {id}: enabled commands");
-                for (cmd, next) in succ {
-                    let mut want = state.clone();
-                    for &(v, x) in &compiled.commands()[cmd as usize].updates {
-                        want[v.index()] = x.0;
-                    }
-                    assert_eq!(graph.state_of(next), want, "node {id}, command {cmd}");
-                }
+                assert_eq!(graph.state_of(next), want, "node {id}, command {cmd}");
             }
         }
     }

@@ -675,10 +675,9 @@ impl ArenaBuilder {
 type WorkerOutcome = Result<Vec<(usize, ChunkOut)>, Box<dyn std::any::Any + Send>>;
 
 /// Explores the compiled model's reachable state space once and returns
-/// it as a [`ReachGraph`] ready for any number of property queries, with
-/// the partial-order reduction on. Exploration cost is absorbed into
-/// `stats` — on the error paths too, so callers see how far an aborted
-/// build got.
+/// it as a [`ReachGraph`] ready for any number of property queries.
+/// Exploration cost is absorbed into `stats` — on the error paths too,
+/// so callers see how far an aborted build got.
 ///
 /// The live [`BudgetMeter`] is charged for freshly interned states every
 /// [`PROBE_STRIDE`] pops (serial path) or at each level barrier
@@ -702,36 +701,14 @@ pub fn build_reach_graph_budgeted(
     stats: &mut CheckStats,
     explore_threads: usize,
 ) -> Result<ReachGraph, CheckError> {
-    build_reach_graph_budgeted_opts(model, limit, meter, stats, explore_threads, true)
-}
-
-/// [`build_reach_graph_budgeted`] with the partial-order reduction
-/// switched by `por`. The reduction is graph-preserving: a node inherits
-/// from its BFS parent the verdict of every guard the fired command
-/// cannot affect (it writes no packed-key bit the guard reads), so node
-/// ids, edges, parents, and stats are byte-identical with `por` on or
-/// off — only [`ReachGraph::por_commute_hits`] differs.
-///
-/// # Errors
-///
-/// Same as [`build_reach_graph_budgeted`].
-pub fn build_reach_graph_budgeted_opts(
-    model: &CompiledModel,
-    limit: usize,
-    meter: &BudgetMeter,
-    stats: &mut CheckStats,
-    explore_threads: usize,
-    por: bool,
-) -> Result<ReachGraph, CheckError> {
     let domain_sizes: Vec<usize> = model.vars.iter().map(|v| v.domain.len()).collect();
     match PackLayout::for_domains(&domain_sizes) {
         Some(layout) if explore_threads > 1 => {
-            explore_packed_parallel(model, layout, limit, meter, stats, explore_threads, por)
+            explore_packed_parallel(model, layout, limit, meter, stats, explore_threads)
         }
-        Some(layout) => explore_packed_serial(model, layout, limit, meter, stats, por),
+        Some(layout) => explore_packed_serial(model, layout, limit, meter, stats),
         // The wide value-vector fallback keeps the serial path: models
-        // too wide to pack are rare and small in this workload. (No POR
-        // either: the commute check works on packed-key bit masks.)
+        // too wide to pack are rare and small in this workload.
         None => explore_wide(model, limit, meter, stats),
     }
 }
@@ -963,13 +940,11 @@ impl EnableTables {
         }
     }
 
-    /// Writes the enabled-command word of `key` to `out`. With
-    /// `inherit = Some((kept, parent))`, the commands in `kept` take
-    /// their verdict from the BFS parent's word `parent` (the
-    /// partial-order reduction), and residual conjuncts are evaluated
-    /// only for the rest.
+    /// Writes the enabled-command word of `key` to `out`: the table rows
+    /// of every field ANDed onto `base`, then residual conjuncts
+    /// evaluated for the commands still enabled.
     #[inline]
-    fn enabled(&self, key: u64, inherit: Option<(&[u64], &[u64])>, out: &mut [u64]) {
+    fn enabled(&self, key: u64, out: &mut [u64]) {
         out.copy_from_slice(&self.base);
         for &(shift, mask, offset) in &self.fields {
             let row = offset + ((key >> shift) & mask) as usize * self.words;
@@ -977,15 +952,9 @@ impl EnableTables {
                 *o &= r;
             }
         }
-        if let Some((kept, parent)) = inherit {
-            for ((o, k), p) in out.iter_mut().zip(kept).zip(parent) {
-                *o = (*o & !k) | (p & k);
-            }
-        }
         for (i, guard) in &self.residual {
             let (w, bit) = (i / 64, 1u64 << (i % 64));
-            let inherited = inherit.is_some_and(|(kept, _)| kept[w] & bit != 0);
-            if out[w] & bit != 0 && !inherited && !guard.eval(key) {
+            if out[w] & bit != 0 && !guard.eval(key) {
                 out[w] &= !bit;
             }
         }
@@ -994,7 +963,7 @@ impl EnableTables {
 
 /// Union of the packed-key field masks a compiled guard reads. Singleton
 /// (zero-width) fields contribute nothing: their value is constant, so
-/// no command can change what the guard sees.
+/// the enable tables fold a conjunct over them into `base`.
 fn guard_read_mask(e: &CExpr, l: &PackLayout) -> u64 {
     match e {
         CExpr::True | CExpr::False => 0,
@@ -1018,27 +987,14 @@ fn for_each_bit(word: &[u64], mut f: impl FnMut(usize)) {
 }
 
 /// What both packed explorers build once per graph: every command's
-/// lowered updates, the enable tables, and (with `por`) the commute
-/// rows.
+/// lowered updates and the enable tables.
 struct PackedKernel {
     cmds: Vec<PackedCmd>,
     tables: EnableTables,
-    /// Independence rows for the guard-inheritance partial-order
-    /// reduction, one enable word per fired command (`None` with the
-    /// reduction off). For commands `a` (fired) and `b` (any guard), bit
-    /// `b` of row `a` is set when `b`'s guard reads no packed-key bit
-    /// that `a` writes — adversary drop/inject steps on the two
-    /// unidirectional channels are the motivating case: they commute, so
-    /// after firing one, the other's guard verdict is inherited from the
-    /// BFS parent instead of being looked up again. The reduction is
-    /// *graph-preserving*: inherited bits equal what the lookup would
-    /// produce, so the explored graph is byte-identical with it on or
-    /// off.
-    preserves: Option<Vec<u64>>,
 }
 
 impl PackedKernel {
-    fn new(c: &CompiledModel, layout: &PackLayout, por: bool) -> Self {
+    fn new(c: &CompiledModel, layout: &PackLayout) -> Self {
         let cmds: Vec<PackedCmd> = c
             .commands
             .iter()
@@ -1052,54 +1008,9 @@ impl PackedKernel {
                 PackedCmd { clear, set }
             })
             .collect();
-        let tables = EnableTables::new(c, layout);
-        let words = tables.words;
-        let preserves = por.then(|| {
-            let reads: Vec<u64> = c
-                .commands
-                .iter()
-                .map(|cmd| guard_read_mask(&cmd.guard, layout))
-                .collect();
-            let mut preserves = vec![0u64; cmds.len() * words];
-            for (a, fired) in cmds.iter().enumerate() {
-                // `clear` zeroes exactly the fields `fired` updates (and
-                // `set` bits live inside them), so the write set is its
-                // complement.
-                let write = !fired.clear;
-                for (b, &read) in reads.iter().enumerate() {
-                    if read & write == 0 {
-                        preserves[a * words + b / 64] |= 1u64 << (b % 64);
-                    }
-                }
-            }
-            preserves
-        });
         PackedKernel {
             cmds,
-            tables,
-            preserves,
-        }
-    }
-
-    /// Writes the enabled-command word of a node with packed `key` and
-    /// BFS parent edge `parent` to `out`, and returns how many guard
-    /// verdicts it inherited from the parent. `stored` holds the words of
-    /// earlier nodes by node id; the explorers keep it only with the
-    /// reduction on, and a node's parent is always expanded first.
-    #[inline]
-    fn node_word(&self, key: u64, parent: (u32, u32), stored: &[u64], out: &mut [u64]) -> u64 {
-        let w = self.tables.words;
-        match &self.preserves {
-            Some(preserves) if parent.0 != NO_PARENT => {
-                let kept = &preserves[parent.1 as usize * w..][..w];
-                let from = &stored[parent.0 as usize * w..][..w];
-                self.tables.enabled(key, Some((kept, from)), out);
-                kept.iter().map(|k| u64::from(k.count_ones())).sum()
-            }
-            _ => {
-                self.tables.enabled(key, None, out);
-                0
-            }
+            tables: EnableTables::new(c, layout),
         }
     }
 }
@@ -1318,7 +1229,6 @@ fn explore_wide(
         peak_level,
         workers: 1,
         stats: build_stats,
-        por_commute_hits: 0,
     };
     g.build_predecessors();
     Ok(g)
@@ -1337,17 +1247,11 @@ fn explore_packed_serial(
     limit: usize,
     meter: &BudgetMeter,
     stats: &mut CheckStats,
-    por: bool,
 ) -> Result<ReachGraph, CheckError> {
     let num_vars = c.num_vars();
     let cap = c.capacity_hint(limit);
-    let k = PackedKernel::new(c, &layout, por);
+    let k = PackedKernel::new(c, &layout);
     let mut word = vec![0u64; k.tables.words];
-    // Enabled word per popped node (only kept when the reduction is
-    // active); a node's BFS parent is always popped first, so the
-    // parent's word is present when a child inherits from it.
-    let mut node_words: Vec<u64> = Vec::new();
-    let mut commute_hits = 0u64;
     let mut f = PackedFrontier::with_capacity(layout, cap);
 
     for s in c.initial_states() {
@@ -1400,11 +1304,7 @@ fn explore_packed_serial(
         let id = next as u32;
         next += 1;
         let key = f.keys[id as usize];
-        let parent = (f.parent_node[id as usize], f.parent_cmd[id as usize]);
-        commute_hits += k.node_word(key, parent, &node_words, &mut word);
-        if k.preserves.is_some() {
-            node_words.extend_from_slice(&word);
-        }
+        k.tables.enabled(key, &mut word);
         let first_edge = succ_cmd.len();
         for_each_bit(&word, |i| {
             let pc = &k.cmds[i];
@@ -1451,7 +1351,6 @@ fn explore_packed_serial(
         peak_level,
         workers: 1,
         stats: build_stats,
-        por_commute_hits: commute_hits,
     };
     g.build_predecessors();
     Ok(g)
@@ -1474,17 +1373,12 @@ struct ChunkEdge {
 
 /// A worker's output for one claimed chunk: per-node enabled-edge counts
 /// (0 means the merge emits the deadlock stutter) and the flat edge list
-/// in `(node, command index)` order. When the partial-order reduction is
-/// active, `words` carries each node's enabled word (for the next
-/// level's inheritance) and `hits` the commute hits counted here.
+/// in `(node, command index)` order.
 struct ChunkOut {
     counts: Vec<u32>,
     edges: Vec<ChunkEdge>,
-    words: Vec<u64>,
-    hits: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn expand_chunk(
     ci: usize,
     level_start: usize,
@@ -1492,28 +1386,14 @@ fn expand_chunk(
     keys: &[u64],
     index: &PackedIndex,
     k: &PackedKernel,
-    parents: (&[u32], &[u32]),
-    node_words: &[u64],
 ) -> ChunkOut {
     let lo = level_start + ci * LEVEL_CHUNK;
     let hi = (lo + LEVEL_CHUNK).min(level_end);
     let mut counts = Vec::with_capacity(hi - lo);
     let mut edges = Vec::new();
-    let mut words = Vec::new();
-    if k.preserves.is_some() {
-        words.reserve((hi - lo) * k.tables.words);
-    }
-    let mut hits = 0u64;
     let mut word = vec![0u64; k.tables.words];
-    for (j, &key) in keys[lo..hi].iter().enumerate() {
-        // Parents of this level's nodes were interned (and popped)
-        // strictly before the level froze, so their words are already in
-        // the read-only `node_words` prefix.
-        let parent = (parents.0[lo + j], parents.1[lo + j]);
-        hits += k.node_word(key, parent, node_words, &mut word);
-        if k.preserves.is_some() {
-            words.extend_from_slice(&word);
-        }
+    for &key in &keys[lo..hi] {
+        k.tables.enabled(key, &mut word);
         let first_edge = edges.len();
         for_each_bit(&word, |i| {
             let pc = &k.cmds[i];
@@ -1526,12 +1406,7 @@ fn expand_chunk(
         });
         counts.push((edges.len() - first_edge) as u32);
     }
-    ChunkOut {
-        counts,
-        edges,
-        words,
-        hits,
-    }
+    ChunkOut { counts, edges }
 }
 
 /// Level-synchronized parallel BFS over the packed arena.
@@ -1555,7 +1430,6 @@ fn expand_chunk(
 /// A panicking worker does not poison the merge: the first payload (in
 /// worker order) is re-raised on this thread once all workers have
 /// stopped, which the caller-side isolation rings catch as usual.
-#[allow(clippy::too_many_arguments)]
 fn explore_packed_parallel(
     c: &CompiledModel,
     layout: PackLayout,
@@ -1563,17 +1437,10 @@ fn explore_packed_parallel(
     meter: &BudgetMeter,
     stats: &mut CheckStats,
     explore_threads: usize,
-    por: bool,
 ) -> Result<ReachGraph, CheckError> {
     let num_vars = c.num_vars();
     let cap = c.capacity_hint(limit);
-    let k = PackedKernel::new(c, &layout, por);
-    // Enabled words by node id (only kept when the reduction is active);
-    // frozen (read-only) while a level expands — every parent of a
-    // level's nodes sits below `level_start` — and extended by the
-    // merge, so the next level sees this one's words.
-    let mut node_words: Vec<u64> = Vec::new();
-    let mut commute_hits = 0u64;
+    let k = PackedKernel::new(c, &layout);
     let mut f = PackedFrontier::with_capacity(layout, cap);
 
     for s in c.initial_states() {
@@ -1644,8 +1511,6 @@ fn explore_packed_parallel(
                     &f.keys,
                     &f.index,
                     &k,
-                    (&f.parent_node, &f.parent_cmd),
-                    &node_words,
                 ));
             }
         } else {
@@ -1653,8 +1518,6 @@ fn explore_packed_parallel(
             let keys_ref: &[u64] = &f.keys;
             let index_ref = &f.index;
             let kernel_ref = &k;
-            let parents_ref = (&f.parent_node[..], &f.parent_cmd[..]);
-            let words_ref: &[u64] = &node_words;
             let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
@@ -1675,8 +1538,6 @@ fn explore_packed_parallel(
                                             keys_ref,
                                             index_ref,
                                             kernel_ref,
-                                            parents_ref,
-                                            words_ref,
                                         ),
                                     ));
                                 }
@@ -1718,11 +1579,6 @@ fn explore_packed_parallel(
         // order the serial implicit queue would have used.
         for (ci, slot) in slots.into_iter().enumerate() {
             let out = slot.expect("every chunk claimed exactly once");
-            // Chunks cover the level contiguously in order, so appending
-            // their enabled words here keeps `node_words` indexed by node
-            // id, ready for the next level's inheritance.
-            node_words.extend_from_slice(&out.words);
-            commute_hits += out.hits;
             let base = level_start + ci * LEVEL_CHUNK;
             let mut e = 0usize;
             for (j, &cnt) in out.counts.iter().enumerate() {
@@ -1781,7 +1637,6 @@ fn explore_packed_parallel(
         peak_level,
         workers: explore_threads as u32,
         stats: build_stats,
-        por_commute_hits: commute_hits,
     };
     g.build_predecessors();
     Ok(g)
@@ -2690,28 +2545,15 @@ mod tests {
     }
 
     /// Exploration telemetry lives on the graph a build returns, never
-    /// in process-wide state: 4096 lattice states, and commute hits only
-    /// with the partial-order reduction on.
+    /// in process-wide state: 4096 lattice states.
     #[test]
     fn telemetry_counts_explored_states() {
         let c = CompiledModel::new(&lattice()).expect("valid");
-        let build = |por| {
-            let mut stats = CheckStats::default();
-            build_reach_graph_budgeted_opts(
-                &c,
-                1_000_000,
-                &BudgetMeter::unlimited(),
-                &mut stats,
-                1,
-                por,
-            )
-            .expect("fits")
-        };
-        let (on, off) = (build(true), build(false));
-        assert_eq!(on.build_stats().states, 4096);
-        assert_eq!(on.build_stats(), off.build_stats());
-        assert!(on.por_commute_hits() > 0, "independent toggles commute");
-        assert_eq!(off.por_commute_hits(), 0);
+        let mut stats = CheckStats::default();
+        let g = build_reach_graph_budgeted(&c, 1_000_000, &BudgetMeter::unlimited(), &mut stats, 1)
+            .expect("fits");
+        assert_eq!(g.build_stats().states, 4096);
+        assert_eq!(g.build_stats(), stats);
     }
 
     #[test]
@@ -3304,20 +3146,17 @@ mod tests {
         ] {
             let c = CompiledModel::new(&model).expect("valid");
             for threads in [1usize, 4] {
-                for por in [true, false] {
-                    let g = build_reach_graph_budgeted_opts(
-                        &c,
-                        1_000_000,
-                        &BudgetMeter::unlimited(),
-                        &mut CheckStats::default(),
-                        threads,
-                        por,
-                    )
-                    .expect("fits");
-                    assert!(g.is_packed());
-                    assert_eq!(g.node_count(), states, "{}", model.name());
-                    assert_successors_match_guards(&c, &g);
-                }
+                let g = build_reach_graph_budgeted(
+                    &c,
+                    1_000_000,
+                    &BudgetMeter::unlimited(),
+                    &mut CheckStats::default(),
+                    threads,
+                )
+                .expect("fits");
+                assert!(g.is_packed());
+                assert_eq!(g.node_count(), states, "{}", model.name());
+                assert_successors_match_guards(&c, &g);
             }
         }
     }

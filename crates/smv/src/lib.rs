@@ -67,9 +67,7 @@ pub mod trace;
 
 pub use backend::{BackendVerdict, CheckBackend, ExplicitBackend};
 pub use budget::{Budget, BudgetExceeded, BudgetMeter};
-pub use checker::{
-    build_reach_graph_budgeted_opts, CompiledModel, CompiledProperty, Property, Verdict,
-};
+pub use checker::{CompiledModel, CompiledProperty, Property, Verdict};
 pub use coi::{expand_counterexample, slice_for_property, ConeSig, SlicedModel};
 pub use expr::Expr;
 pub use model::{GuardedCmd, Model};

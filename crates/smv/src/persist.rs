@@ -24,7 +24,7 @@
 //! model before the graph is used.
 
 use crate::checker::{CExpr, CheckStats, CompiledModel};
-use crate::reach::{PackLayout, ReachGraph, StateArena, STUTTER_CMD};
+use crate::reach::{PackLayout, ReachGraph, StateArena, NO_PARENT, STUTTER_CMD};
 use procheck_store::{ByteReader, ByteWriter, Fingerprint, StableHasher};
 
 /// Plain-data image of a [`ReachGraph`]: every field a stored graph
@@ -242,15 +242,20 @@ impl ReachGraph {
         {
             return Err("edge references an out-of-range node or command".to_string());
         }
-        if data
-            .parent_node
-            .iter()
-            .zip(&data.parent_cmd)
-            .any(|(&p, &c)| {
-                p != crate::reach::NO_PARENT && (p as usize >= n || (c != STUTTER_CMD && c >= cmds))
-            })
-        {
-            return Err("parent pointer references an out-of-range node or command".to_string());
+        // BFS interns a parent before its children, so exactly the
+        // initial states lack a parent and every other node's parent is
+        // an earlier node. Anything else — a cycle in particular — would
+        // send trace reconstruction round the loop forever.
+        for (id, (&p, &c)) in data.parent_node.iter().zip(&data.parent_cmd).enumerate() {
+            if id < data.init_count as usize {
+                if p != NO_PARENT {
+                    return Err(format!("initial state {id} has BFS parent {p}"));
+                }
+            } else if p as usize >= id {
+                return Err(format!("node {id} has BFS parent {p}, not an earlier node"));
+            } else if c != STUTTER_CMD && c >= cmds {
+                return Err(format!("node {id} is reached by out-of-range command {c}"));
+            }
         }
         // Every stored state must decode to in-domain value indices, or
         // trace rendering would index past a domain table.
@@ -285,7 +290,6 @@ impl ReachGraph {
                 transitions: data.stats[1],
                 peak_queue: data.stats[2],
             },
-            por_commute_hits: 0,
         };
         graph.build_predecessors();
         Ok(graph)
@@ -534,6 +538,28 @@ mod tests {
         let mut bad = data.clone();
         bad.parent_node.pop();
         assert!(ReachGraph::from_data(&compiled, &bad).is_err());
+
+        // Parent pointers must run from the roots to strictly earlier
+        // nodes: no cycle, no parent on a root, no orphan.
+        assert_eq!(data.parent_node, [NO_PARENT, 0, 1]);
+        let mut bad = data.clone();
+        bad.parent_node[1] = 2;
+        assert!(
+            ReachGraph::from_data(&compiled, &bad).is_err(),
+            "parent cycle"
+        );
+        let mut bad = data.clone();
+        bad.parent_node[0] = 1;
+        assert!(
+            ReachGraph::from_data(&compiled, &bad).is_err(),
+            "root with a parent"
+        );
+        let mut bad = data.clone();
+        bad.parent_node[2] = NO_PARENT;
+        assert!(
+            ReachGraph::from_data(&compiled, &bad).is_err(),
+            "non-root orphan"
+        );
 
         if !data.keys.is_empty() {
             let mut bad = data;

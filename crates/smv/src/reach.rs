@@ -94,7 +94,7 @@ impl PackLayout {
 
     /// Bit mask covering variable `i`'s field in the packed key (0 for
     /// zero-width singleton domains, whose value never occupies bits).
-    /// The partial-order reduction derives per-command read/write sets
+    /// The enable tables sort guard conjuncts by the fields they read
     /// from these masks.
     #[inline]
     pub(crate) fn field_mask(&self, i: usize) -> u64 {
@@ -215,11 +215,6 @@ pub struct ReachGraph {
     pub(crate) workers: u32,
     /// Exploration cost of building this graph.
     pub(crate) stats: CheckStats,
-    /// Guard verdicts the partial-order reduction inherited from BFS
-    /// parents while building this graph (0 with the reduction off, for
-    /// the wide arena, and for graphs loaded from a store). Kept out of
-    /// [`CheckStats`] so the stats are identical with POR on or off.
-    pub(crate) por_commute_hits: u64,
 }
 
 impl ReachGraph {
@@ -268,13 +263,6 @@ impl ReachGraph {
     /// Worker threads exploration ran with (1 = serial path).
     pub fn explore_workers(&self) -> u32 {
         self.workers
-    }
-
-    /// Guard verdicts the partial-order reduction inherited during this
-    /// build: a child takes its parent's verdict for every guard the
-    /// fired command cannot affect. Identical at any worker count.
-    pub fn por_commute_hits(&self) -> u64 {
-        self.por_commute_hits
     }
 
     /// BFS parent edge of `id` as `(parent node, command index)`, or
@@ -460,7 +448,6 @@ mod tests {
             peak_level: 1,
             workers: 1,
             stats: CheckStats::default(),
-            por_commute_hits: 0,
         };
         g.build_predecessors();
         assert_eq!(g.pred_off, vec![0, 2, 5, 5, 7]);

@@ -4,10 +4,15 @@
 //! BFS — same state arena (node ids and their states), same CSR
 //! successor layout, same BFS parents, same predecessor lists, same
 //! build stats. Not "isomorphic": identical, node id by node id.
+//!
+//! The serial graph is itself checked against the model: every node's
+//! successors are the commands whose guard holds there, and the graph
+//! survives a round trip through its stored image.
 
 use procheck_smv::checker::{build_reach_graph_budgeted, CheckStats, CompiledModel};
 use procheck_smv::expr::Expr;
 use procheck_smv::model::{GuardedCmd, Model};
+use procheck_smv::reach::STUTTER_CMD;
 use procheck_smv::{BudgetMeter, ReachGraph};
 use proptest::prelude::*;
 
@@ -41,11 +46,10 @@ fn arb_model() -> impl Strategy<Value = Model> {
     })
 }
 
-fn build(model: &Model, explore_threads: usize) -> (ReachGraph, CheckStats) {
-    let c = CompiledModel::new(model).expect("generated models are valid");
+fn build(c: &CompiledModel, explore_threads: usize) -> (ReachGraph, CheckStats) {
     let mut stats = CheckStats::default();
     let g = build_reach_graph_budgeted(
-        &c,
+        c,
         100_000,
         &BudgetMeter::unlimited(),
         &mut stats,
@@ -91,16 +95,51 @@ fn assert_identical(serial: &ReachGraph, parallel: &ReachGraph, width: usize) {
     }
 }
 
+/// Asserts that the successors of every node are exactly the commands
+/// whose compiled guard holds on the node's state, in ascending order,
+/// each leading to the updated state, and that the stutter appears only
+/// when no guard holds.
+fn assert_successors_match_guards(c: &CompiledModel, g: &ReachGraph) {
+    for id in 0..g.node_count() as u32 {
+        let s = g.state_of(id);
+        let want: Vec<u32> = (0..c.command_count())
+            .filter(|&i| c.commands()[i].guard.eval(&s))
+            .map(|i| i as u32)
+            .collect();
+        let got: Vec<(u32, u32)> = g.successors(id).collect();
+        if want.is_empty() {
+            assert_eq!(got, vec![(STUTTER_CMD, id)], "node {id}: stutter");
+            continue;
+        }
+        let cmds: Vec<u32> = got.iter().map(|&(cmd, _)| cmd).collect();
+        assert_eq!(cmds, want, "node {id} {s:?}: enabled commands");
+        for (cmd, succ) in got {
+            let mut next = s.clone();
+            for &(v, x) in &c.commands()[cmd as usize].updates {
+                next[v.index()] = x.0;
+            }
+            assert_eq!(g.state_of(succ), next, "node {id} cmd {cmd}: successor");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole contract on random models: every worker count yields
-    /// the serial graph, bit for bit.
+    /// the serial graph, bit for bit. The serial graph's successors are
+    /// the guard-enabled commands, and it loads back from its stored
+    /// image unchanged.
     #[test]
     fn parallel_graph_equals_serial_graph(model in arb_model()) {
-        let (serial, serial_stats) = build(&model, 1);
+        let c = CompiledModel::new(&model).expect("generated models are valid");
+        let (serial, serial_stats) = build(&c, 1);
+        assert_successors_match_guards(&c, &serial);
+        let data = serial.to_data();
+        let restored = ReachGraph::from_data(&c, &data).expect("an explored graph loads");
+        prop_assert_eq!(restored.to_data(), data);
         for width in [2usize, 3, 4, 8] {
-            let (parallel, parallel_stats) = build(&model, width);
+            let (parallel, parallel_stats) = build(&c, width);
             prop_assert_eq!(&serial_stats, &parallel_stats, "stats diverge at width {}", width);
             assert_identical(&serial, &parallel, width);
         }

@@ -1,25 +1,15 @@
-//! Property-based equivalence of the state-space reductions: for random
-//! small models,
-//!
-//! * the partial-order reduction must leave the built [`ReachGraph`]
-//!   *identical* — node id by node id — to the unreduced build (it only
-//!   skips redundant guard evaluations, never changes what is explored);
-//! * cone-of-influence slicing must preserve every query answer: the
-//!   sliced graph yields the same verdict class as the full graph, with
-//!   the re-expanded counterexample exactly as long as the full model's
-//!   (shortest paths survive projection) and semantically valid step by
-//!   step against the *source* model — including under CEGAR-style
-//!   label-exclusion masks.
-//!
-//! Mirrors `parallel_explore_prop.rs`, which pins the same contract for
-//! the parallel frontier.
+//! Property-based equivalence of cone-of-influence slicing: for random
+//! small models, the sliced graph must answer every query like the full
+//! graph — the same verdict class, with the re-expanded counterexample
+//! exactly as long as the full model's (shortest paths survive
+//! projection) and semantically valid step by step against the *source*
+//! model — including under CEGAR-style label-exclusion masks.
 
 use std::collections::BTreeMap;
 
 use procheck_ident::Sym;
 use procheck_smv::checker::{
-    build_reach_graph_budgeted, build_reach_graph_budgeted_opts, check_on_graph, CheckStats,
-    CompiledModel, Property, QueryStats,
+    build_reach_graph_budgeted, check_on_graph, CheckStats, CompiledModel, Property, QueryStats,
 };
 use procheck_smv::coi::{expand_counterexample, slice_for_property};
 use procheck_smv::expr::Expr;
@@ -145,49 +135,14 @@ fn assert_valid_in_source(model: &Model, ce: &Counterexample) -> Result<(), Test
     Ok(())
 }
 
-fn build_graph(model: &CompiledModel, por: bool) -> ReachGraph {
+fn build_graph(model: &CompiledModel) -> ReachGraph {
     let mut stats = CheckStats::default();
-    build_reach_graph_budgeted_opts(model, LIMIT, &BudgetMeter::unlimited(), &mut stats, 1, por)
+    build_reach_graph_budgeted(model, LIMIT, &BudgetMeter::unlimited(), &mut stats, 1)
         .expect("random 3^4 models are far below the limit")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// POR changes nothing observable about the graph: same arena, CSR
-    /// edges, parents, predecessors, levels, and build stats as the
-    /// unreduced build, at every worker width.
-    #[test]
-    fn por_graph_equals_unreduced_graph(model in arb_model()) {
-        let compiled = CompiledModel::new(&model).expect("generated models are valid");
-        let base = build_graph(&compiled, false);
-        // POR on at width 1, then the default build (POR on) at a wider
-        // frontier.
-        let por_on = build_graph(&compiled, true);
-        let mut stats = CheckStats::default();
-        let por_wide = build_reach_graph_budgeted(
-            &compiled,
-            LIMIT,
-            &BudgetMeter::unlimited(),
-            &mut stats,
-            4,
-        )
-        .expect("within limit");
-        for (g, tag) in [(&por_on, "forced-w1"), (&por_wide, "default-w4")] {
-            prop_assert_eq!(base.node_count(), g.node_count(), "{}", tag);
-            prop_assert_eq!(base.edge_count(), g.edge_count(), "{}", tag);
-            prop_assert_eq!(base.levels(), g.levels(), "{}", tag);
-            prop_assert_eq!(base.build_stats(), g.build_stats(), "{}", tag);
-            for id in 0..base.node_count() as u32 {
-                prop_assert_eq!(base.state_of(id), g.state_of(id), "node {} {}", id, tag);
-                prop_assert_eq!(base.parent_edge(id), g.parent_edge(id), "node {} {}", id, tag);
-                let b: Vec<(u32, u32)> = base.successors(id).collect();
-                let p: Vec<(u32, u32)> = g.successors(id).collect();
-                prop_assert_eq!(b, p, "successors at node {} {}", id, tag);
-                prop_assert_eq!(base.predecessors(id), g.predecessors(id), "node {} {}", id, tag);
-            }
-        }
-    }
 
     /// Slicing preserves every query answer: verdict class, trace
     /// length, and (after re-expansion) a step-by-step valid behaviour
@@ -211,8 +166,8 @@ proptest! {
             .model
             .compile_property(&prop)
             .expect("in-cone property recompiles against the slice");
-        let full_graph = build_graph(&compiled, false);
-        let sliced_graph = build_graph(&sliced.model, true);
+        let full_graph = build_graph(&compiled);
+        let sliced_graph = build_graph(&sliced.model);
         prop_assert!(
             sliced_graph.node_count() <= full_graph.node_count(),
             "projection may never enlarge the reachable space"

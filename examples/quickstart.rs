@@ -55,7 +55,6 @@ fn main() {
         24,
         &BudgetMeter::unlimited(),
         1,
-        true,
         &Collector::disabled(),
     )
     .expect("check runs");

@@ -56,7 +56,6 @@ fn all_common_properties_run_on_both_models() {
                 24,
                 &BudgetMeter::unlimited(),
                 1,
-                true,
                 &Collector::disabled(),
             )
             .unwrap_or_else(|e| panic!("{} on {name}: {e}", p.id));
