@@ -4,8 +4,9 @@
 //!
 //! Exits non-zero (assert) unless:
 //!
-//!   * the unchanged warm run hits on **every** verdict, consults no
-//!     graph slot, and renders byte-identical to the cold run;
+//!   * the unchanged warm run hits on **every** verdict, composes no
+//!     threat model, consults no graph slot, writes nothing, and
+//!     renders byte-identical to the cold run;
 //!   * the post-mutation run replays some verdicts warm (linkability
 //!     keys and delta-disjoint cones survive) and renders
 //!     byte-identical to a from-scratch run on the mutated models.
@@ -68,10 +69,13 @@ fn main() {
     let warm = analyze_extracted(Implementation::Reference, &models, &cfg);
     let warm_secs = start.elapsed().as_secs_f64();
     println!(
-        "run 2 (warm):    {warm_secs:.3}s  {}/{} verdict hits, {} explorations  ({:.1}x vs cold)",
+        "run 2 (warm):    {warm_secs:.3}s  {}/{} verdict hits, {} compositions, {} explorations, \
+         {} writes  ({:.1}x vs cold)",
         warm.store_stats.hits,
         warm.store_stats.lookups,
+        warm.cache_stats.builds,
         warm.graph_cache_stats.builds,
+        warm.store_stats.writes,
         cold_secs / warm_secs.max(1e-9)
     );
     assert_eq!(
@@ -80,8 +84,16 @@ fn main() {
     );
     assert_eq!(warm.store_stats.hits as usize, n);
     assert_eq!(
+        warm.cache_stats.lookups, 0,
+        "the verdict index answers an unchanged run before composition"
+    );
+    assert_eq!(
         warm.graph_cache_stats.lookups, 0,
         "warm verdict hits never reach the graph layer"
+    );
+    assert_eq!(
+        warm.store_stats.writes, 0,
+        "a fully warm run writes nothing"
     );
     assert_eq!(
         render(&warm),
@@ -126,7 +138,10 @@ fn main() {
         "post-mutation warm report must equal a from-scratch run"
     );
 
-    println!("warm-run contract holds: full replay, zero explorations, byte-identical reports");
+    println!(
+        "warm-run contract holds: full replay, zero compositions, explorations and writes, \
+         byte-identical reports"
+    );
     if !keep {
         let _ = std::fs::remove_dir_all(&dir);
     }

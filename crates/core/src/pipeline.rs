@@ -27,14 +27,15 @@ use crate::cache::{CacheStats, ThreatModelCache};
 use crate::cegar::{cegar_check, cegar_check_backend_budgeted, CegarOutcome, FinalVerdict};
 use crate::report::{DegradedStats, Finding, PropertyOutcome, PropertyResult};
 use crate::store::{
-    baseline_key, checked_model_fps, cone_intersects_delta, delta_commands, knobs_fingerprint,
-    link_key, outcome_from_data, outcome_to_data, threat_fingerprint, verdict_key, RunStore,
-    BACKEND_TAG_EXPLICIT, BACKEND_TAG_SYMBOLIC,
+    baseline_key, checked_model_fps, cone_intersects_delta, delta_commands, fsm_pair_fingerprint,
+    index_key, knobs_fingerprint, link_key, outcome_from_data, outcome_to_data, threat_fingerprint,
+    verdict_key, RunStore, VerdictIndex, BACKEND_TAG_EXPLICIT, BACKEND_TAG_SYMBOLIC,
 };
 use procheck_conformance::runner::run_suite_traced;
 use procheck_conformance::suites;
 use procheck_conformance::CoverageReport;
 use procheck_extractor::{extract_fsm_traced, ExtractorConfig};
+use procheck_fsm::canon::canonical_text;
 use procheck_fsm::stats::FsmStats;
 use procheck_fsm::Fsm;
 use procheck_props::{registry, BaseProfile, Check, LinkScenario, NasProperty};
@@ -44,7 +45,7 @@ use procheck_smv::coi::{expand_counterexample, slice_for_property, ConeSig, Slic
 use procheck_smv::ExplicitBackend;
 use procheck_stack::quirks::Implementation;
 use procheck_stack::UeConfig;
-use procheck_store::{Fingerprint, StoreStats, VerdictRecord};
+use procheck_store::{BaselineRecord, Fingerprint, IndexEntry, StoreStats, VerdictRecord};
 use procheck_symbolic::{BmcBackend, DEFAULT_BMC_BOUND};
 use procheck_telemetry::Collector;
 use procheck_testbed::linkability::{run_scenario, Scenario};
@@ -449,6 +450,11 @@ impl AnalysisReport {
     }
 }
 
+/// This run's verdict indexes by backend leg, `[explicit, symbolic]`;
+/// `None` for a leg the run does not check, and for both when no store
+/// participates or extraction failed.
+type LegIndexes = [Option<VerdictIndex>; 2];
+
 /// Checks one property against the extracted models. The composed
 /// threat model for the property's slice is fetched from (or built
 /// into) `cache`, so callers checking many properties share one
@@ -460,12 +466,13 @@ impl AnalysisReport {
 /// cached build, a failed extraction — returns an explicit
 /// [`PropertyOutcome`]; this function only panics if the property
 /// evaluation itself does (the worker pool catches that too).
-pub fn check_property_metered(
+fn check_property_metered(
     prop: &NasProperty,
     models: &ExtractedModels,
     implementation: Implementation,
     cfg: &AnalysisConfig,
     cache: &ThreatModelCache,
+    indexes: &LegIndexes,
     meter: &BudgetMeter,
 ) -> PropertyResult {
     let start = Instant::now();
@@ -490,22 +497,24 @@ pub fn check_property_metered(
         ),
         Check::Model(p) => {
             // One leg per engine; `Both` runs them back to back and
-            // arbitrates. Each leg resolves independently — own store
-            // key, own store write — so warm stores never cross-
-            // pollinate engines.
+            // arbitrates. Each leg resolves independently — own index,
+            // own store key, own store write — so warm stores never
+            // cross-pollinate engines.
             let mut run_leg = |symbolic: bool| {
+                let index = indexes[usize::from(symbolic)].as_ref();
                 let resolution = check_model_property(
                     prop,
                     p,
                     models,
                     cfg,
                     cache,
+                    index,
                     meter,
                     limit,
                     symbolic,
                     &mut graph_cache_hit,
                 );
-                resolve_model_check(prop, p, resolution, cfg, cache)
+                resolve_model_check(prop, p, resolution, cfg, cache, index)
             };
             let leg = match cfg.backend {
                 BackendKind::Explicit => run_leg(false),
@@ -637,6 +646,16 @@ struct PendingWrite {
     model_fp: Fingerprint,
 }
 
+impl PendingWrite {
+    /// The verdict-index entry pointing at this verdict.
+    fn entry(&self) -> IndexEntry {
+        IndexEntry {
+            verdict_key: self.key,
+            model_fp: self.model_fp,
+        }
+    }
+}
+
 /// One backend leg's model check, resolved to report shape. In `Both`
 /// mode two of these exist per property; the explicit one is reported
 /// on agreement.
@@ -651,7 +670,8 @@ struct LegResult {
 }
 
 /// Maps a [`ModelCheckResolution`] (warm or live, either engine) to a
-/// [`LegResult`], writing settled live outcomes back to the store.
+/// [`LegResult`], writing settled live outcomes back to the store and
+/// their keys to the leg's verdict `index`.
 /// Degraded outcomes (budget, panics) describe this run and never reach
 /// disk; a [`CheckError::BackendDivergence`] — a counterexample that
 /// failed replay validation — surfaces as a hard
@@ -662,6 +682,7 @@ fn resolve_model_check(
     resolution: ModelCheckResolution,
     cfg: &AnalysisConfig,
     cache: &ThreatModelCache,
+    index: Option<&VerdictIndex>,
 ) -> LegResult {
     match resolution {
         ModelCheckResolution::Stored(record) => {
@@ -759,6 +780,9 @@ fn resolve_model_check(
                             model_fp: pending.model_fp,
                         },
                     );
+                    if let Some(index) = index {
+                        index.add(prop.id, pending.entry());
+                    }
                 }
             }
             LegResult {
@@ -809,17 +833,40 @@ fn backend_divergence(explicit: &PropertyOutcome, symbolic: &PropertyOutcome) ->
     }
 }
 
+/// The checking-knobs fingerprint of one backend leg: the explicit
+/// engine, or the bounded symbolic one (with its bound) when `symbolic`
+/// is set.
+fn leg_knobs(cfg: &AnalysisConfig, symbolic: bool) -> Fingerprint {
+    let (backend_tag, bound) = if symbolic {
+        (BACKEND_TAG_SYMBOLIC, cfg.bmc_bound as u64)
+    } else {
+        (BACKEND_TAG_EXPLICIT, 0)
+    };
+    knobs_fingerprint(
+        cfg.state_limit,
+        cfg.max_cegar_iterations,
+        backend_tag,
+        bound,
+    )
+}
+
 /// The model-property body of [`check_property_metered`] for one engine:
 /// the explicit one, or the bounded symbolic one when `symbolic` is set.
 ///
-/// Compose (via the shared cache) and, on the graph-cache path, compile
-/// and — before any exploration — consult the persistent store under
-/// the as-checked model's key. Error precedence is unchanged from the
-/// storeless pipeline: compose and compile errors surface before the
-/// property's vocabulary check, which surfaces before any graph work;
-/// the store lookup sits *after* compilation so even not-applicable
-/// outcomes replay warm, and `graph_cache_hit` is left `None` on every
-/// path that never consulted the graph layer (store hits included).
+/// With a store attached, a verdict is looked up in two levels, one
+/// verdict lookup per property however it resolves. First the leg's
+/// verdict `index`, before any composition: a property it lists loads
+/// the indexed verdict key, and a record passing the property-id and
+/// exact-fingerprint gates replays with nothing composed, compiled or
+/// fingerprinted. Otherwise compose (via the shared cache) and, on the
+/// graph-cache path, compile and — before any exploration — look up the
+/// as-checked model's key, unless the index already tried that key.
+/// Error precedence is unchanged from the storeless pipeline: compose
+/// and compile errors surface before the property's vocabulary check,
+/// which surfaces before any graph work; the second-level lookup sits
+/// *after* compilation so even not-applicable outcomes replay warm, and
+/// `graph_cache_hit` is left `None` on every path that never consulted
+/// the graph layer (store hits included).
 ///
 /// Past the explicit engine's private path when the graph cache is off,
 /// the engines differ in two places only. The explicit engine projects
@@ -837,11 +884,20 @@ fn check_model_property(
     models: &ExtractedModels,
     cfg: &AnalysisConfig,
     cache: &ThreatModelCache,
+    index: Option<&VerdictIndex>,
     meter: &BudgetMeter,
     limit: usize,
     symbolic: bool,
     graph_cache_hit: &mut Option<bool>,
 ) -> ModelCheckResolution {
+    let indexed = index.and_then(|index| index.entry(prop.id));
+    if let (Some(store), Some(entry)) = (cache.store(), indexed) {
+        if let Some(record) = store.load_verdict(entry.verdict_key) {
+            if record.property_id == prop.id && RunStore::verdict_usable(&record, entry.model_fp) {
+                return ModelCheckResolution::Stored(record);
+            }
+        }
+    }
     let threat_cfg = prop.slice.threat_config();
     let semantics = StepSemantics::new(threat_cfg.clone());
     let model = match cache.compose(&models.ue, &models.mme, &threat_cfg, &cfg.collector) {
@@ -890,11 +946,6 @@ fn check_model_property(
     // key is itself the statement "the model this property observes is
     // unchanged". Computed on the vocabulary-error path too: the
     // resulting skip is a settled, replayable outcome.
-    let (backend_tag, bound) = if symbolic {
-        (BACKEND_TAG_SYMBOLIC, cfg.bmc_bound as u64)
-    } else {
-        (BACKEND_TAG_EXPLICIT, 0)
-    };
     let pending = cache.store().map(|_| {
         let fps = checked_model_fps(checked);
         PendingWrite {
@@ -902,19 +953,21 @@ fn check_model_property(
                 fps.semantic,
                 threat_fingerprint(&threat_cfg),
                 prop.id,
-                knobs_fingerprint(
-                    cfg.state_limit,
-                    cfg.max_cegar_iterations,
-                    backend_tag,
-                    bound,
-                ),
+                leg_knobs(cfg, symbolic),
             ),
             model_fp: fps.exact,
         }
     });
-    if let (Some(store), Some(pw)) = (cache.store(), &pending) {
+    // A key the index listed was already looked up above.
+    let untried = pending
+        .as_ref()
+        .filter(|pw| indexed.is_none_or(|entry| entry.verdict_key != pw.key));
+    if let (Some(store), Some(pw)) = (cache.store(), untried) {
         if let Some(record) = store.load_verdict(pw.key) {
             if record.property_id == prop.id && RunStore::verdict_usable(&record, pw.model_fp) {
+                if let Some(index) = index {
+                    index.add(prop.id, pw.entry());
+                }
                 return ModelCheckResolution::Stored(record);
             }
         }
@@ -1101,11 +1154,13 @@ pub fn analyze_implementation(
 /// incremental re-check experiments) enter here.
 ///
 /// When [`AnalysisConfig::store_dir`] is set (and the graph cache is
-/// on), the persistent store is opened first: verdicts and graphs from
-/// previous runs short-circuit this one, and at the end the extracted
-/// machines are diffed against the stored baseline snapshot (the
-/// FSM-delta telemetry) before becoming the new baseline. A store that
-/// fails to open degrades to a fully cold run.
+/// on), the persistent store is opened first and each backend leg's
+/// verdict index is read: verdicts and graphs from previous runs
+/// short-circuit this one, and at the end the extracted machines are
+/// compared with the stored baseline snapshot (the FSM-delta telemetry)
+/// before becoming the new baseline, and the indexes are written if
+/// they changed. A fully warm run writes nothing. A store that fails to
+/// open degrades to a fully cold run.
 pub fn analyze_extracted(
     implementation: Implementation,
     models: &ExtractedModels,
@@ -1121,6 +1176,18 @@ pub fn analyze_extracted(
     let cache = match &store {
         Some(store) => ThreatModelCache::with_store(Arc::clone(store)),
         None => ThreatModelCache::new(),
+    };
+    // Both machines' canonical texts: the baseline snapshot's contents
+    // and the verdict indexes' key input.
+    let canon = store.as_ref().map(|_| BaselineRecord {
+        ue: canonical_text(&models.ue),
+        mme: canonical_text(&models.mme),
+    });
+    let indexes = match (&store, &canon) {
+        (Some(store), Some(canon)) if models.extraction_errors.is_empty() => {
+            load_indexes(store, canon, cfg)
+        }
+        _ => [None, None],
     };
     let all = registry();
     let props: Vec<&NasProperty> = all
@@ -1145,7 +1212,7 @@ pub fn analyze_extracted(
         // results are untouched.
         let start = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            check_property_metered(prop, models, implementation, cfg, &cache, &meter)
+            check_property_metered(prop, models, implementation, cfg, &cache, &indexes, &meter)
         }))
         .unwrap_or_else(|payload| {
             panicked_property_result(prop, panic_message(payload), start.elapsed())
@@ -1237,8 +1304,11 @@ pub fn analyze_extracted(
             ],
         );
     }
-    if let Some(store) = &store {
-        record_fsm_delta(implementation, models, cfg, &cache, store, &props);
+    if let (Some(store), Some(canon)) = (&store, &canon) {
+        record_fsm_delta(implementation, models, canon, cfg, &cache, store, &props);
+        for index in indexes.into_iter().flatten() {
+            index.save(store);
+        }
         // Mirror the store's own accounting onto the collector, in the
         // same post-pool position as the degraded counters so the event
         // stream stays thread-count-independent. `store.graph_loads` is
@@ -1265,6 +1335,23 @@ pub fn analyze_extracted(
     }
 }
 
+/// Reads the verdict index of each backend leg `cfg.backend` runs,
+/// `[explicit, symbolic]`, keyed by the extracted pair's canonical
+/// texts.
+fn load_indexes(store: &RunStore, canon: &BaselineRecord, cfg: &AnalysisConfig) -> LegIndexes {
+    let pair = fsm_pair_fingerprint(canon);
+    let runs = |symbolic: bool| match cfg.backend {
+        BackendKind::Explicit => !symbolic,
+        BackendKind::Symbolic => symbolic,
+        BackendKind::Both => true,
+    };
+    [false, true].map(|symbolic| {
+        runs(symbolic).then(|| {
+            VerdictIndex::load(store, index_key(pair, leg_knobs(cfg, symbolic), cfg.slice))
+        })
+    })
+}
+
 /// The incremental-re-check telemetry pass: diff this run's extracted
 /// machines against the stored baseline snapshot, lower the delta to
 /// the compiled command sets it touches, and record which properties'
@@ -1272,18 +1359,28 @@ pub fn analyze_extracted(
 /// warm run re-checked exactly the properties it did. The reuse
 /// decisions themselves were already made, per property, by
 /// fingerprint-key equality; this pass records counters only and can
-/// never change a result. The extracted machines then become the new
-/// baseline.
+/// never change a result. A baseline whose texts equal `canon` (this
+/// run's canonical texts) is a zero delta, neither parsed nor
+/// rewritten. Otherwise the extracted machines become the new baseline
+/// — unless extraction failed, whose placeholder machines must not
+/// replace a real one.
 fn record_fsm_delta(
     implementation: Implementation,
     models: &ExtractedModels,
+    canon: &BaselineRecord,
     cfg: &AnalysisConfig,
     cache: &ThreatModelCache,
     store: &RunStore,
     props: &[&NasProperty],
 ) {
     let key = baseline_key(implementation.name(), &cfg.imsi, cfg.key_material);
-    if let Some((base_ue, base_mme)) = store.load_baseline(key) {
+    let base = store.load_baseline_record(key);
+    if base.as_ref() == Some(canon) {
+        cfg.collector.add("store.baseline_found", 1);
+        cfg.collector.add("store.delta_transitions", 0);
+        return;
+    }
+    if let Some((base_ue, base_mme)) = base.and_then(|base| store.parse_baseline(&base)) {
         let ue_diff = procheck_fsm::diff::diff(&base_ue, &models.ue);
         let mme_diff = procheck_fsm::diff::diff(&base_mme, &models.mme);
         let delta_transitions = (ue_diff.added.len()
@@ -1296,11 +1393,9 @@ fn record_fsm_delta(
         if delta_transitions > 0 {
             // Per-property cone intersection. The compiled models are
             // peeked from the cache (no accounting perturbation); a
-            // configuration that never compiled this run (all its
-            // properties replayed from the store before composing a
-            // graph) contributes conservatively as "intersecting" only
-            // if it was actually re-checked — which a verdict hit
-            // already proves it was not.
+            // property whose configuration never compiled this run —
+            // answered from the verdict index — counts in neither
+            // counter.
             let mut intersecting = 0u64;
             let mut disjoint = 0u64;
             for prop in props {
@@ -1326,7 +1421,9 @@ fn record_fsm_delta(
     } else {
         cfg.collector.add("store.baseline_found", 0);
     }
-    store.save_baseline(key, &models.ue, &models.mme);
+    if models.extraction_errors.is_empty() {
+        store.save_baseline_record(key, canon);
+    }
 }
 
 #[cfg(test)]

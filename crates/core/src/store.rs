@@ -9,17 +9,31 @@
 //!
 //! All keys are [`Fingerprint`]s over resolved strings — never over
 //! `Sym(u32)` interning ids, which are process-global and differ
-//! between runs. A verdict key binds *everything the verdict depends
-//! on*:
+//! between runs. Verdicts are found in two levels:
 //!
 //! ```text
+//! index_key   = H(fsm pair fp, checking knobs, slice flag)
+//!               → per property: (verdict_key, exact model fp)
 //! verdict_key = H(semantic fp of the model as checked,
 //!                 threat-config fp, property id, checking knobs)
 //! ```
 //!
-//! "As checked" means the cone-of-influence projection when the
-//! pipeline sliced, the full compiled model otherwise — so the key is
-//! itself the precise form of "the FSM delta does not touch this
+//! The first level, the *verdict index*, is keyed by
+//! content the pipeline has before it composes anything: the canonical
+//! text of both extracted machines ([`fsm_pair_fingerprint`]). It
+//! memoizes a pure function — composition, compilation and slicing
+//! read only what the canonical text holds — so an unchanged run reads
+//! each verdict key from it and composes nothing. Any edit to either
+//! machine misses it, and the run falls back to the second level.
+//! Because the index trusts that purity, a change to composition,
+//! compilation, slicing or fingerprinting must bump [`INDEX_DOMAIN`];
+//! `crates/core/tests/verdict_index.rs` pins digests of every stack's
+//! compositions and cold-run indexes so such a change fails loudly.
+//!
+//! The second level, the verdict key, binds *everything the verdict
+//! depends on*. "As checked" means the cone-of-influence projection
+//! when the pipeline sliced, the full compiled model otherwise — so the
+//! key is itself the precise form of "the FSM delta does not touch this
 //! property's cone": any change inside the cone changes the model the
 //! property actually observes, hence the key, hence misses cold.
 //!
@@ -50,14 +64,14 @@ use procheck_smv::reach::ReachGraph;
 use procheck_smv::trace::{Counterexample, TraceStep};
 use procheck_smv::{model_fingerprint, model_semantic_fingerprint, ReachGraphData};
 use procheck_store::{
-    BaselineRecord, Fingerprint, Kind, LoadOutcome, OutcomeData, StableHasher, Store, StoreStats,
-    TraceData, TraceStepData, VerdictRecord,
+    BaselineRecord, Fingerprint, IndexEntry, IndexRecord, Kind, LoadOutcome, OutcomeData,
+    StableHasher, Store, StoreStats, TraceData, TraceStepData, VerdictRecord,
 };
 use procheck_threat::ThreatConfig;
 use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 pub use procheck_smv::model_semantic_fingerprint as semantic_fingerprint;
 
@@ -159,6 +173,33 @@ pub fn link_key(
     h.write_str(imsi);
     h.write_u64(key_material);
     h.write_str(property_id);
+    h.finish()
+}
+
+/// Stable fingerprint of an extracted FSM pair: the canonical text of
+/// both machines, the same strings a [`BaselineRecord`] stores.
+pub fn fsm_pair_fingerprint(pair: &BaselineRecord) -> Fingerprint {
+    let mut h = StableHasher::with_domain("fsm-pair-v1");
+    h.write_str(&pair.ue);
+    h.write_str(&pair.mme);
+    h.finish()
+}
+
+/// Domain tag of [`index_key`]. An index entry is only as good as the
+/// composition, compilation, slicing and fingerprinting code that
+/// produced it; bump the version whenever any of them changes, so
+/// indexes written by older code are never read.
+pub const INDEX_DOMAIN: &str = "verdict-index-v1";
+
+/// The verdict-index key for one backend leg of one run: the extracted
+/// FSM pair, the leg's [`knobs_fingerprint`], and whether the pipeline
+/// slices — slicing decides which model a property is checked against,
+/// hence which verdict key a fresh run computes.
+pub fn index_key(fsm_pair_fp: Fingerprint, knobs_fp: Fingerprint, slice: bool) -> Fingerprint {
+    let mut h = StableHasher::with_domain(INDEX_DOMAIN);
+    h.write(&fsm_pair_fp.0);
+    h.write(&knobs_fp.0);
+    h.write_u8(u8::from(slice));
     h.finish()
 }
 
@@ -490,14 +531,22 @@ impl RunStore {
     /// and reconstructs both machines from canonical text. Any parse
     /// failure is baseline corruption: `invalidated`, cold miss.
     pub fn load_baseline(&self, key: Fingerprint) -> Option<(Fsm, Fsm)> {
+        self.load_baseline_record(key)
+            .and_then(|record| self.parse_baseline(&record))
+    }
+
+    /// Loads the baseline snapshot's canonical texts without parsing
+    /// them; a payload that fails to decode counts `invalidated`.
+    pub(crate) fn load_baseline_record(&self, key: Fingerprint) -> Option<BaselineRecord> {
         let payload = self.load_payload(Kind::Baseline, key)?;
-        let record = match BaselineRecord::decode(&payload) {
-            Ok(r) => r,
-            Err(_) => {
-                self.store.note_invalidated();
-                return None;
-            }
-        };
+        BaselineRecord::decode(&payload)
+            .map_err(|_| self.store.note_invalidated())
+            .ok()
+    }
+
+    /// Reconstructs both machines of a loaded snapshot. A parse failure
+    /// is baseline corruption: `invalidated`, `None`.
+    pub(crate) fn parse_baseline(&self, record: &BaselineRecord) -> Option<(Fsm, Fsm)> {
         match (parse_canonical(&record.ue), parse_canonical(&record.mme)) {
             (Ok(ue), Ok(mme)) => Some((ue, mme)),
             _ => {
@@ -510,11 +559,84 @@ impl RunStore {
     /// Stores the baseline snapshot for this run's extracted machines,
     /// best-effort.
     pub fn save_baseline(&self, key: Fingerprint, ue: &Fsm, mme: &Fsm) {
-        let record = BaselineRecord {
-            ue: canonical_text(ue),
-            mme: canonical_text(mme),
-        };
+        self.save_baseline_record(
+            key,
+            &BaselineRecord {
+                ue: canonical_text(ue),
+                mme: canonical_text(mme),
+            },
+        );
+    }
+
+    /// Stores a baseline snapshot whose canonical texts are already
+    /// computed, best-effort.
+    pub(crate) fn save_baseline_record(&self, key: Fingerprint, record: &BaselineRecord) {
         self.save_payload(Kind::Baseline, key, &record.encode());
+    }
+}
+
+/// One backend leg's verdict index for one run: the record the store
+/// held when the run began, plus the entries this run resolved through
+/// the second-level key or settled live. [`VerdictIndex::save`] merges
+/// them and writes the record once, only when it changed — so a fully
+/// warm run writes nothing.
+#[derive(Debug)]
+pub(crate) struct VerdictIndex {
+    key: Fingerprint,
+    loaded: IndexRecord,
+    added: Mutex<BTreeMap<String, IndexEntry>>,
+}
+
+impl VerdictIndex {
+    /// Reads the index under `key`. A missing or corrupt record reads as
+    /// empty (corruption counts `invalidated`); either way the run
+    /// falls back to second-level keys and rewrites the index.
+    pub(crate) fn load(store: &RunStore, key: Fingerprint) -> VerdictIndex {
+        let loaded = store
+            .load_payload(Kind::Index, key)
+            .and_then(|payload| {
+                IndexRecord::decode(&payload)
+                    .map_err(|_| store.store.note_invalidated())
+                    .ok()
+            })
+            .unwrap_or_default();
+        VerdictIndex {
+            key,
+            loaded,
+            added: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The indexed entry for `property_id`, as loaded.
+    pub(crate) fn entry(&self, property_id: &str) -> Option<IndexEntry> {
+        self.loaded.entries.get(property_id).copied()
+    }
+
+    /// Records where `property_id`'s verdict lives, for the end-of-run
+    /// write.
+    pub(crate) fn add(&self, property_id: &str, entry: IndexEntry) {
+        self.added
+            .lock()
+            .expect("no thread panics while holding the index lock")
+            .insert(property_id.to_string(), entry);
+    }
+
+    /// Merges this run's entries into the loaded record and writes it,
+    /// best-effort — only when some entry is new or different.
+    pub(crate) fn save(self, store: &RunStore) {
+        let added = self
+            .added
+            .into_inner()
+            .expect("no thread panics while holding the index lock");
+        if added
+            .iter()
+            .all(|(id, entry)| self.loaded.entries.get(id) == Some(entry))
+        {
+            return;
+        }
+        let mut merged = self.loaded;
+        merged.entries.extend(added);
+        store.save_payload(Kind::Index, self.key, &merged.encode());
     }
 }
 

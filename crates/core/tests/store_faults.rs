@@ -14,8 +14,11 @@ use procheck::pipeline::{analyze_extracted, extract_models, AnalysisConfig, Anal
 use procheck_faults::{arm, disarm, FaultKind, FaultPlan, FaultSite};
 use procheck_stack::quirks::Implementation;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
+
+mod common;
+use common::stored_index;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -58,62 +61,108 @@ fn render(report: &AnalysisReport) -> String {
     out
 }
 
+/// Which record a fault matrix arms: the verdict index, which every warm
+/// run reads first, or one model verdict the index points at.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    Index,
+    Verdict,
+}
+
+impl Target {
+    /// The hex key of this target in a store populated by a cold run.
+    fn key(self, dir: &Path) -> String {
+        let (key, index) = stored_index(dir);
+        match self {
+            Target::Index => key.to_hex(),
+            Target::Verdict => {
+                let (_, entry) = index.entries.first_key_value().expect("indexed verdicts");
+                entry.verdict_key.to_hex()
+            }
+        }
+    }
+}
+
 /// A fault on the load path — mangled payload or a panic inside the
-/// loader — degrades that record to a cold miss: the property
-/// re-checks live, the report stays byte-identical, and the re-settled
-/// verdict heals the store for the next run.
+/// loader — degrades that record to a cold miss: a faulted index sends
+/// every property to its second-level key, a faulted verdict re-checks
+/// its property live. Either way the report stays byte-identical, only
+/// the faulted record is rewritten, and that heals the store for the
+/// next run, which composes and writes nothing.
 #[test]
 fn read_faults_degrade_to_cold_misses() {
     let _guard = lock();
     let models = extract_models(Implementation::Reference, &cfg(None));
-    for kind in [FaultKind::Truncate, FaultKind::Garbage, FaultKind::Panic] {
-        let dir = fresh_dir(&format!("read-{kind:?}"));
-        let cold = analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
-        assert!(cold.store_stats.writes > 0, "[{kind:?}] cold run populates");
+    for target in [Target::Index, Target::Verdict] {
+        for kind in [FaultKind::Truncate, FaultKind::Garbage, FaultKind::Panic] {
+            let tag = format!("{target:?}/{kind:?}");
+            let dir = fresh_dir(&format!("read-{target:?}-{kind:?}"));
+            let cold =
+                analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+            assert!(cold.store_stats.writes > 0, "[{tag}] cold run populates");
 
-        arm(FaultPlan::new(FaultSite::StoreRead, kind));
-        let warm = analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
-        assert!(disarm(), "[{kind:?}] a warm run must reach the read hook");
-        assert_eq!(
-            render(&warm),
-            render(&cold),
-            "[{kind:?}] a faulted load must re-check, not corrupt the report"
-        );
-        assert!(
-            warm.store_stats.invalidated >= 1,
-            "[{kind:?}] the fault surfaces as an invalidated record: {:?}",
-            warm.store_stats
-        );
-        assert!(
-            warm.degraded.is_clean(),
-            "[{kind:?}] store faults never degrade results"
-        );
+            arm(FaultPlan::new(FaultSite::StoreRead, kind).at_key(target.key(&dir)));
+            let warm =
+                analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+            assert!(disarm(), "[{tag}] a warm run must reach the read hook");
+            assert_eq!(
+                render(&warm),
+                render(&cold),
+                "[{tag}] a faulted load must re-check, not corrupt the report"
+            );
+            assert!(
+                warm.store_stats.invalidated >= 1,
+                "[{tag}] the fault surfaces as an invalidated record: {:?}",
+                warm.store_stats
+            );
+            if let Target::Index = target {
+                assert_eq!(
+                    warm.store_stats.hits,
+                    IDS.len() as u64,
+                    "[{tag}] every verdict still replays through its second-level key"
+                );
+            }
+            assert_eq!(
+                warm.store_stats.writes, 1,
+                "[{tag}] only the faulted record is rewritten: {:?}",
+                warm.store_stats
+            );
+            assert!(
+                warm.degraded.is_clean(),
+                "[{tag}] store faults never degrade results"
+            );
 
-        // The re-check re-wrote the record: the next run is fully warm.
-        let healed = analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
-        assert_eq!(render(&healed), render(&cold), "[{kind:?}]");
-        assert_eq!(
-            healed.store_stats.hits, healed.store_stats.lookups,
-            "[{kind:?}] the store heals itself: {:?}",
-            healed.store_stats
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+            // The re-check re-wrote the record: the next run is fully warm.
+            let healed =
+                analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+            assert_eq!(render(&healed), render(&cold), "[{tag}]");
+            assert_eq!(
+                healed.store_stats.hits, healed.store_stats.lookups,
+                "[{tag}] the store heals itself: {:?}",
+                healed.store_stats
+            );
+            assert_eq!(healed.cache_stats.lookups, 0, "[{tag}] composes nothing");
+            assert_eq!(healed.store_stats.writes, 0, "[{tag}] writes nothing");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
 /// A fault on the save path — the framed bytes mangled before the
 /// write, or a panic that skips it — never touches the faulted run's
-/// results; it costs exactly one verdict's warmth on the *next* run
-/// (the corrupt frame is rejected, the miss re-checks), and the run
-/// after that is fully warm again.
+/// results. A faulted verdict costs exactly that verdict's warmth on
+/// the *next* run (the corrupt frame is rejected, the miss re-checks);
+/// a faulted index costs no verdict's warmth, only the composition the
+/// second-level keys need, and that run rewrites it. The run after is
+/// fully warm again and composes and writes nothing.
 #[test]
 fn write_faults_cost_only_the_next_runs_warmth() {
     let _guard = lock();
     let models = extract_models(Implementation::Reference, &cfg(None));
     let baseline = analyze_extracted(Implementation::Reference, &models, &cfg(None));
 
-    // Verdict keys are content-addressed, so the same models produce the
-    // same file names every run: probe once, then target one key
+    // Keys are content-addressed, so the same models produce the same
+    // file names every run: probe once, then target one key
     // deterministically across the fault matrix.
     let probe = fresh_dir("write-probe");
     let _ = analyze_extracted(
@@ -121,58 +170,97 @@ fn write_faults_cost_only_the_next_runs_warmth() {
         &models,
         &cfg(Some(probe.clone())),
     );
-    let mut keys: Vec<String> = std::fs::read_dir(probe.join("verdicts"))
-        .expect("cold run creates the verdicts dir")
-        .map(|e| {
-            let path = e.expect("dir entry").path();
-            path.file_stem()
-                .expect("pcks file")
-                .to_string_lossy()
-                .into_owned()
-        })
-        .collect();
-    keys.sort();
-    assert_eq!(keys.len(), IDS.len(), "one verdict record per property");
-    let target = keys.remove(0);
+    let targets = [Target::Index, Target::Verdict].map(|t| (t, t.key(&probe)));
+    assert_eq!(
+        std::fs::read_dir(probe.join("verdicts")).unwrap().count(),
+        IDS.len(),
+        "one verdict record per property"
+    );
     let _ = std::fs::remove_dir_all(&probe);
 
-    for kind in [FaultKind::Truncate, FaultKind::Garbage, FaultKind::Panic] {
-        let dir = fresh_dir(&format!("write-{kind:?}"));
-        arm(FaultPlan::new(FaultSite::StoreWrite, kind).at_key(&target));
-        let cold = analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
-        assert!(
-            disarm(),
-            "[{kind:?}] the cold run must write the target verdict"
-        );
-        assert_eq!(
-            render(&cold),
-            render(&baseline),
-            "[{kind:?}] saves are best-effort; a faulted one is invisible now"
-        );
-        assert!(cold.degraded.is_clean(), "[{kind:?}]");
+    for (target, key) in targets {
+        for kind in [FaultKind::Truncate, FaultKind::Garbage, FaultKind::Panic] {
+            let tag = format!("{target:?}/{kind:?}");
+            let dir = fresh_dir(&format!("write-{target:?}-{kind:?}"));
+            arm(FaultPlan::new(FaultSite::StoreWrite, kind).at_key(&key));
+            let cold =
+                analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+            assert!(disarm(), "[{tag}] the cold run must write the target");
+            assert_eq!(
+                render(&cold),
+                render(&baseline),
+                "[{tag}] saves are best-effort; a faulted one is invisible now"
+            );
+            assert!(cold.degraded.is_clean(), "[{tag}]");
 
-        // Next run: the poisoned (or skipped) frame is rejected as a
-        // cold miss, everything else replays.
-        let warm = analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
-        assert_eq!(render(&warm), render(&baseline), "[{kind:?}]");
-        assert_eq!(
-            warm.store_stats.hits,
-            warm.store_stats.lookups - 1,
-            "[{kind:?}] exactly one verdict lost its warmth: {:?}",
-            warm.store_stats
-        );
-        assert!(warm.degraded.is_clean(), "[{kind:?}]");
+            // Next run: the poisoned (or skipped) frame is rejected as a
+            // cold miss, everything else replays.
+            let warm =
+                analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+            assert_eq!(render(&warm), render(&baseline), "[{tag}]");
+            let lost = match target {
+                Target::Index => 0,
+                Target::Verdict => 1,
+            };
+            assert_eq!(
+                warm.store_stats.hits,
+                warm.store_stats.lookups - lost,
+                "[{tag}] {lost} verdicts lost their warmth: {:?}",
+                warm.store_stats
+            );
+            assert!(warm.degraded.is_clean(), "[{tag}]");
 
-        // The miss re-settled and re-wrote it: run three is fully warm.
-        let healed = analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
-        assert_eq!(render(&healed), render(&baseline), "[{kind:?}]");
-        assert_eq!(
-            healed.store_stats.hits, healed.store_stats.lookups,
-            "[{kind:?}] {:?}",
-            healed.store_stats
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+            // The miss re-settled and re-wrote it: run three is fully warm.
+            let healed =
+                analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+            assert_eq!(render(&healed), render(&baseline), "[{tag}]");
+            assert_eq!(
+                healed.store_stats.hits, healed.store_stats.lookups,
+                "[{tag}] {:?}",
+                healed.store_stats
+            );
+            assert_eq!(healed.cache_stats.lookups, 0, "[{tag}] composes nothing");
+            assert_eq!(healed.store_stats.writes, 0, "[{tag}] writes nothing");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
+}
+
+/// A run whose extraction failed analyses empty placeholder machines; it
+/// must not make them the stored baseline (nor key an index by them), or
+/// the next healthy run would report a delta against the placeholders
+/// for machines that never changed.
+#[test]
+fn failed_extraction_keeps_the_stored_baseline() {
+    let _guard = lock();
+    let models = extract_models(Implementation::Reference, &cfg(None));
+    let dir = fresh_dir("extract-baseline");
+    let _ = analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+
+    arm(FaultPlan::new(FaultSite::Extractor, FaultKind::Panic).at_key("ue"));
+    let broken = extract_models(Implementation::Reference, &cfg(None));
+    assert!(disarm(), "UE extraction must reach the hook");
+    assert!(!broken.extraction_errors.is_empty());
+    let failed = analyze_extracted(Implementation::Reference, &broken, &cfg(Some(dir.clone())));
+    assert_eq!(
+        failed.store_stats.writes, 0,
+        "a failed extraction writes no baseline, no index and no verdict: {:?}",
+        failed.store_stats
+    );
+
+    let collector = procheck_telemetry::Collector::enabled();
+    let mut healthy_cfg = cfg(Some(dir.clone()));
+    healthy_cfg.collector = collector.clone();
+    let healthy = analyze_extracted(Implementation::Reference, &models, &healthy_cfg);
+    assert_eq!(collector.counter_value("store.baseline_found"), 1);
+    assert_eq!(
+        collector.counter_value("store.delta_transitions"),
+        0,
+        "the baseline is still the healthy machines"
+    );
+    assert_eq!(healthy.store_stats.hits, healthy.store_stats.lookups);
+    assert_eq!(healthy.store_stats.writes, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A faulted *baseline* load (the FSM-delta telemetry path) is absorbed

@@ -3,8 +3,11 @@
 //! 1. **Byte-identity** — a warm run (every verdict replayed from the
 //!    store) renders the same golden-format report as the cold run that
 //!    populated it, and as a storeless run; at any thread count.
-//! 2. **Full warmth** — an unchanged re-run hits on every verdict and
-//!    consults no graph slot (zero explorations).
+//! 2. **Full warmth** — an unchanged re-run hits on every verdict
+//!    through the verdict index: it composes no threat model, consults
+//!    no graph slot and writes nothing. A store without indexes (as an
+//!    older build wrote it) is still fully warm through the second-level
+//!    keys, and gains its index on that run.
 //! 3. **Corruption degrades to cold** — a store whose files are
 //!    truncated, checksum-flipped, or version-skewed produces the same
 //!    report as no store at all, never a wrong answer.
@@ -25,6 +28,9 @@ use procheck_stack::quirks::Implementation;
 use procheck_store::FORMAT_VERSION;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+mod common;
+use common::stored_index;
 
 const IDS: &[&str] = &["S01", "S12", "PR07", "PR19", "PR20"];
 
@@ -122,6 +128,14 @@ fn warm_run_replays_cold_run_byte_identically() {
         warm.graph_cache_stats.lookups, 0,
         "verdict hits never reach the graph layer"
     );
+    assert_eq!(
+        warm.cache_stats.lookups, 0,
+        "the verdict index answers before any composition"
+    );
+    assert_eq!(
+        warm.store_stats.writes, 0,
+        "a fully warm run writes nothing"
+    );
     assert!(warm.degraded.is_clean());
 
     // Thread-count independence of the warm path.
@@ -132,6 +146,8 @@ fn warm_run_replays_cold_run_byte_identically() {
     );
     assert_eq!(render(&warm4), render(&cold));
     assert_eq!(warm4.store_stats.hits, warm4.store_stats.lookups);
+    assert_eq!(warm4.cache_stats.lookups, 0);
+    assert_eq!(warm4.store_stats.writes, 0);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -226,6 +242,10 @@ fn store_warmth_is_backend_scoped() {
         both.graph_cache_stats.builds, 0,
         "fully warm Both run never explores"
     );
+    assert_eq!(
+        both.cache_stats.lookups, 0,
+        "each leg's verdict index answers before any composition"
+    );
     // On agreement Both reports the explicit leg's results verbatim.
     assert_eq!(render(&both), render(&explicit_cold));
     assert!(both.degraded.is_clean());
@@ -280,6 +300,8 @@ fn corrupted_store_degrades_to_cold_miss() {
             &models,
             &cfg(Some(dir.clone()), 1),
         );
+        // The corpus corrupts the verdict index too.
+        let _ = stored_index(&dir);
         corrupt_all_files(&dir, corrupt);
         let warm = analyze_extracted(
             Implementation::Reference,
@@ -340,6 +362,11 @@ fn mutated_model_rechecks_only_what_the_delta_touches() {
         "a real mutation must force some re-checking: {:?}",
         warm.store_stats
     );
+    assert_eq!(
+        warm.store_stats.lookups,
+        IDS.len() as u64,
+        "one verdict lookup per property, however it resolves"
+    );
     for id in ["PR07", "PR20"] {
         let r = warm.result(id).unwrap();
         assert!(
@@ -369,6 +396,58 @@ fn mutated_model_rechecks_only_what_the_delta_touches() {
     );
     assert_eq!(render(&warm_orig), render(&cold));
     assert_eq!(warm_orig.store_stats.hits, warm_orig.store_stats.lookups);
+    // The verdict index is content-addressed too: the original pair's
+    // index still answers, so nothing is composed.
+    assert_eq!(warm_orig.cache_stats.lookups, 0);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store without verdict indexes — what a build before the index
+/// wrote — is still fully warm through the second-level keys. That run
+/// composes to compute them and writes only the index; the run after it
+/// composes nothing.
+#[test]
+fn store_without_indexes_stays_warm_and_gains_one() {
+    let dir = fresh_dir("no-index");
+    let models = extract_models(Implementation::Reference, &cfg(None, 1));
+    let cold = analyze_extracted(
+        Implementation::Reference,
+        &models,
+        &cfg(Some(dir.clone()), 1),
+    );
+    let cold_index = stored_index(&dir);
+    std::fs::remove_dir_all(dir.join("indexes")).unwrap();
+
+    let rebuilt = analyze_extracted(
+        Implementation::Reference,
+        &models,
+        &cfg(Some(dir.clone()), 1),
+    );
+    assert_eq!(render(&rebuilt), render(&cold));
+    assert_eq!(rebuilt.store_stats.lookups, IDS.len() as u64);
+    assert_eq!(rebuilt.store_stats.hits, rebuilt.store_stats.lookups);
+    assert_eq!(rebuilt.graph_cache_stats.lookups, 0);
+    assert!(
+        rebuilt.cache_stats.lookups > 0,
+        "second-level keys need the composed models"
+    );
+    assert_eq!(
+        rebuilt.store_stats.writes, 1,
+        "only the index is written: {:?}",
+        rebuilt.store_stats
+    );
+    assert_eq!(stored_index(&dir), cold_index, "the cold run's index again");
+
+    let warm = analyze_extracted(
+        Implementation::Reference,
+        &models,
+        &cfg(Some(dir.clone()), 1),
+    );
+    assert_eq!(render(&warm), render(&cold));
+    assert_eq!(warm.store_stats.hits, warm.store_stats.lookups);
+    assert_eq!(warm.cache_stats.lookups, 0);
+    assert_eq!(warm.store_stats.writes, 0);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -165,7 +165,9 @@ fn assert_valid_in_source(model: &Model, ce: &Counterexample) -> Result<(), Test
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    // Pinned in the source: the vendored proptest reads no
+    // `PROPTEST_CASES` override. 512 cases take well under a second.
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The two engines agree on every random model, property class, and
     /// exclusion mask, under the Both-mode agreement rules.

@@ -12,14 +12,18 @@
 //! * **reachability-graph artifacts** (payloads produced by
 //!   `procheck_smv::persist`) keyed by the checked model's fingerprint;
 //! * **baseline FSM snapshots** ([`BaselineRecord`]) a warm run diffs
-//!   against to drive delta-based invalidation.
+//!   against to drive delta-based invalidation;
+//! * **verdict indexes** ([`IndexRecord`]), one per (extracted FSM pair,
+//!   checking knobs): each model property's verdict key and exact model
+//!   fingerprint, so an unchanged run finds its verdicts without
+//!   composing a model.
 //!
 //! # Frame format
 //!
 //! ```text
 //! magic   "PCKS"                 4 bytes
 //! version FORMAT_VERSION         u32 LE
-//! kind    1=verdict 2=graph 3=baseline
+//! kind    1=verdict 2=graph 3=baseline 4=index
 //! key     record fingerprint     16 bytes
 //! length  payload byte count     u64 LE
 //! payload …                      `length` bytes
@@ -46,7 +50,9 @@ pub mod record;
 
 pub use bytes::{ByteReader, ByteWriter, DecodeError};
 pub use hash::{hash_bytes, Fingerprint, StableHasher};
-pub use record::{BaselineRecord, OutcomeData, TraceData, TraceStepData, VerdictRecord};
+pub use record::{
+    BaselineRecord, IndexEntry, IndexRecord, OutcomeData, TraceData, TraceStepData, VerdictRecord,
+};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,6 +77,8 @@ pub enum Kind {
     Graph,
     /// Baseline FSM snapshots.
     Baseline,
+    /// Verdict indexes.
+    Index,
 }
 
 impl Kind {
@@ -80,6 +88,7 @@ impl Kind {
             Kind::Verdict => "verdicts",
             Kind::Graph => "graphs",
             Kind::Baseline => "baselines",
+            Kind::Index => "indexes",
         }
     }
 
@@ -88,6 +97,7 @@ impl Kind {
             Kind::Verdict => 1,
             Kind::Graph => 2,
             Kind::Baseline => 3,
+            Kind::Index => 4,
         }
     }
 }
@@ -214,7 +224,7 @@ impl Store {
     /// I/O errors creating the directory tree.
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<Store> {
         let root = root.into();
-        for kind in [Kind::Verdict, Kind::Graph, Kind::Baseline] {
+        for kind in [Kind::Verdict, Kind::Graph, Kind::Baseline, Kind::Index] {
             std::fs::create_dir_all(root.join(kind.dir()))?;
         }
         Ok(Store {
@@ -261,7 +271,7 @@ impl Store {
                     Kind::Graph => {
                         self.counters.graph_loads.fetch_add(1, Ordering::Relaxed);
                     }
-                    Kind::Baseline => {}
+                    Kind::Baseline | Kind::Index => {}
                 }
                 LoadOutcome::Hit(payload)
             }
@@ -363,8 +373,17 @@ mod tests {
         let k = key("graph");
         store.save(Kind::Graph, k, b"g").unwrap();
         assert!(matches!(store.load(Kind::Graph, k), LoadOutcome::Hit(_)));
+        store.save(Kind::Index, k, b"i").unwrap();
+        assert!(matches!(store.load(Kind::Index, k), LoadOutcome::Hit(_)));
+        assert!(matches!(
+            store.load(Kind::Index, key("absent")),
+            LoadOutcome::Miss
+        ));
         let stats = store.stats();
-        assert_eq!(stats.lookups, 0, "graph loads are not verdict lookups");
+        assert_eq!(
+            stats.lookups, 0,
+            "graph and index loads are not verdict lookups"
+        );
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.graph_loads, 1);
     }

@@ -8,6 +8,7 @@
 
 use crate::bytes::{ByteReader, ByteWriter, DecodeError};
 use crate::hash::Fingerprint;
+use std::collections::BTreeMap;
 
 /// One counterexample step: the fired command label and the full state
 /// assignment after it, in the trace's canonical (sorted-variable)
@@ -229,6 +230,70 @@ impl BaselineRecord {
     }
 }
 
+/// Where one model property's verdict lives: the verdict key a fresh
+/// run would compute over the model as checked, and that model's exact
+/// fingerprint (the trace-reuse gate).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexEntry {
+    /// The verdict-record key.
+    pub verdict_key: Fingerprint,
+    /// Exact fingerprint of the model as checked.
+    pub model_fp: Fingerprint,
+}
+
+/// A verdict index: for one extracted FSM pair under one set of checking
+/// knobs, each model property's [`IndexEntry`], keyed by property id.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct IndexRecord {
+    /// Property id → entry; encoded in id order.
+    pub entries: BTreeMap<String, IndexEntry>,
+}
+
+impl IndexRecord {
+    /// Encodes to a frame payload.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u64(self.entries.len() as u64);
+        for (id, entry) in &self.entries {
+            w.string(id);
+            w.bytes(&entry.verdict_key.0);
+            w.bytes(&entry.model_fp.0);
+        }
+        w.into_bytes()
+    }
+
+    /// Decodes a frame payload.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] on truncated, malformed, or over-long input.
+    pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = ByteReader::new(payload);
+        let fingerprint = |r: &mut ByteReader<'_>| -> Result<Fingerprint, DecodeError> {
+            let mut fp = [0u8; 16];
+            fp.copy_from_slice(r.take(16)?);
+            Ok(Fingerprint(fp))
+        };
+        let mut entries = BTreeMap::new();
+        // Each entry is at least 40 bytes, so a lying count runs out of
+        // input long before it could exhaust memory.
+        for _ in 0..r.u64()? {
+            let id = r.string()?;
+            let verdict_key = fingerprint(&mut r)?;
+            let model_fp = fingerprint(&mut r)?;
+            entries.insert(
+                id,
+                IndexEntry {
+                    verdict_key,
+                    model_fp,
+                },
+            );
+        }
+        r.finish()?;
+        Ok(IndexRecord { entries })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,6 +371,27 @@ mod tests {
         let mut bytes = rec.encode();
         bytes.push(0);
         assert!(VerdictRecord::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn index_roundtrip_and_truncation() {
+        let entry = |s: &str| IndexEntry {
+            verdict_key: crate::hash::hash_bytes(s.as_bytes()),
+            model_fp: crate::hash::hash_bytes(format!("{s}-model").as_bytes()),
+        };
+        let mut rec = IndexRecord::default();
+        assert_eq!(IndexRecord::decode(&rec.encode()).unwrap(), rec);
+        for id in ["S12", "PR19", "S01"] {
+            rec.entries.insert(id.into(), entry(id));
+        }
+        let bytes = rec.encode();
+        assert_eq!(IndexRecord::decode(&bytes).unwrap(), rec);
+        for cut in 0..bytes.len() {
+            assert!(IndexRecord::decode(&bytes[..cut]).is_err());
+        }
+        let mut long = bytes;
+        long.push(0);
+        assert!(IndexRecord::decode(&long).is_err());
     }
 
     #[test]
