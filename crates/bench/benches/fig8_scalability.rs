@@ -25,7 +25,6 @@ fn one_shot(model: &Model, prop: &Property, semantics: &StepSemantics) -> CegarO
         STATE_LIMIT,
         24,
         &meter,
-        1,
         &Collector::disabled(),
     )
     .unwrap()

@@ -63,16 +63,7 @@ fn main() {
 
         let check = |model: &Model, collector: &Collector| -> Result<CegarOutcome, CheckError> {
             let meter = BudgetMeter::unlimited();
-            cegar_check(
-                model,
-                prop,
-                semantics,
-                STATE_LIMIT,
-                24,
-                &meter,
-                1,
-                collector,
-            )
+            cegar_check(model, prop, semantics, STATE_LIMIT, 24, &meter, collector)
         };
         let time = |model: &Model| -> f64 {
             let start = Instant::now();

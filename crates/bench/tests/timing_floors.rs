@@ -15,12 +15,9 @@ use std::time::Instant;
 use procheck::pipeline::{
     analyze_extracted, analyze_implementation, extract_models, AnalysisConfig,
 };
-use procheck_props::{distinct_threat_configs, registry};
-use procheck_smv::checker::{build_reach_graph_budgeted, CheckStats, CompiledModel};
-use procheck_smv::BudgetMeter;
+use procheck_props::registry;
 use procheck_stack::quirks::Implementation;
 use procheck_telemetry::Collector;
-use procheck_threat::build_threat_model;
 
 /// Samples per gate; the gate reads their median.
 const SAMPLES: usize = 5;
@@ -43,15 +40,6 @@ const STATES_PER_SEC_FLOOR: f64 = 1_950_000.0;
 /// unchanged warm run replays every verdict instead of exploring. An
 /// absolute floor, with headroom for slow CI filesystems.
 const WARM_SPEEDUP_FLOOR: f64 = 5.0;
-
-/// Intra-graph exploration throughput over the registry's distinct
-/// threat-configuration graphs, best over the multi-worker widths the
-/// host can run without oversubscription. A 1.4M baseline less 25%.
-const PARALLEL_STATES_PER_SEC_FLOOR: f64 = 1_050_000.0;
-
-/// Serial over 4-worker wall-clock of the same exploration pass. An
-/// absolute floor.
-const SPEEDUP_AT_4_WORKERS_FLOOR: f64 = 1.8;
 
 fn hardware_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -150,62 +138,4 @@ fn warm_speedup_vs_cold() {
         [cold_secs / warm_secs]
     });
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-#[ignore = "timing floor: run in release with --ignored --test-threads=1"]
-fn parallel_exploration() {
-    let hardware = hardware_threads();
-    if hardware < 4 {
-        println!(
-            "parallel_states_per_sec, speedup_at_4_workers: skipped \
-             (available_parallelism = {hardware} < 4)"
-        );
-        return;
-    }
-    let models = extract_models(Implementation::Reference, &AnalysisConfig::default());
-    let compiled: Vec<CompiledModel> = distinct_threat_configs()
-        .iter()
-        .map(|cfg| {
-            CompiledModel::new(&build_threat_model(&models.ue, &models.mme, cfg))
-                .expect("composed threat models are valid")
-        })
-        .collect();
-    let state_limit = AnalysisConfig::default().state_limit;
-    // Seconds and distinct states to explore every graph at `width`.
-    let explore_all = |width: usize| {
-        let start = Instant::now();
-        let mut states = 0;
-        for model in &compiled {
-            let graph = build_reach_graph_budgeted(
-                model,
-                state_limit,
-                &BudgetMeter::unlimited(),
-                &mut CheckStats::default(),
-                width,
-            )
-            .expect("registry graphs fit the default state limit");
-            states += graph.build_stats().states;
-        }
-        (start.elapsed().as_secs_f64(), states as f64)
-    };
-    assert_median_floors(
-        [
-            ("parallel_states_per_sec", PARALLEL_STATES_PER_SEC_FLOOR),
-            ("speedup_at_4_workers", SPEEDUP_AT_4_WORKERS_FLOOR),
-        ],
-        || {
-            let (serial_secs, _) = explore_all(1);
-            let mut best_rate: f64 = 0.0;
-            let mut speedup_at_4 = 0.0;
-            for width in [2, 4, 8].into_iter().filter(|&w| w <= hardware) {
-                let (secs, states) = explore_all(width);
-                best_rate = best_rate.max(states / secs);
-                if width == 4 {
-                    speedup_at_4 = serial_secs / secs;
-                }
-            }
-            [best_rate, speedup_at_4]
-        },
-    );
 }

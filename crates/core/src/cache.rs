@@ -237,7 +237,6 @@ impl ThreatModelCache {
     /// # Errors
     ///
     /// Returns the (cached) [`CheckError`] from the graph build.
-    #[allow(clippy::too_many_arguments)]
     pub fn graph(
         &self,
         cfg: &ThreatConfig,
@@ -245,7 +244,6 @@ impl ThreatModelCache {
         model: &CompiledModel,
         state_limit: usize,
         meter: &BudgetMeter,
-        explore_threads: usize,
         collector: &Collector,
     ) -> Result<Arc<ReachGraph>, CheckError> {
         let slot = {
@@ -284,14 +282,8 @@ impl ThreatModelCache {
                 #[cfg(feature = "fault-inject")]
                 procheck_faults::inject(procheck_faults::FaultSite::GraphBuild, None);
                 let mut stats = CheckStats::default();
-                let result = build_reach_graph_budgeted(
-                    model,
-                    state_limit,
-                    meter,
-                    &mut stats,
-                    explore_threads,
-                )
-                .map(Arc::new);
+                let result = build_reach_graph_budgeted(model, state_limit, meter, &mut stats, 1)
+                    .map(Arc::new);
                 (result, stats)
             }))
             .unwrap_or_else(|p| {
@@ -313,10 +305,6 @@ impl ThreatModelCache {
                 collector.add("reduction.sliced_states", stats.states);
             }
             if let Ok(graph) = &result {
-                // Exploration-shape telemetry: BFS depth and peak level
-                // width are worker-count-invariant by construction, so
-                // these stay byte-stable across `explore_threads`.
-                collector.record_max("explore.workers", u64::from(graph.explore_workers()));
                 collector.add("explore.levels", u64::from(graph.levels()));
                 collector.record_max("explore.peak_level", graph.peak_level());
                 // Write-through: persist the one successful complete
@@ -416,7 +404,7 @@ mod tests {
         collector: &Collector,
     ) -> Result<Arc<ReachGraph>, CheckError> {
         let meter = BudgetMeter::unlimited();
-        cache.graph(cfg, None, compiled, state_limit, &meter, 1, collector)
+        cache.graph(cfg, None, compiled, state_limit, &meter, collector)
     }
 
     /// Two properties sharing a ThreatConfig get the *same* model (by
@@ -563,7 +551,7 @@ mod tests {
         let meter = Budget::unlimited().with_total_states(1).start();
         meter.charge_and_probe(1).expect("exactly at cap");
         let a = cache
-            .graph(&cfg, None, &compiled, 1_000_000, &meter, 1, &collector)
+            .graph(&cfg, None, &compiled, 1_000_000, &meter, &collector)
             .unwrap_err();
         assert!(matches!(a, CheckError::Budget(_)), "{a:?}");
         let b = full_graph(&cache, &compiled, &cfg, 1_000_000, &collector).unwrap_err();

@@ -94,10 +94,9 @@ impl CegarOutcome {
 }
 
 /// Runs the model-checker ⇄ CPV loop for one property on a model it
-/// compiles and explores *privately*: one fresh [`ReachGraph`] (built
-/// with `explore_threads` workers) is re-queried across refinement
-/// iterations. The graph build and every refinement query charge
-/// `meter`.
+/// compiles and explores *privately*: one fresh [`ReachGraph`] is
+/// re-queried across refinement iterations. The graph build and every
+/// refinement query charge `meter`.
 ///
 /// Records per-loop telemetry on `collector`: `cegar.runs`,
 /// `cegar.iterations`, `cegar.refinements`, `cpv.queries`, `cpv.steps`,
@@ -118,7 +117,6 @@ impl CegarOutcome {
 /// Propagates [`CheckError`] from the model checker (invalid model,
 /// state-limit blowup, exhausted budget); the `smv.*` counters still
 /// reflect the partial exploration in that case.
-#[allow(clippy::too_many_arguments)]
 pub fn cegar_check(
     model: &Model,
     property: &Property,
@@ -126,7 +124,6 @@ pub fn cegar_check(
     state_limit: usize,
     max_iterations: usize,
     meter: &BudgetMeter,
-    explore_threads: usize,
     collector: &Collector,
 ) -> Result<CegarOutcome, CheckError> {
     // Flush the loop's counter families even when we fail before it
@@ -156,7 +153,7 @@ pub fn cegar_check(
     let mut build = CheckStats::default();
     let built = {
         let _span = collector.span("graph.build");
-        build_reach_graph_budgeted(&compiled, state_limit, meter, &mut build, explore_threads)
+        build_reach_graph_budgeted(&compiled, state_limit, meter, &mut build, 1)
     };
     collector.add("smv.states_explored", build.states);
     collector.add("smv.transitions", build.transitions);
@@ -387,7 +384,6 @@ mod tests {
             1_000_000,
             16,
             &BudgetMeter::unlimited(),
-            1,
             &Collector::disabled(),
         )
         .unwrap()
@@ -560,7 +556,7 @@ mod tests {
         let p = Property::invariant("no_stale", Expr::var_ne("last_auth_sqn", "stale"));
         let collector = Collector::enabled();
         let meter = BudgetMeter::unlimited();
-        let traced = cegar_check(&model, &p, &sem, 1_000_000, 16, &meter, 1, &collector).unwrap();
+        let traced = cegar_check(&model, &p, &sem, 1_000_000, 16, &meter, &collector).unwrap();
         assert_eq!(
             collector.counter_value("smv.checks"),
             traced.iterations as u64

@@ -102,14 +102,9 @@ pub struct AnalysisConfig {
     /// to ≥ 1; results are identical (and identically ordered) for any
     /// value.
     pub threads: usize,
-    /// Worker threads for *intra-graph* exploration: each reachability
-    /// graph build runs a level-synchronized parallel BFS at this width
-    /// (1 = the serial path). Node ids, BFS parents, CSR layout, and
-    /// every downstream artifact (traces, DOT, SMV) are byte-identical
-    /// at any value — the frontier merge interns states in the serial
-    /// engine's canonical order. Defaults to `available_parallelism`;
-    /// the `PROCHECK_EXPLORE_THREADS` environment variable (a positive
-    /// integer) overrides the default.
+    /// Read by nothing: every reachability graph is built by one serial
+    /// BFS. The field stays only because the repository benchmark
+    /// (`benchmark/`) sets and prints it. Defaults to 1.
     pub explore_threads: usize,
     /// Share one fully-explored reachability graph per distinct threat
     /// configuration ("explore once, check many"): properties keyed to
@@ -175,10 +170,9 @@ pub struct AnalysisConfig {
 }
 
 impl Default for AnalysisConfig {
-    /// The built-in defaults, adjusted by five `PROCHECK_*` environment
+    /// The built-in defaults, adjusted by four `PROCHECK_*` environment
     /// knobs — the one place the pipeline reads its environment:
     ///
-    /// * `PROCHECK_EXPLORE_THREADS` — a positive integer;
     /// * `PROCHECK_NO_GRAPH_CACHE`, `PROCHECK_NO_SLICE` — `1`/`true`
     ///   turns the feature off, `0`/`false` leaves it on;
     /// * `PROCHECK_STORE` — a store directory;
@@ -214,13 +208,6 @@ impl AnalysisConfig {
                 _ => Err(reject(name, &v, "1 or true (off), 0 or false (on)")),
             },
         };
-        let explore_threads = match knob("PROCHECK_EXPLORE_THREADS") {
-            None => default_threads(),
-            Some(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => return Err(reject("PROCHECK_EXPLORE_THREADS", &v, "a positive integer")),
-            },
-        };
         let backend = match knob("PROCHECK_BACKEND") {
             None => BackendKind::Explicit,
             Some(v) => match v.trim().to_ascii_lowercase().as_str() {
@@ -237,7 +224,7 @@ impl AnalysisConfig {
             max_cegar_iterations: 24,
             property_filter: None,
             threads: default_threads(),
-            explore_threads,
+            explore_threads: 1,
             graph_cache: !off("PROCHECK_NO_GRAPH_CACHE")?,
             slice: !off("PROCHECK_NO_SLICE")?,
             por: true,
@@ -917,7 +904,6 @@ fn check_model_property(
                 limit,
                 cfg.max_cegar_iterations,
                 meter,
-                cfg.explore_threads,
                 &cfg.collector,
             ),
             None,
@@ -993,15 +979,7 @@ fn check_model_property(
         *graph_cache_hit = Some(false);
         let cone = sliced.as_ref().map(|s| &s.sig);
         cache
-            .graph(
-                &threat_cfg,
-                cone,
-                checked,
-                limit,
-                meter,
-                cfg.explore_threads,
-                &cfg.collector,
-            )
+            .graph(&threat_cfg, cone, checked, limit, meter, &cfg.collector)
             .and_then(|graph| {
                 cegar_check_backend_budgeted(
                     checked,
@@ -1451,19 +1429,16 @@ mod tests {
     fn env_knobs_parse_accepted_values() {
         let cfg = from_vars(&[("PROCHECK_BMC_BOUND", "5")]).unwrap();
         assert!(cfg.graph_cache && cfg.slice);
-        assert_eq!(cfg.explore_threads, default_threads());
         assert_eq!(cfg.store_dir, None);
         assert_eq!(cfg.backend, BackendKind::Explicit);
         assert_eq!(cfg.bmc_bound, DEFAULT_BMC_BOUND, "the bound has no knob");
         let cfg = from_vars(&[
-            ("PROCHECK_EXPLORE_THREADS", " 4"),
             ("PROCHECK_NO_GRAPH_CACHE", "1"),
             ("PROCHECK_NO_SLICE", "TRUE"),
             ("PROCHECK_STORE", "/tmp/procheck-store"),
             ("PROCHECK_BACKEND", "Symbolic"),
         ])
         .unwrap();
-        assert_eq!(cfg.explore_threads, 4);
         assert!(!cfg.graph_cache && !cfg.slice);
         assert_eq!(cfg.store_dir, Some(PathBuf::from("/tmp/procheck-store")));
         assert_eq!(cfg.backend, BackendKind::Symbolic);
@@ -1478,7 +1453,6 @@ mod tests {
     #[test]
     fn empty_env_knobs_are_unset() {
         let vars: Vec<(&str, &str)> = [
-            "PROCHECK_EXPLORE_THREADS",
             "PROCHECK_NO_GRAPH_CACHE",
             "PROCHECK_NO_SLICE",
             "PROCHECK_STORE",
@@ -1489,7 +1463,6 @@ mod tests {
         .collect();
         let cfg = from_vars(&vars).unwrap();
         assert!(cfg.graph_cache && cfg.slice);
-        assert_eq!(cfg.explore_threads, default_threads());
         assert_eq!(cfg.store_dir, None);
         assert_eq!(cfg.backend, BackendKind::Explicit);
     }
@@ -1498,8 +1471,6 @@ mod tests {
     fn bad_env_knobs_are_rejected_by_name() {
         for (name, value, accepted) in [
             ("PROCHECK_BACKEND", "symbolc", "explicit, symbolic or both"),
-            ("PROCHECK_EXPLORE_THREADS", "0", "a positive integer"),
-            ("PROCHECK_EXPLORE_THREADS", "four", "a positive integer"),
             (
                 "PROCHECK_NO_GRAPH_CACHE",
                 "off",

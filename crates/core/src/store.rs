@@ -462,17 +462,17 @@ impl RunStore {
     }
 
     /// Loads the verdict record under `key`, fully decoded. Counts one
-    /// verdict lookup; a frame hit whose record fails to decode counts
-    /// `invalidated` and misses cold.
+    /// verdict lookup, and a hit only when a decoded record comes back;
+    /// a frame hit whose record fails to decode counts `invalidated` and
+    /// misses cold.
     pub fn load_verdict(&self, key: Fingerprint) -> Option<VerdictRecord> {
-        let payload = self.load_payload(Kind::Verdict, key)?;
-        match VerdictRecord::decode(&payload) {
-            Ok(record) => Some(record),
-            Err(_) => {
-                self.store.note_invalidated();
-                None
-            }
-        }
+        let record = self.load_payload(Kind::Verdict, key).and_then(|payload| {
+            VerdictRecord::decode(&payload)
+                .map_err(|_| self.store.note_invalidated())
+                .ok()
+        });
+        self.store.note_verdict_lookup(record.is_some());
+        record
     }
 
     /// Whether a loaded verdict may be replayed against a model whose

@@ -72,16 +72,10 @@ pub struct StageTotals {
     pub smv_states_explored: u64,
     /// Transitions taken by the model checker.
     pub smv_transitions: u64,
-    /// Widest intra-graph exploration frontier pool used by any build
-    /// (high-water `explore.workers` gauge; 1 = everything serial).
-    pub explore_workers: u64,
-    /// BFS levels walked across all graph builds. Level structure is a
-    /// property of the model, so this total is identical at any
-    /// `explore_threads` width.
+    /// BFS levels walked across all graph builds.
     pub explore_levels: u64,
     /// Widest single BFS level any build encountered (high-water
-    /// `explore.peak_level` gauge) — the available intra-graph
-    /// parallelism at its best moment.
+    /// `explore.peak_level` gauge).
     pub explore_peak_level: u64,
     /// Reachability-graph cache lookups.
     pub graph_cache_lookups: u64,
@@ -187,7 +181,6 @@ impl StageTotals {
             symbols_interned: get("ident.symbols_interned"),
             smv_states_explored: get("smv.states_explored"),
             smv_transitions: get("smv.transitions"),
-            explore_workers: get("explore.workers"),
             explore_levels: get("explore.levels"),
             explore_peak_level: get("explore.peak_level"),
             graph_cache_lookups: get("graph_cache.lookups"),
@@ -336,10 +329,6 @@ impl TelemetryReport {
         out.push_str(&format!(
             "    \"smv_transitions\": {},\n",
             t.smv_transitions
-        ));
-        out.push_str(&format!(
-            "    \"explore_workers\": {},\n",
-            t.explore_workers
         ));
         out.push_str(&format!("    \"explore_levels\": {},\n", t.explore_levels));
         out.push_str(&format!(
@@ -633,9 +622,7 @@ mod tests {
             .and_then(|(_, v)| v.as_object())
             .unwrap();
         assert!(totals.iter().any(|(k, _)| k == "compose_hit_rate"));
-        assert!(totals.iter().any(|(k, _)| k == "explore_workers"));
         assert!(totals.iter().any(|(k, _)| k == "explore_levels"));
-        assert!(report.totals.explore_workers >= 1, "worker gauge recorded");
         assert!(report.totals.explore_levels >= 1, "BFS levels recorded");
         assert!(report.totals.explore_peak_level >= 1, "peak level recorded");
     }

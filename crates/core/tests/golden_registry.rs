@@ -31,10 +31,9 @@ use std::path::Path;
 const STATE_LIMIT: usize = 2_000_000;
 const MAX_ITERATIONS: usize = 24;
 
-fn config(explore_threads: usize) -> AnalysisConfig {
+fn config() -> AnalysisConfig {
     AnalysisConfig {
         threads: 1,
-        explore_threads,
         graph_cache: true,
         state_limit: STATE_LIMIT,
         max_cegar_iterations: MAX_ITERATIONS,
@@ -46,10 +45,8 @@ fn config(explore_threads: usize) -> AnalysisConfig {
 }
 
 /// Renders the canonical snapshot text. Deterministic by construction:
-/// no wall-clock fields, single-threaded pipeline, registry order — and
-/// byte-identical at *any* `explore_threads` width, because the parallel
-/// frontier interns states in the serial engine's canonical order.
-fn render_snapshot(explore_threads: usize) -> String {
+/// no wall-clock fields, single-threaded pipeline, registry order.
+fn render_snapshot() -> String {
     let mut out = String::new();
 
     // -- Section 1: the full-registry analysis report ----------------
@@ -59,7 +56,7 @@ fn render_snapshot(explore_threads: usize) -> String {
     let telemetry = Collector::enabled();
     let cfg = AnalysisConfig {
         collector: telemetry.clone(),
-        ..config(explore_threads)
+        ..config()
     };
     let report = analyze_implementation(Implementation::Reference, &cfg);
     // Under `PROCHECK_BACKEND=symbolic` or `both` the symbolic engine
@@ -87,7 +84,7 @@ fn render_snapshot(explore_threads: usize) -> String {
     // command *labels* (and the underivable terms) are re-derived here
     // per model-checked property, against the same shared graphs the
     // pipeline uses.
-    let models = extract_models(Implementation::Reference, &config(explore_threads));
+    let models = extract_models(Implementation::Reference, &config());
     let cache = ThreatModelCache::new();
     let (meter, collector) = (BudgetMeter::unlimited(), Collector::disabled());
     let _ = writeln!(out, "== cegar refinements: Reference ==");
@@ -115,7 +112,6 @@ fn render_snapshot(explore_threads: usize) -> String {
                 &compiled,
                 STATE_LIMIT,
                 &meter,
-                explore_threads,
                 &collector,
             )?;
             cegar_check_backend_budgeted(
@@ -174,8 +170,16 @@ fn render_snapshot(explore_threads: usize) -> String {
     out
 }
 
-fn assert_matches_committed(rendered: &str, context: &str) {
+#[test]
+fn registry_outputs_match_committed_snapshot() {
+    let rendered = render_snapshot();
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/registry.snap");
+    if std::env::var_os("PROCHECK_UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &rendered).unwrap();
+        eprintln!("golden snapshot rewritten: {}", path.display());
+        return;
+    }
     let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "missing golden snapshot {} ({e}); generate with \
@@ -183,52 +187,23 @@ fn assert_matches_committed(rendered: &str, context: &str) {
             path.display()
         )
     });
-    if committed != *rendered {
+    if committed != rendered {
         // Surface the first divergent line, not a multi-megabyte diff.
         for (i, (want, got)) in committed.lines().zip(rendered.lines()).enumerate() {
             assert_eq!(
                 want,
                 got,
-                "golden snapshot diverges at line {} [{}] (see {})",
+                "golden snapshot diverges at line {} (see {})",
                 i + 1,
-                context,
                 path.display()
             );
         }
         assert_eq!(
             committed.lines().count(),
             rendered.lines().count(),
-            "golden snapshot line count diverges [{}] (see {})",
-            context,
+            "golden snapshot line count diverges (see {})",
             path.display()
         );
-        panic!("golden snapshot diverges in line endings only [{context}]");
-    }
-}
-
-#[test]
-fn registry_outputs_match_committed_snapshot() {
-    let rendered = render_snapshot(1);
-    if std::env::var_os("PROCHECK_UPDATE_GOLDEN").is_some() {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/registry.snap");
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        eprintln!("golden snapshot rewritten: {}", path.display());
-        return;
-    }
-    assert_matches_committed(&rendered, "explore_threads=1");
-}
-
-/// The byte-identity contract of the parallel frontier: the *same*
-/// committed snapshot at every exploration width — node ids, traces,
-/// CEGAR exclusions, DOT, and SMV never depend on the worker count.
-#[test]
-fn registry_outputs_identical_at_any_explore_width() {
-    if std::env::var_os("PROCHECK_UPDATE_GOLDEN").is_some() {
-        return; // regeneration is the serial test's job
-    }
-    for explore_threads in [2, 4, 8] {
-        let rendered = render_snapshot(explore_threads);
-        assert_matches_committed(&rendered, &format!("explore_threads={explore_threads}"));
+        panic!("golden snapshot diverges in line endings only");
     }
 }

@@ -26,16 +26,11 @@ fn fingerprint(r: &PropertyResult) -> String {
 }
 
 fn run(graph_cache: bool, threads: usize) -> AnalysisReport {
-    run_explore(graph_cache, threads, 1)
-}
-
-fn run_explore(graph_cache: bool, threads: usize, explore_threads: usize) -> AnalysisReport {
     analyze_implementation(
         Implementation::Reference,
         &AnalysisConfig {
             graph_cache,
             threads,
-            explore_threads,
             state_limit: 2_000_000,
             // Hermetic against an ambient PROCHECK_STORE: stored
             // verdicts would bypass the graph cache under test.
@@ -64,34 +59,6 @@ fn cached_and_uncached_runs_agree_on_every_property() {
             expected, got,
             "graph_cache={graph_cache} threads={threads} diverged from the uncached serial run"
         );
-    }
-}
-
-/// The intra-graph frontier is as invisible as the cache: sweeping
-/// `explore_threads` ∈ {1, 2, 4, 8} across both cache modes never moves
-/// a verdict, a trace step, or a CEGAR counter. (Exploration accounting
-/// is also identical here — the parallel merge reproduces the serial
-/// engine's states, transitions, and peak-queue numbers bit-for-bit on
-/// clean runs — but this test pins the user-visible fingerprint.)
-#[test]
-fn explore_thread_sweep_agrees_on_every_property() {
-    let baseline = run_explore(false, 1, 1);
-    let expected: Vec<String> = baseline.results.iter().map(fingerprint).collect();
-    for graph_cache in [false, true] {
-        for explore_threads in [1, 2, 4, 8] {
-            let report = run_explore(graph_cache, 1, explore_threads);
-            let got: Vec<String> = report.results.iter().map(fingerprint).collect();
-            assert_eq!(
-                expected, got,
-                "graph_cache={graph_cache} explore_threads={explore_threads} diverged"
-            );
-            assert_eq!(
-                report.degraded.total(),
-                0,
-                "clean runs stay clean at graph_cache={graph_cache} \
-                 explore_threads={explore_threads}"
-            );
-        }
     }
 }
 

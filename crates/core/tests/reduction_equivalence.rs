@@ -31,13 +31,12 @@ fn fingerprint(r: &PropertyResult) -> String {
     )
 }
 
-fn run(slice: bool, threads: usize, explore_threads: usize) -> AnalysisReport {
+fn run(slice: bool, threads: usize) -> AnalysisReport {
     analyze_implementation(
         Implementation::Reference,
         &AnalysisConfig {
             slice,
             threads,
-            explore_threads,
             state_limit: 2_000_000,
             // Hermetic against an ambient PROCHECK_STORE: replayed
             // verdicts would skip the explorations under test.
@@ -47,24 +46,23 @@ fn run(slice: bool, threads: usize, explore_threads: usize) -> AnalysisReport {
     )
 }
 
-/// The sliced runs, serial and at 4 property threads × 4 explore
-/// threads, against the unsliced serial baseline: no verdict, trace
-/// step, or CEGAR counter may move.
+/// The sliced runs, serial and at 4 property threads, against the
+/// unsliced serial baseline: no verdict, trace step, or CEGAR counter
+/// may move.
 #[test]
 fn reduced_and_unreduced_runs_agree_on_every_property() {
-    let baseline = run(false, 1, 1);
+    let baseline = run(false, 1);
     assert!(
         baseline.results.len() >= 62,
         "full registry must be checked"
     );
     let expected: Vec<String> = baseline.results.iter().map(fingerprint).collect();
-    for (threads, explore_threads) in [(1, 1), (4, 4)] {
-        let report = run(true, threads, explore_threads);
+    for threads in [1, 4] {
+        let report = run(true, threads);
         let got: Vec<String> = report.results.iter().map(fingerprint).collect();
         assert_eq!(
             expected, got,
-            "sliced run at threads={threads} explore_threads={explore_threads} \
-             diverged from the unsliced serial run"
+            "sliced run at threads={threads} diverged from the unsliced serial run"
         );
         assert_eq!(report.degraded.total(), 0, "clean runs stay clean");
     }
@@ -83,7 +81,6 @@ fn slicing_reduces_distinct_states_explored() {
             &AnalysisConfig {
                 slice,
                 threads: 1,
-                explore_threads: 1,
                 state_limit: 2_000_000,
                 collector: collector.clone(),
                 store_dir: None,
@@ -139,44 +136,38 @@ fn cegar_on_graph(
     .unwrap()
 }
 
-/// The table-driven packed explorers agree with direct guard evaluation
+/// The table-driven packed explorer agrees with direct guard evaluation
 /// on a real registry model: at every node, the successors are exactly
 /// the commands whose compiled guard holds on the node's state, in
 /// ascending order, each leading to the updated state, with the stutter
-/// only where no guard holds — serial and parallel.
+/// only where no guard holds.
 #[test]
 fn registry_successors_equal_direct_guard_evaluation() {
     let models = extract_models(Implementation::Reference, &AnalysisConfig::default());
     let cfg = registry()[0].slice.threat_config();
     let model = build_threat_model(&models.ue, &models.mme, &cfg);
     let compiled = CompiledModel::new(&model).unwrap();
-    for explore_threads in [1, 4] {
-        let meter = BudgetMeter::unlimited();
-        let mut stats = CheckStats::default();
-        let graph =
-            build_reach_graph_budgeted(&compiled, 2_000_000, &meter, &mut stats, explore_threads)
-                .expect("registry model explores");
-        assert!(graph.is_packed());
-        for id in 0..graph.node_count() as u32 {
-            let state = graph.state_of(id);
-            let enabled: Vec<u32> = (0..compiled.command_count())
-                .filter(|&i| compiled.commands()[i].guard.eval(&state))
-                .map(|i| i as u32)
-                .collect();
-            let succ: Vec<(u32, u32)> = graph.successors(id).collect();
-            if enabled.is_empty() {
-                assert_eq!(succ, vec![(STUTTER_CMD, id)], "node {id}: stutter");
-                continue;
+    let graph = explore(&compiled, 2_000_000);
+    assert!(graph.is_packed());
+    for id in 0..graph.node_count() as u32 {
+        let state = graph.state_of(id);
+        let enabled: Vec<u32> = (0..compiled.command_count())
+            .filter(|&i| compiled.commands()[i].guard.eval(&state))
+            .map(|i| i as u32)
+            .collect();
+        let succ: Vec<(u32, u32)> = graph.successors(id).collect();
+        if enabled.is_empty() {
+            assert_eq!(succ, vec![(STUTTER_CMD, id)], "node {id}: stutter");
+            continue;
+        }
+        let cmds: Vec<u32> = succ.iter().map(|&(cmd, _)| cmd).collect();
+        assert_eq!(cmds, enabled, "node {id}: enabled commands");
+        for (cmd, next) in succ {
+            let mut want = state.clone();
+            for &(v, x) in &compiled.commands()[cmd as usize].updates {
+                want[v.index()] = x.0;
             }
-            let cmds: Vec<u32> = succ.iter().map(|&(cmd, _)| cmd).collect();
-            assert_eq!(cmds, enabled, "node {id}: enabled commands");
-            for (cmd, next) in succ {
-                let mut want = state.clone();
-                for &(v, x) in &compiled.commands()[cmd as usize].updates {
-                    want[v.index()] = x.0;
-                }
-                assert_eq!(graph.state_of(next), want, "node {id}, command {cmd}");
-            }
+            assert_eq!(graph.state_of(next), want, "node {id}, command {cmd}");
         }
     }
 }

@@ -42,7 +42,6 @@ fn cfg(store_dir: Option<PathBuf>) -> AnalysisConfig {
         state_limit: 2_000_000,
         max_cegar_iterations: 24,
         threads: 1,
-        explore_threads: 1,
         graph_cache: true,
         store_dir,
         ..AnalysisConfig::default()
@@ -115,12 +114,18 @@ fn read_faults_degrade_to_cold_misses() {
                 "[{tag}] the fault surfaces as an invalidated record: {:?}",
                 warm.store_stats
             );
-            if let Target::Index = target {
-                assert_eq!(
+            match target {
+                Target::Index => assert_eq!(
                     warm.store_stats.hits,
                     IDS.len() as u64,
                     "[{tag}] every verdict still replays through its second-level key"
-                );
+                ),
+                Target::Verdict => assert_eq!(
+                    (warm.store_stats.lookups, warm.store_stats.hits),
+                    (IDS.len() as u64, IDS.len() as u64 - 1),
+                    "[{tag}] one lookup per property, and the faulted one is no hit: {:?}",
+                    warm.store_stats
+                ),
             }
             assert_eq!(
                 warm.store_stats.writes, 1,

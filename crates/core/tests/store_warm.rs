@@ -50,7 +50,6 @@ fn cfg(store_dir: Option<PathBuf>, threads: usize) -> AnalysisConfig {
         state_limit: 2_000_000,
         max_cegar_iterations: 24,
         threads,
-        explore_threads: 1,
         graph_cache: true,
         store_dir,
         backend: BackendKind::Explicit,

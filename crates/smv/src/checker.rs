@@ -35,7 +35,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default bound on explored product states.
 pub const DEFAULT_STATE_LIMIT: usize = 4_000_000;
@@ -670,25 +669,20 @@ impl ArenaBuilder {
     }
 }
 
-/// What one parallel-exploration worker produced: its claimed chunks'
-/// outputs, or the panic payload to re-raise on the exploring thread.
-type WorkerOutcome = Result<Vec<(usize, ChunkOut)>, Box<dyn std::any::Any + Send>>;
-
-/// Explores the compiled model's reachable state space once and returns
-/// it as a [`ReachGraph`] ready for any number of property queries.
-/// Exploration cost is absorbed into `stats` — on the error paths too,
-/// so callers see how far an aborted build got.
+/// Explores the compiled model's reachable state space once, by one
+/// serial BFS, and returns it as a [`ReachGraph`] ready for any number
+/// of property queries: over packed `u64` keys when the model's domains
+/// fit 64 bits, over value vectors otherwise. Exploration cost is
+/// absorbed into `stats` — on the error paths too, so callers see how
+/// far an aborted build got.
 ///
 /// The live [`BudgetMeter`] is charged for freshly interned states every
-/// [`PROBE_STRIDE`] pops (serial path) or at each level barrier
-/// (parallel path), and exhaustion aborts this build without touching
-/// any other work sharing the meter.
+/// [`PROBE_STRIDE`] pops, and exhaustion aborts this build without
+/// touching any other work sharing the meter.
 ///
-/// `explore_threads` is the worker count for the level-synchronized
-/// parallel frontier; `1` (or a wide, unpackable arena) keeps the serial
-/// path. Any worker count produces a byte-identical [`ReachGraph`] on
-/// clean runs — node ids, BFS parents, and CSR layout all follow the
-/// canonical `(parent pop order, command index)` intern order.
+/// The last argument is a worker count that nothing reads. It stays in
+/// the signature only because the repository benchmark (`benchmark/`)
+/// passes it.
 ///
 /// # Errors
 ///
@@ -699,16 +693,11 @@ pub fn build_reach_graph_budgeted(
     limit: usize,
     meter: &BudgetMeter,
     stats: &mut CheckStats,
-    explore_threads: usize,
+    _explore_threads: usize,
 ) -> Result<ReachGraph, CheckError> {
     let domain_sizes: Vec<usize> = model.vars.iter().map(|v| v.domain.len()).collect();
     match PackLayout::for_domains(&domain_sizes) {
-        Some(layout) if explore_threads > 1 => {
-            explore_packed_parallel(model, layout, limit, meter, stats, explore_threads)
-        }
         Some(layout) => explore_packed_serial(model, layout, limit, meter, stats),
-        // The wide value-vector fallback keeps the serial path: models
-        // too wide to pack are rare and small in this workload.
         None => explore_wide(model, limit, meter, stats),
     }
 }
@@ -839,7 +828,7 @@ struct PackedCmd {
     set: u64,
 }
 
-/// The packed explorers' guard kernel: a state's enabled commands by
+/// The packed explorer's guard kernel: a state's enabled commands by
 /// table lookup instead of per-command guard evaluation.
 ///
 /// Every guard splits into its top-level conjuncts. A conjunct that
@@ -986,7 +975,7 @@ fn for_each_bit(word: &[u64], mut f: impl FnMut(usize)) {
     }
 }
 
-/// What both packed explorers build once per graph: every command's
+/// What the packed explorer builds once per graph: every command's
 /// lowered updates and the enable tables.
 struct PackedKernel {
     cmds: Vec<PackedCmd>,
@@ -1045,7 +1034,7 @@ impl Hasher for PackedKeyHasher {
 /// Packed key → node id.
 type PackedIndex = HashMap<u64, u32, BuildHasherDefault<PackedKeyHasher>>;
 
-/// Interner for the packed exploration paths: one `u64` key per state,
+/// Interner for the packed exploration path: one `u64` key per state,
 /// BFS parent info recorded on first sight.
 struct PackedFrontier {
     layout: PackLayout,
@@ -1227,7 +1216,6 @@ fn explore_wide(
         packed: false,
         levels,
         peak_level,
-        workers: 1,
         stats: build_stats,
     };
     g.build_predecessors();
@@ -1349,293 +1337,6 @@ fn explore_packed_serial(
         packed: true,
         levels,
         peak_level,
-        workers: 1,
-        stats: build_stats,
-    };
-    g.build_predecessors();
-    Ok(g)
-}
-
-/// Frontier chunk size for the work-sharing parallel loop. Small enough
-/// to balance uneven guard costs across workers, large enough that the
-/// claim counter is not contended.
-const LEVEL_CHUNK: usize = 256;
-
-/// One successor edge emitted by a worker: `known` is the successor's
-/// node id when it was already interned before this level froze, or
-/// `u32::MAX` when `key` is (possibly) fresh and the merge must intern.
-#[derive(Clone, Copy)]
-struct ChunkEdge {
-    cmd: u32,
-    known: u32,
-    key: u64,
-}
-
-/// A worker's output for one claimed chunk: per-node enabled-edge counts
-/// (0 means the merge emits the deadlock stutter) and the flat edge list
-/// in `(node, command index)` order.
-struct ChunkOut {
-    counts: Vec<u32>,
-    edges: Vec<ChunkEdge>,
-}
-
-fn expand_chunk(
-    ci: usize,
-    level_start: usize,
-    level_end: usize,
-    keys: &[u64],
-    index: &PackedIndex,
-    k: &PackedKernel,
-) -> ChunkOut {
-    let lo = level_start + ci * LEVEL_CHUNK;
-    let hi = (lo + LEVEL_CHUNK).min(level_end);
-    let mut counts = Vec::with_capacity(hi - lo);
-    let mut edges = Vec::new();
-    let mut word = vec![0u64; k.tables.words];
-    for &key in &keys[lo..hi] {
-        k.tables.enabled(key, &mut word);
-        let first_edge = edges.len();
-        for_each_bit(&word, |i| {
-            let pc = &k.cmds[i];
-            let succ = (key & pc.clear) | pc.set;
-            edges.push(ChunkEdge {
-                cmd: i as u32,
-                known: index.get(&succ).copied().unwrap_or(u32::MAX),
-                key: succ,
-            });
-        });
-        counts.push((edges.len() - first_edge) as u32);
-    }
-    ChunkOut { counts, edges }
-}
-
-/// Level-synchronized parallel BFS over the packed arena.
-///
-/// Each level `[level_start, level_end)` is frozen before expansion:
-/// workers claim [`LEVEL_CHUNK`]-sized chunks from an atomic counter and
-/// expand them against the *read-only* key arena and visited table,
-/// writing successors into per-chunk buffers (claim order is
-/// load-balancing only — every chunk's output lands in its own slot).
-/// A single-threaded merge then walks the chunks in pop order and
-/// interns fresh states in canonical `(parent pop order, command index)`
-/// order. Because everything interned before the freeze has an id below
-/// `level_end`, and the serial engine also hands out all ids ≥
-/// `level_end` in exactly that canonical order, node ids, BFS parents,
-/// CSR layout, `peak_queue`, and transition counts are byte-identical to
-/// the serial paths at any worker count.
-///
-/// The budget is charged at level barriers (fresh states since the last
-/// barrier, count caps probed before the clock), so count-cap exhaustion
-/// trips at the same level on every run regardless of worker scheduling.
-/// A panicking worker does not poison the merge: the first payload (in
-/// worker order) is re-raised on this thread once all workers have
-/// stopped, which the caller-side isolation rings catch as usual.
-fn explore_packed_parallel(
-    c: &CompiledModel,
-    layout: PackLayout,
-    limit: usize,
-    meter: &BudgetMeter,
-    stats: &mut CheckStats,
-    explore_threads: usize,
-) -> Result<ReachGraph, CheckError> {
-    let num_vars = c.num_vars();
-    let cap = c.capacity_hint(limit);
-    let k = PackedKernel::new(c, &layout);
-    let mut f = PackedFrontier::with_capacity(layout, cap);
-
-    for s in c.initial_states() {
-        let key = f.layout.pack(&s);
-        f.intern_key(key, (NO_PARENT, NO_PARENT));
-    }
-    let init_count = f.keys.len() as u32;
-
-    let mut succ_off: Vec<u32> = Vec::with_capacity(cap + 1);
-    succ_off.push(0);
-    let mut succ_cmd: Vec<u32> = Vec::new();
-    let mut succ_node: Vec<u32> = Vec::new();
-    let mut transitions = 0u64;
-    let mut peak_queue = init_count as u64;
-
-    let budgeted = meter.is_limited();
-    let mut charged: usize = 0;
-    let mut level_start: usize = 0;
-    let mut levels: u32 = 0;
-    let mut peak_level: u64 = 0;
-
-    while level_start < f.keys.len() {
-        let level_end = f.keys.len();
-        levels += 1;
-        peak_level = peak_level.max((level_end - level_start) as u64);
-        if level_end > limit {
-            return Err(abort_partial(
-                stats,
-                level_end as u64,
-                transitions,
-                peak_queue,
-                CheckError::StateLimit(limit),
-            ));
-        }
-        if budgeted {
-            // Budget at the barrier: charge everything interned since
-            // the previous barrier before expanding this level. Count
-            // caps are probed before the clock, so the trip point
-            // depends only on the level structure — bit-deterministic
-            // at any worker count.
-            let fresh = (level_end - charged) as u64;
-            charged = level_end;
-            if let Err(e) = meter.charge_and_probe(fresh) {
-                return Err(abort_partial(
-                    stats,
-                    level_end as u64,
-                    transitions,
-                    peak_queue,
-                    CheckError::Budget(e),
-                ));
-            }
-        }
-
-        let width = level_end - level_start;
-        let n_chunks = width.div_ceil(LEVEL_CHUNK);
-        let workers = explore_threads.min(n_chunks);
-        let mut slots: Vec<Option<ChunkOut>> = Vec::with_capacity(n_chunks);
-        slots.resize_with(n_chunks, || None);
-
-        if workers <= 1 {
-            // Narrow level: not worth a fan-out, expand inline through
-            // the same chunk code path.
-            for (ci, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(expand_chunk(
-                    ci,
-                    level_start,
-                    level_end,
-                    &f.keys,
-                    &f.index,
-                    &k,
-                ));
-            }
-        } else {
-            let next_chunk = AtomicUsize::new(0);
-            let keys_ref: &[u64] = &f.keys;
-            let index_ref = &f.index;
-            let kernel_ref = &k;
-            let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                let mut mine: Vec<(usize, ChunkOut)> = Vec::new();
-                                loop {
-                                    let ci = next_chunk.fetch_add(1, Ordering::Relaxed);
-                                    if ci >= n_chunks {
-                                        break;
-                                    }
-                                    mine.push((
-                                        ci,
-                                        expand_chunk(
-                                            ci,
-                                            level_start,
-                                            level_end,
-                                            keys_ref,
-                                            index_ref,
-                                            kernel_ref,
-                                        ),
-                                    ));
-                                }
-                                mine
-                            }))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(Err))
-                    .collect()
-            });
-            let mut first_panic = None;
-            for outcome in outcomes {
-                match outcome {
-                    Ok(mine) => {
-                        for (ci, out) in mine {
-                            slots[ci] = Some(out);
-                        }
-                    }
-                    Err(payload) => {
-                        if first_panic.is_none() {
-                            first_panic = Some(payload);
-                        }
-                    }
-                }
-            }
-            if let Some(payload) = first_panic {
-                // Surface the worker panic on the exploring thread so
-                // the caller's isolation ring sees it exactly like a
-                // serial-path panic.
-                std::panic::resume_unwind(payload);
-            }
-        }
-
-        // Deterministic merge: walk nodes in pop order, interning fresh
-        // successors in (pop order, command index) order — the exact
-        // order the serial implicit queue would have used.
-        for (ci, slot) in slots.into_iter().enumerate() {
-            let out = slot.expect("every chunk claimed exactly once");
-            let base = level_start + ci * LEVEL_CHUNK;
-            let mut e = 0usize;
-            for (j, &cnt) in out.counts.iter().enumerate() {
-                let id = (base + j) as u32;
-                if cnt == 0 {
-                    transitions += 1;
-                    succ_cmd.push(STUTTER_CMD);
-                    succ_node.push(id);
-                } else {
-                    for edge in &out.edges[e..e + cnt as usize] {
-                        transitions += 1;
-                        let sid = if edge.known != u32::MAX {
-                            edge.known
-                        } else {
-                            f.intern_key(edge.key, (id, edge.cmd))
-                        };
-                        succ_cmd.push(edge.cmd);
-                        succ_node.push(sid);
-                    }
-                    e += cnt as usize;
-                }
-                succ_off.push(succ_cmd.len() as u32);
-                peak_queue = peak_queue.max((f.keys.len() - (base + j + 1)) as u64);
-            }
-        }
-        level_start = level_end;
-    }
-
-    if budgeted {
-        let _ = meter.charge_and_probe((f.keys.len() - charged) as u64);
-    }
-    let states = f.keys.len() as u64;
-    let build_stats = CheckStats {
-        states,
-        transitions,
-        peak_queue,
-    };
-    stats.absorb(build_stats);
-
-    let mut g = ReachGraph {
-        num_vars,
-        arena: StateArena::Packed {
-            layout: f.layout,
-            keys: f.keys,
-        },
-        parent_node: f.parent_node,
-        parent_cmd: f.parent_cmd,
-        succ_off,
-        succ_cmd,
-        succ_node,
-        pred_off: Vec::new(),
-        pred: Vec::new(),
-        init_count,
-        packed: true,
-        levels,
-        peak_level,
-        workers: explore_threads as u32,
         stats: build_stats,
     };
     g.build_predecessors();
@@ -2852,90 +2553,6 @@ mod tests {
         assert_eq!(stats, stats2);
     }
 
-    /// Compares every field of two graphs, including the raw packed
-    /// arena keys — the parallel frontier must reproduce the serial
-    /// engine's intern order exactly, not merely an isomorphic graph.
-    fn assert_graphs_identical(a: &ReachGraph, b: &ReachGraph) {
-        match (&a.arena, &b.arena) {
-            (StateArena::Packed { keys: ka, .. }, StateArena::Packed { keys: kb, .. }) => {
-                assert_eq!(ka, kb, "packed arena keys diverge")
-            }
-            _ => panic!("both graphs should use the packed arena"),
-        }
-        assert_eq!(a.parent_node, b.parent_node);
-        assert_eq!(a.parent_cmd, b.parent_cmd);
-        assert_eq!(a.succ_off, b.succ_off);
-        assert_eq!(a.succ_cmd, b.succ_cmd);
-        assert_eq!(a.succ_node, b.succ_node);
-        assert_eq!(a.pred_off, b.pred_off);
-        assert_eq!(a.pred, b.pred);
-        assert_eq!(a.init_count, b.init_count);
-        assert_eq!(a.levels, b.levels);
-        assert_eq!(a.peak_level, b.peak_level);
-        assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
-    fn parallel_explore_matches_serial_exactly() {
-        for model in [ring(true), ring(false), lattice()] {
-            let c = CompiledModel::new(&model).expect("valid");
-            let mut s1 = CheckStats::default();
-            let serial =
-                build_reach_graph_budgeted(&c, 1_000_000, &BudgetMeter::unlimited(), &mut s1, 1)
-                    .expect("fits");
-            for width in [2usize, 4, 8] {
-                let mut s2 = CheckStats::default();
-                let parallel = build_reach_graph_budgeted(
-                    &c,
-                    1_000_000,
-                    &BudgetMeter::unlimited(),
-                    &mut s2,
-                    width,
-                )
-                .expect("fits");
-                assert_graphs_identical(&serial, &parallel);
-                assert_eq!(s1, s2, "absorbed stats diverge at width {width}");
-                assert_eq!(parallel.explore_workers(), width as u32);
-            }
-        }
-    }
-
-    /// Budget-at-barrier: count-cap exhaustion under the parallel
-    /// frontier trips at the same level with the same partial stats on
-    /// every run — worker scheduling never shows in the outcome.
-    #[test]
-    fn parallel_budget_exhaustion_is_deterministic() {
-        use crate::budget::Budget;
-        let budget = Budget::unlimited().with_total_states(2000);
-        let run = || {
-            let c = CompiledModel::new(&lattice()).expect("valid");
-            let meter = budget.start();
-            let mut stats = CheckStats::default();
-            let err = build_reach_graph_budgeted(&c, 1_000_000, &meter, &mut stats, 4)
-                .expect_err("cap below 4096 reachable states");
-            (err, stats)
-        };
-        let (err, stats) = run();
-        assert_eq!(
-            err,
-            CheckError::Budget(BudgetExceeded::TotalStates { limit: 2000 })
-        );
-        assert!(stats.states > 0 && stats.transitions > 0, "{stats:?}");
-        let (err2, stats2) = run();
-        assert_eq!(err, err2);
-        assert_eq!(stats, stats2);
-    }
-
-    #[test]
-    fn parallel_state_limit_reports_partial_stats() {
-        let c = CompiledModel::new(&lattice()).expect("valid");
-        let mut stats = CheckStats::default();
-        let err = build_reach_graph_budgeted(&c, 100, &BudgetMeter::unlimited(), &mut stats, 4)
-            .expect_err("4096 states exceed a limit of 100");
-        assert_eq!(err, CheckError::StateLimit(100));
-        assert!(stats.states > 100, "partial stats absorbed: {stats:?}");
-    }
-
     #[test]
     fn budget_zero_deadline_degrades_build() {
         use crate::budget::Budget;
@@ -3145,19 +2762,17 @@ mod tests {
             (lattice(), 4096),
         ] {
             let c = CompiledModel::new(&model).expect("valid");
-            for threads in [1usize, 4] {
-                let g = build_reach_graph_budgeted(
-                    &c,
-                    1_000_000,
-                    &BudgetMeter::unlimited(),
-                    &mut CheckStats::default(),
-                    threads,
-                )
-                .expect("fits");
-                assert!(g.is_packed());
-                assert_eq!(g.node_count(), states, "{}", model.name());
-                assert_successors_match_guards(&c, &g);
-            }
+            let g = build_reach_graph_budgeted(
+                &c,
+                1_000_000,
+                &BudgetMeter::unlimited(),
+                &mut CheckStats::default(),
+                1,
+            )
+            .expect("fits");
+            assert!(g.is_packed());
+            assert_eq!(g.node_count(), states, "{}", model.name());
+            assert_successors_match_guards(&c, &g);
         }
     }
 

@@ -58,8 +58,6 @@ pub struct ReachGraphData {
     pub levels: u32,
     /// Widest BFS level of the original exploration.
     pub peak_level: u64,
-    /// Worker threads the original exploration ran with.
-    pub workers: u32,
     /// Exploration cost of the original build (`states`, `transitions`,
     /// `peak_queue`).
     pub stats: [u64; 3],
@@ -81,7 +79,6 @@ impl ReachGraphData {
         w.u32(self.init_count);
         w.u32(self.levels);
         w.u64(self.peak_level);
-        w.u32(self.workers);
         for s in self.stats {
             w.u64(s);
         }
@@ -109,7 +106,6 @@ impl ReachGraphData {
             let init_count = r.u32()?;
             let levels = r.u32()?;
             let peak_level = r.u64()?;
-            let workers = r.u32()?;
             let stats = [r.u64()?, r.u64()?, r.u64()?];
             r.finish()?;
             Ok(ReachGraphData {
@@ -125,7 +121,6 @@ impl ReachGraphData {
                 init_count,
                 levels,
                 peak_level,
-                workers,
                 stats,
             })
         };
@@ -153,7 +148,6 @@ impl ReachGraph {
             init_count: self.init_count,
             levels: self.levels,
             peak_level: self.peak_level,
-            workers: self.workers,
             stats: [
                 self.stats.states,
                 self.stats.transitions,
@@ -284,7 +278,6 @@ impl ReachGraph {
             packed: data.packed,
             levels: data.levels,
             peak_level: data.peak_level,
-            workers: data.workers,
             stats: CheckStats {
                 states: data.stats[0],
                 transitions: data.stats[1],

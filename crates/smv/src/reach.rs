@@ -211,8 +211,6 @@ pub struct ReachGraph {
     pub(crate) levels: u32,
     /// Widest single BFS level encountered during exploration.
     pub(crate) peak_level: u64,
-    /// Worker threads the exploration ran with (1 = serial path).
-    pub(crate) workers: u32,
     /// Exploration cost of building this graph.
     pub(crate) stats: CheckStats,
 }
@@ -250,7 +248,6 @@ impl ReachGraph {
     }
 
     /// Number of BFS levels (depth layers) the exploration walked.
-    /// Identical for the serial and parallel paths by construction.
     pub fn levels(&self) -> u32 {
         self.levels
     }
@@ -258,11 +255,6 @@ impl ReachGraph {
     /// Widest single BFS level seen while exploring.
     pub fn peak_level(&self) -> u64 {
         self.peak_level
-    }
-
-    /// Worker threads exploration ran with (1 = serial path).
-    pub fn explore_workers(&self) -> u32 {
-        self.workers
     }
 
     /// BFS parent edge of `id` as `(parent node, command index)`, or
@@ -446,7 +438,6 @@ mod tests {
             packed: false,
             levels: 1,
             peak_level: 1,
-            workers: 1,
             stats: CheckStats::default(),
         };
         g.build_predecessors();

@@ -60,7 +60,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// On-disk format version; any change to framing, the stable hash, or a
 /// record layout bumps this, and every older file reads as version skew
 /// (a cold miss).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"PCKS";
@@ -118,9 +118,9 @@ pub enum LoadOutcome {
 /// `hits / lookups` is the warm-run verdict hit rate the bench gates).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Verdict-record load attempts.
+    /// Verdict lookups, as reported by [`Store::note_verdict_lookup`].
     pub lookups: u64,
-    /// Verdict-record hits.
+    /// Verdict lookups that produced a decoded record.
     pub hits: u64,
     /// Graph-artifact hits (each one is an exploration avoided).
     pub graph_loads: u64,
@@ -245,11 +245,11 @@ impl Store {
             .join(format!("{}.pcks", key.to_hex()))
     }
 
-    /// Loads and fully validates the record under `(kind, key)`.
+    /// Loads and fully validates the record under `(kind, key)`. Verdict
+    /// loads are not counted here: only the caller knows whether the
+    /// payload decodes, so it reports each lookup through
+    /// [`note_verdict_lookup`](Self::note_verdict_lookup).
     pub fn load(&self, kind: Kind, key: Fingerprint) -> LoadOutcome {
-        if kind == Kind::Verdict {
-            self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        }
         let path = self.path_for(kind, key);
         let data = match std::fs::read(&path) {
             Ok(d) => d,
@@ -264,14 +264,8 @@ impl Store {
                 self.counters
                     .bytes_read
                     .fetch_add(data.len() as u64, Ordering::Relaxed);
-                match kind {
-                    Kind::Verdict => {
-                        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Kind::Graph => {
-                        self.counters.graph_loads.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Kind::Baseline | Kind::Index => {}
+                if kind == Kind::Graph {
+                    self.counters.graph_loads.fetch_add(1, Ordering::Relaxed);
                 }
                 LoadOutcome::Hit(payload)
             }
@@ -311,6 +305,17 @@ impl Store {
         Ok(())
     }
 
+    /// Counts one verdict lookup, and a hit when it produced a decoded
+    /// record. The caller reports each lookup once, after decoding, so a
+    /// frame that validates but does not decode, and a load that fails
+    /// before reaching [`load`](Self::load), both count as misses.
+    pub fn note_verdict_lookup(&self, hit: bool) {
+        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
+        if hit {
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Records corruption detected *above* the frame layer — a frame
     /// that validated but whose record payload failed to decode (the
     /// second validation line; also where injected `StoreRead` data
@@ -337,11 +342,29 @@ impl Store {
 mod tests {
     use super::*;
 
-    fn temp_store(tag: &str) -> Store {
+    /// A store in a fresh temp directory, removed when dropped — also
+    /// while a failing test unwinds.
+    struct TempStore(Store);
+
+    impl std::ops::Deref for TempStore {
+        type Target = Store;
+
+        fn deref(&self) -> &Store {
+            &self.0
+        }
+    }
+
+    impl Drop for TempStore {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(self.0.root());
+        }
+    }
+
+    fn temp_store(tag: &str) -> TempStore {
         let dir =
             std::env::temp_dir().join(format!("procheck-store-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        Store::open(dir).expect("store opens")
+        TempStore(Store::open(dir).expect("store opens"))
     }
 
     fn key(s: &str) -> Fingerprint {
@@ -358,6 +381,8 @@ mod tests {
             panic!("expected hit");
         };
         assert_eq!(payload, b"payload");
+        store.note_verdict_lookup(false);
+        store.note_verdict_lookup(true);
         let stats = store.stats();
         assert_eq!(stats.lookups, 2);
         assert_eq!(stats.hits, 1);

@@ -54,7 +54,6 @@ fn main() {
         2_000_000,
         24,
         &BudgetMeter::unlimited(),
-        1,
         &Collector::disabled(),
     )
     .expect("check runs");

@@ -55,7 +55,6 @@ fn all_common_properties_run_on_both_models() {
                 STATE_LIMIT,
                 24,
                 &BudgetMeter::unlimited(),
-                1,
                 &Collector::disabled(),
             )
             .unwrap_or_else(|e| panic!("{} on {name}: {e}", p.id));
