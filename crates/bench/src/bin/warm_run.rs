@@ -47,10 +47,6 @@ fn main() {
         store_dir: Some(dir.clone()),
         ..defaults
     };
-    assert!(
-        cfg.graph_cache,
-        "the store is an L2 under the graph cache; unset PROCHECK_NO_GRAPH_CACHE"
-    );
     println!("store: {}", dir.display());
 
     let models = extract_models(Implementation::Reference, &cfg);

@@ -10,6 +10,7 @@
 //!     --ignored --test-threads=1 --nocapture
 //! ```
 
+use std::path::PathBuf;
 use std::time::Instant;
 
 use procheck::pipeline::{
@@ -23,23 +24,29 @@ use procheck_telemetry::Collector;
 const SAMPLES: usize = 5;
 
 /// Full-registry checking throughput, in distinct states explored per
-/// second of a Reference analysis, best over the `threads` sweep {1,
-/// `available_parallelism`}. The floor is a 2.6M baseline less 25%. On
-/// a 2-vCPU VM the single-sample best of the kernel before the
-/// per-field enable tables reached 1.70M with the graph cache and 2.31M
-/// without it; the slowest of seventeen runs of the table-driven kernel
-/// was 2.24M with the cache (4.73M without it, ten runs). So the floor
-/// sits below every run of the current kernel in both legs and above
-/// every cache-on run of the old one: a revert fails the cache-on leg.
-/// One floor gates both legs because the old kernel's cache-off runs
-/// reach past the current kernel's slowest cache-on run, so a cache-off
-/// floor alone would not catch that revert.
+/// second of a Reference analysis through the shared graph cache, best
+/// over the `threads` sweep {1, `available_parallelism`}. The floor is a
+/// 2.6M baseline less 25%. On a 2-vCPU VM the single-sample best of the
+/// kernel before the per-field enable tables reached 1.70M; the slowest
+/// of seventeen runs of the table-driven kernel was 2.24M. So the floor
+/// sits below every run of the current kernel and above every run of
+/// the old one: this gate is the one that catches a kernel revert.
 const STATES_PER_SEC_FLOOR: f64 = 1_950_000.0;
 
 /// Cold over warm wall-clock of a store-backed Reference analysis: an
 /// unchanged warm run replays every verdict instead of exploring. An
 /// absolute floor, with headroom for slow CI filesystems.
 const WARM_SPEEDUP_FLOOR: f64 = 5.0;
+
+/// A store directory under the system temp dir, removed when dropped —
+/// also while a failing gate unwinds, so it leaves no store behind.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 fn hardware_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -77,7 +84,7 @@ fn assert_median_floors<const N: usize>(
 }
 
 /// One `states_per_sec` sample: the best rate over the `threads` sweep.
-fn best_states_per_sec(graph_cache: bool) -> f64 {
+fn best_states_per_sec() -> f64 {
     let mut sweep = vec![1, hardware_threads()];
     sweep.dedup();
     sweep
@@ -86,7 +93,6 @@ fn best_states_per_sec(graph_cache: bool) -> f64 {
             let collector = Collector::enabled();
             let cfg = AnalysisConfig {
                 threads,
-                graph_cache,
                 collector: collector.clone(),
                 store_dir: None,
                 ..AnalysisConfig::default()
@@ -103,22 +109,20 @@ fn best_states_per_sec(graph_cache: bool) -> f64 {
 #[test]
 #[ignore = "timing floor: run in release with --ignored --test-threads=1"]
 fn states_per_sec() {
-    assert_median_floors(
-        [
-            ("states_per_sec, graph cache on", STATES_PER_SEC_FLOOR),
-            ("states_per_sec, graph cache off", STATES_PER_SEC_FLOOR),
-        ],
-        || [best_states_per_sec(true), best_states_per_sec(false)],
-    );
+    assert_median_floors([("states_per_sec", STATES_PER_SEC_FLOOR)], || {
+        [best_states_per_sec()]
+    });
 }
 
 #[test]
 #[ignore = "timing floor: run in release with --ignored --test-threads=1"]
 fn warm_speedup_vs_cold() {
     let models = extract_models(Implementation::Reference, &AnalysisConfig::default());
-    let dir = std::env::temp_dir().join(format!("procheck-timing-floors-{}", std::process::id()));
+    let dir = TempDir(
+        std::env::temp_dir().join(format!("procheck-timing-floors-{}", std::process::id())),
+    );
     let cfg = AnalysisConfig {
-        store_dir: Some(dir.clone()),
+        store_dir: Some(dir.0.clone()),
         ..AnalysisConfig::default()
     };
     let timed = || {
@@ -128,7 +132,7 @@ fn warm_speedup_vs_cold() {
     };
     assert_median_floors([("warm_speedup_vs_cold", WARM_SPEEDUP_FLOOR)], || {
         // Every sample starts from an empty store.
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir.0);
         let (cold_secs, _) = timed();
         let (warm_secs, warm) = timed();
         assert_eq!(
@@ -137,5 +141,4 @@ fn warm_speedup_vs_cold() {
         );
         [cold_secs / warm_secs]
     });
-    let _ = std::fs::remove_dir_all(&dir);
 }

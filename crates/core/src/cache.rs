@@ -29,6 +29,10 @@
 //! no state limit, so all callers of one cache must use one limit (the
 //! analysis pipeline has a single per-run limit).
 //!
+//! The cache lives in memory for one run and holds no store: a graph is
+//! a by-product of checking, and only the verdicts answered from it
+//! outlive the run (the pipeline hands them to the persistent store).
+//!
 //! Locking: the map mutex is held only to fetch/insert a per-key slot;
 //! the (expensive) composition or exploration runs under the slot's
 //! `OnceLock`, so concurrent builds of *different* configurations
@@ -42,13 +46,11 @@
 //! configuration sees the same degraded error while the other
 //! configurations' builds and all sibling properties proceed untouched.
 
-use crate::store::RunStore;
 use procheck_fsm::Fsm;
 use procheck_smv::budget::{panic_message, BudgetMeter};
 use procheck_smv::checker::{build_reach_graph_budgeted, CheckError, CheckStats, CompiledModel};
 use procheck_smv::coi::ConeSig;
 use procheck_smv::model::Model;
-use procheck_smv::model_semantic_fingerprint;
 use procheck_smv::reach::ReachGraph;
 use procheck_telemetry::Collector;
 use procheck_threat::{build_threat_model, ThreatConfig};
@@ -88,12 +90,6 @@ pub struct ThreatModelCache {
     graph_slots: Mutex<HashMap<GraphKey, Arc<GraphSlot>>>,
     graph_builds: AtomicUsize,
     graph_lookups: AtomicUsize,
-    /// Optional persistent-store L2 under the graph layer: a slot's
-    /// first consultation checks the store (keyed by the model's
-    /// *semantic* fingerprint) before exploring, and write-through saves
-    /// every successful complete build. `None` (the default) keeps the
-    /// cache purely in-memory.
-    store: Option<Arc<RunStore>>,
 }
 
 /// Snapshot of a cache's hit/miss accounting.
@@ -124,24 +120,6 @@ impl CacheStats {
 impl ThreatModelCache {
     pub fn new() -> Self {
         ThreatModelCache::default()
-    }
-
-    /// A cache whose graph layer is backed by the persistent store:
-    /// graph-slot misses consult `store` before exploring, successful
-    /// builds are written through, and the pipeline's verdict paths can
-    /// reach the same handle via [`Self::store`]. Every load is fully
-    /// revalidated by [`RunStore::load_graph`]; a corrupt or mismatched
-    /// artifact degrades to a normal cold exploration.
-    pub fn with_store(store: Arc<RunStore>) -> Self {
-        ThreatModelCache {
-            store: Some(store),
-            ..ThreatModelCache::default()
-        }
-    }
-
-    /// The persistent store behind this cache, when one is attached.
-    pub fn store(&self) -> Option<&Arc<RunStore>> {
-        self.store.as_ref()
     }
 
     /// Returns the composed `IMP^μ` for `cfg`, building it on first use.
@@ -257,26 +235,6 @@ impl ThreatModelCache {
             built_now = true;
             self.graph_builds.fetch_add(1, Ordering::Relaxed);
             collector.add("graph_cache.builds", 1);
-            // Persistent-store L2: before exploring, try to load this
-            // model's graph from a previous run. Keyed by the *semantic*
-            // fingerprint — graph payloads carry dense command indices,
-            // no labels, so a `#<uniq>`-suffix shift elsewhere in the
-            // build does not invalidate them. A validated load costs no
-            // exploration: the slot's stats are the original build's
-            // (`ReachGraphData` stores them), but none of the `smv.*` /
-            // `explore.*` / `reduction.*` work counters are recorded —
-            // those measure exploration actually performed this run.
-            let store_key = self
-                .store
-                .as_ref()
-                .map(|_| crate::store::graph_key(model_semantic_fingerprint(model)));
-            if let (Some(store), Some(key)) = (&self.store, store_key) {
-                if let Some(graph) = store.load_graph(key, model, state_limit) {
-                    let stats = graph.build_stats();
-                    collector.add("store.graph_loads", 1);
-                    return (Ok(Arc::new(graph)), stats);
-                }
-            }
             let _span = collector.span("graph.build");
             let (result, stats) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-inject")]
@@ -307,13 +265,6 @@ impl ThreatModelCache {
             if let Ok(graph) = &result {
                 collector.add("explore.levels", u64::from(graph.levels()));
                 collector.record_max("explore.peak_level", graph.peak_level());
-                // Write-through: persist the one successful complete
-                // build so the next run loads instead of exploring.
-                // Partial (limit/budget/panic) results are not reusable
-                // artifacts and are never saved.
-                if let (Some(store), Some(key)) = (&self.store, store_key) {
-                    store.save_graph(key, graph);
-                }
             }
             (result, stats)
         });
@@ -325,9 +276,9 @@ impl ThreatModelCache {
 
     /// The compiled model for `cfg`, if its one compilation has happened
     /// and succeeded — a read-only peek that does *not* count as a cache
-    /// lookup, so post-pool passes (the pipeline's graph-slot
-    /// attribution) can re-derive per-property cone signatures without
-    /// perturbing the hit/miss accounting.
+    /// lookup, so the pipeline's post-pool FSM-delta pass can lower a
+    /// delta to the configuration's commands without perturbing the
+    /// hit/miss accounting.
     pub fn peek_compiled(&self, cfg: &ThreatConfig) -> Option<Arc<CompiledModel>> {
         let map = self.compiled_slots.lock().expect("compile cache map lock");
         map.get(cfg)

@@ -17,14 +17,15 @@
 //! per-property slots — the report is always in registry order, byte-
 //! identical to a single-threaded run. Composed threat models are
 //! shared through a [`ThreatModelCache`], so each distinct property
-//! slice is built once per run instead of once per property — and (by
-//! default, [`AnalysisConfig::graph_cache`]) the same cache shares one
-//! fully-explored reachability graph per distinct configuration, so
-//! each distinct threat model is *explored* once per run and every
-//! property answers as a query over the shared graph.
+//! slice is built once per run instead of once per property — and the
+//! same cache shares one fully-explored reachability graph per distinct
+//! configuration (or cone), so each distinct threat model is *explored*
+//! once per run and every property answers as a query over the shared
+//! graph. The cache lives in memory; only verdicts, verdict indexes and
+//! FSM baselines reach the persistent store.
 
 use crate::cache::{CacheStats, ThreatModelCache};
-use crate::cegar::{cegar_check, cegar_check_backend_budgeted, CegarOutcome, FinalVerdict};
+use crate::cegar::{cegar_check_backend_budgeted, CegarOutcome, FinalVerdict};
 use crate::report::{DegradedStats, Finding, PropertyOutcome, PropertyResult};
 use crate::store::{
     baseline_key, checked_model_fps, cone_intersects_delta, delta_commands, fsm_pair_fingerprint,
@@ -55,7 +56,7 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::thread;
 use std::time::Instant;
 
@@ -106,14 +107,10 @@ pub struct AnalysisConfig {
     /// BFS. The field stays only because the repository benchmark
     /// (`benchmark/`) sets and prints it. Defaults to 1.
     pub explore_threads: usize,
-    /// Share one fully-explored reachability graph per distinct threat
-    /// configuration ("explore once, check many"): properties keyed to
-    /// the same configuration answer as queries over the cached graph
-    /// instead of each re-running BFS. Verdicts, counterexample traces,
-    /// and CEGAR outcomes are identical either way — only the
-    /// exploration accounting moves. Defaults to on;
-    /// `PROCHECK_NO_GRAPH_CACHE=1` defaults it off, e.g. to measure the
-    /// re-exploration cost.
+    /// Read by nothing: every model property answers as a query over
+    /// the run's in-memory graph cache, which has no switch. The field
+    /// stays only because the repository benchmark (`benchmark/`) sets
+    /// and prints it. Defaults to `true`.
     pub graph_cache: bool,
     /// Project each model property onto its cone of influence before
     /// exploration: variables the property cannot observe (directly or
@@ -124,9 +121,8 @@ pub struct AnalysisConfig {
     /// to full-variable form at the report edge), and CEGAR refinement
     /// sequences are byte-identical either way; only the exploration
     /// accounting moves. Sliced graphs live in the shared cache keyed by
-    /// `(ThreatConfig, ConeSig)`, so slicing applies only on the
-    /// [`AnalysisConfig::graph_cache`] path. Defaults to on;
-    /// `PROCHECK_NO_SLICE=1` defaults it off.
+    /// `(ThreatConfig, ConeSig)`. Only the explicit engine slices.
+    /// Defaults to on; `PROCHECK_NO_SLICE=1` defaults it off.
     pub slice: bool,
     /// Read by nothing: exploration has one way to find enabled commands
     /// and no reduction to switch. The field stays only because the
@@ -144,12 +140,12 @@ pub struct AnalysisConfig {
     /// [`PropertyOutcome::BudgetExhausted`] — the run always completes
     /// and reports partial work; it never aborts. Unlimited by default.
     pub budget: Budget,
-    /// Directory of the persistent cross-run analysis store. When set
-    /// (and [`AnalysisConfig::graph_cache`] is on — the store is an L2
-    /// under the shared cache), settled verdicts and explored graphs
-    /// from previous runs are reused: a verdict hit skips the property's
-    /// check entirely, a graph hit skips an exploration. Every reuse is
-    /// gated by stable content fingerprints, so results are always
+    /// Directory of the persistent cross-run analysis store. When set,
+    /// settled verdicts from previous runs are reused: a verdict hit
+    /// skips the property's check entirely. The store holds verdicts,
+    /// verdict indexes and FSM baselines; reachability graphs stay in
+    /// the run's memory and are never written. Every reuse is gated by
+    /// stable content fingerprints, so results are always
     /// byte-identical to a cold run; corruption of any stored record
     /// degrades to a cold miss, never a wrong answer. `None` (the
     /// default) runs fully cold; the `PROCHECK_STORE` environment
@@ -170,11 +166,11 @@ pub struct AnalysisConfig {
 }
 
 impl Default for AnalysisConfig {
-    /// The built-in defaults, adjusted by four `PROCHECK_*` environment
+    /// The built-in defaults, adjusted by three `PROCHECK_*` environment
     /// knobs — the one place the pipeline reads its environment:
     ///
-    /// * `PROCHECK_NO_GRAPH_CACHE`, `PROCHECK_NO_SLICE` — `1`/`true`
-    ///   turns the feature off, `0`/`false` leaves it on;
+    /// * `PROCHECK_NO_SLICE` — `1`/`true` turns slicing off,
+    ///   `0`/`false` leaves it on;
     /// * `PROCHECK_STORE` — a store directory;
     /// * `PROCHECK_BACKEND` — `explicit`, `symbolic` or `both`, any case.
     ///
@@ -225,7 +221,7 @@ impl AnalysisConfig {
             property_filter: None,
             threads: default_threads(),
             explore_threads: 1,
-            graph_cache: !off("PROCHECK_NO_GRAPH_CACHE")?,
+            graph_cache: true,
             slice: !off("PROCHECK_NO_SLICE")?,
             por: true,
             collector: Collector::disabled(),
@@ -349,8 +345,7 @@ pub struct AnalysisReport {
     pub coverage: CoverageReport,
     /// Threat-model composition cache accounting for this run.
     pub cache_stats: CacheStats,
-    /// Reachability-graph cache accounting for this run (all zeros when
-    /// [`AnalysisConfig::graph_cache`] is off).
+    /// Reachability-graph cache accounting for this run.
     pub graph_cache_stats: CacheStats,
     /// Degraded-outcome accounting: budget exhaustions, isolated panics,
     /// skips. All zeros on a clean run (CI gates on this).
@@ -438,16 +433,38 @@ impl AnalysisReport {
 }
 
 /// This run's verdict indexes by backend leg, `[explicit, symbolic]`;
-/// `None` for a leg the run does not check, and for both when no store
-/// participates or extraction failed.
+/// `None` for a leg the run does not check, and for both when
+/// extraction failed.
 type LegIndexes = [Option<VerdictIndex>; 2];
+
+/// A store-backed run's persistent store, with the verdict index of each
+/// backend leg.
+struct StoreCtx<'a> {
+    store: &'a RunStore,
+    indexes: LegIndexes,
+}
+
+impl StoreCtx<'_> {
+    /// The verdict index of the symbolic leg, or of the explicit one.
+    fn index(&self, symbolic: bool) -> Option<&VerdictIndex> {
+        self.indexes[usize::from(symbolic)].as_ref()
+    }
+}
+
+/// The cone a model property was checked against, recorded by its
+/// worker once the property's configuration compiled: `Some(None)` for
+/// the full model, `Some(Some(sig))` for a cone-of-influence projection.
+/// `None` when nothing compiled: a verdict-index hit, a linkability
+/// property, or a failed extraction, composition or compilation.
+type CheckedCone = Option<Option<ConeSig>>;
 
 /// Checks one property against the extracted models. The composed
 /// threat model for the property's slice is fetched from (or built
 /// into) `cache`, so callers checking many properties share one
 /// composition per distinct configuration. The work is charged to
 /// `meter`, which `analyze_implementation` shares across all properties
-/// so the total-state cap and deadline govern the whole run.
+/// so the total-state cap and deadline govern the whole run. Returns the
+/// result with the cone it was checked against.
 ///
 /// Every degraded path — budget exhaustion, a panic isolated in a
 /// cached build, a failed extraction — returns an explicit
@@ -459,9 +476,9 @@ fn check_property_metered(
     implementation: Implementation,
     cfg: &AnalysisConfig,
     cache: &ThreatModelCache,
-    indexes: &LegIndexes,
+    store: Option<&StoreCtx>,
     meter: &BudgetMeter,
-) -> PropertyResult {
+) -> (PropertyResult, CheckedCone) {
     let start = Instant::now();
     #[cfg(feature = "fault-inject")]
     procheck_faults::inject(procheck_faults::FaultSite::PropertyEval, Some(prop.id));
@@ -470,9 +487,7 @@ fn check_property_metered(
     let mut cpv_queries = 0usize;
     let mut nodes_reused = 0u64;
     let mut graph_cache_hit = None;
-    // The budget's per-property cap lowers the effective state limit;
-    // tripping the lowered limit is a budget degradation, not a skip.
-    let limit = cfg.budget.property_limit(cfg.state_limit);
+    let mut cone = None;
     let (outcome, iterations, refinements) = match &prop.check {
         Check::Model(_) if !models.extraction_errors.is_empty() => (
             PropertyOutcome::Error(format!(
@@ -488,20 +503,19 @@ fn check_property_metered(
             // own store key, own store write — so warm stores never
             // cross-pollinate engines.
             let mut run_leg = |symbolic: bool| {
-                let index = indexes[usize::from(symbolic)].as_ref();
                 let resolution = check_model_property(
                     prop,
                     p,
                     models,
                     cfg,
                     cache,
-                    index,
+                    store,
                     meter,
-                    limit,
                     symbolic,
                     &mut graph_cache_hit,
+                    &mut cone,
                 );
-                resolve_model_check(prop, p, resolution, cfg, cache, index)
+                resolve_model_check(prop, p, resolution, cfg, store, symbolic)
             };
             let leg = match cfg.backend {
                 BackendKind::Explicit => run_leg(false),
@@ -533,65 +547,48 @@ fn check_property_metered(
         Check::Linkability(scenario) => {
             // Linkability verdicts depend only on (implementation,
             // identity, property) — no composed model, no knobs — so
-            // they are stored and replayed under that key alone. The
-            // store rides the graph-cache switch: `PROCHECK_NO_GRAPH_CACHE`
-            // turns the whole warm path off.
-            let store = if cfg.graph_cache { cache.store() } else { None };
+            // they are stored and replayed under that key alone.
+            let store = store.map(|ctx| ctx.store);
             let key = link_key(implementation.name(), &cfg.imsi, cfg.key_material, prop.id);
             let stored = store
                 .and_then(|st| st.load_verdict(key))
                 .filter(|record| record.property_id == prop.id);
             if let Some(record) = stored {
-                return PropertyResult {
-                    property_id: prop.id,
-                    title: prop.title,
-                    category: prop.category,
-                    expectation: prop.expectation,
-                    outcome: outcome_from_data(record.outcome),
-                    cegar_iterations: 0,
-                    refinements: 0,
-                    states_explored: 0,
-                    peak_queue: 0,
-                    cpv_queries: 0,
-                    nodes_reused: 0,
-                    cache_hit: false,
-                    graph_cache_hit: None,
-                    elapsed: start.elapsed(),
-                    related_attack: prop.related_attack,
-                };
-            }
-            let mut ue_cfg = ue_config_for(implementation, cfg);
-            if prop.slice.base == BaseProfile::LteFreshnessLimit {
-                ue_cfg.sqn_config.freshness_limit = Some(4);
-            }
-            let outcome = run_scenario(map_scenario(*scenario), &ue_cfg);
-            let mapped = if outcome.distinguishable {
-                PropertyOutcome::Distinguishable(outcome.summary)
+                (outcome_from_data(record.outcome), 0, 0)
             } else {
-                PropertyOutcome::Equivalent
-            };
-            if let Some(store) = store {
-                if let Some(data) = outcome_to_data(&mapped) {
-                    store.save_verdict(
-                        key,
-                        &VerdictRecord {
-                            property_id: prop.id.to_string(),
-                            outcome: data,
-                            cegar_iterations: 0,
-                            refinements: 0,
-                            cpv_queries: 0,
-                            // No composed model participates; the key
-                            // (and the trace-free outcome) carry the
-                            // whole reuse decision.
-                            model_fp: Fingerprint::ZERO,
-                        },
-                    );
+                let mut ue_cfg = ue_config_for(implementation, cfg);
+                if prop.slice.base == BaseProfile::LteFreshnessLimit {
+                    ue_cfg.sqn_config.freshness_limit = Some(4);
                 }
+                let outcome = run_scenario(map_scenario(*scenario), &ue_cfg);
+                let mapped = if outcome.distinguishable {
+                    PropertyOutcome::Distinguishable(outcome.summary)
+                } else {
+                    PropertyOutcome::Equivalent
+                };
+                if let Some(store) = store {
+                    if let Some(data) = outcome_to_data(&mapped) {
+                        store.save_verdict(
+                            key,
+                            &VerdictRecord {
+                                property_id: prop.id.to_string(),
+                                outcome: data,
+                                cegar_iterations: 0,
+                                refinements: 0,
+                                cpv_queries: 0,
+                                // No composed model participates; the key
+                                // (and the trace-free outcome) carry the
+                                // whole reuse decision.
+                                model_fp: Fingerprint::ZERO,
+                            },
+                        );
+                    }
+                }
+                (mapped, 0, 0)
             }
-            (mapped, 0, 0)
         }
     };
-    PropertyResult {
+    let result = PropertyResult {
         property_id: prop.id,
         title: prop.title,
         category: prop.category,
@@ -609,7 +606,8 @@ fn check_property_metered(
         graph_cache_hit,
         elapsed: start.elapsed(),
         related_attack: prop.related_attack,
-    }
+    };
+    (result, cone)
 }
 
 /// How one model property's check was resolved: replayed from the
@@ -623,7 +621,7 @@ enum ModelCheckResolution {
     /// The check ran (or failed) live. The [`PendingWrite`] carries the
     /// verdict key and the exact model fingerprint to persist alongside
     /// a settled outcome; `None` when no store participates (store
-    /// absent, graph cache off, or the model never composed).
+    /// absent, or the model never compiled).
     Live(Result<CegarOutcome, CheckError>, Option<PendingWrite>),
 }
 
@@ -658,7 +656,8 @@ struct LegResult {
 
 /// Maps a [`ModelCheckResolution`] (warm or live, either engine) to a
 /// [`LegResult`], writing settled live outcomes back to the store and
-/// their keys to the leg's verdict `index`.
+/// their keys to the verdict index of the `symbolic` (else explicit)
+/// leg.
 /// Degraded outcomes (budget, panics) describe this run and never reach
 /// disk; a [`CheckError::BackendDivergence`] — a counterexample that
 /// failed replay validation — surfaces as a hard
@@ -668,8 +667,8 @@ fn resolve_model_check(
     p: &procheck_smv::checker::Property,
     resolution: ModelCheckResolution,
     cfg: &AnalysisConfig,
-    cache: &ThreatModelCache,
-    index: Option<&VerdictIndex>,
+    store: Option<&StoreCtx>,
+    symbolic: bool,
 ) -> LegResult {
     match resolution {
         ModelCheckResolution::Stored(record) => {
@@ -754,9 +753,9 @@ fn resolve_model_check(
             // Settled outcomes persist for the next run; degraded
             // ones (budget, panics) describe this run and never
             // reach disk.
-            if let (Some(store), Some(pending)) = (cache.store(), pending) {
+            if let (Some(ctx), Some(pending)) = (store, pending) {
                 if let Some(data) = outcome_to_data(&outcome) {
-                    store.save_verdict(
+                    ctx.store.save_verdict(
                         pending.key,
                         &VerdictRecord {
                             property_id: prop.id.to_string(),
@@ -767,7 +766,7 @@ fn resolve_model_check(
                             model_fp: pending.model_fp,
                         },
                     );
-                    if let Some(index) = index {
+                    if let Some(index) = ctx.index(symbolic) {
                         index.add(prop.id, pending.entry());
                     }
                 }
@@ -842,21 +841,21 @@ fn leg_knobs(cfg: &AnalysisConfig, symbolic: bool) -> Fingerprint {
 ///
 /// With a store attached, a verdict is looked up in two levels, one
 /// verdict lookup per property however it resolves. First the leg's
-/// verdict `index`, before any composition: a property it lists loads
+/// verdict index, before any composition: a property it lists loads
 /// the indexed verdict key, and a record passing the property-id and
 /// exact-fingerprint gates replays with nothing composed, compiled or
-/// fingerprinted. Otherwise compose (via the shared cache) and, on the
-/// graph-cache path, compile and — before any exploration — look up the
-/// as-checked model's key, unless the index already tried that key.
-/// Error precedence is unchanged from the storeless pipeline: compose
-/// and compile errors surface before the property's vocabulary check,
-/// which surfaces before any graph work; the second-level lookup sits
-/// *after* compilation so even not-applicable outcomes replay warm, and
+/// fingerprinted. Otherwise compose and compile (via the shared cache)
+/// and — before any exploration — look up the as-checked model's key,
+/// unless the index already tried that key. Compose and compile errors
+/// surface before the property's vocabulary check, which surfaces
+/// before any graph work; the second-level lookup sits *after*
+/// compilation so even not-applicable outcomes replay warm, and
 /// `graph_cache_hit` is left `None` on every path that never consulted
-/// the graph layer (store hits included).
+/// the graph layer (store hits included). Once compiled, the cone the
+/// property is checked against goes into `checked_cone`, unless an
+/// earlier leg of the same property already recorded one.
 ///
-/// Past the explicit engine's private path when the graph cache is off,
-/// the engines differ in two places only. The explicit engine projects
+/// The engines differ in two places only. The explicit engine projects
 /// the property onto its cone of influence and asks the cache for the
 /// (sliced or full) graph; the symbolic engine hands the *full* compiled
 /// model to the BMC backend — no graph is built and no slice applies
@@ -871,14 +870,16 @@ fn check_model_property(
     models: &ExtractedModels,
     cfg: &AnalysisConfig,
     cache: &ThreatModelCache,
-    index: Option<&VerdictIndex>,
+    store: Option<&StoreCtx>,
     meter: &BudgetMeter,
-    limit: usize,
     symbolic: bool,
     graph_cache_hit: &mut Option<bool>,
+    checked_cone: &mut CheckedCone,
 ) -> ModelCheckResolution {
+    let index = store.and_then(|ctx| ctx.index(symbolic));
+    let store = store.map(|ctx| ctx.store);
     let indexed = index.and_then(|index| index.entry(prop.id));
-    if let (Some(store), Some(entry)) = (cache.store(), indexed) {
+    if let (Some(store), Some(entry)) = (store, indexed) {
         if let Some(record) = store.load_verdict(entry.verdict_key) {
             if record.property_id == prop.id && RunStore::verdict_usable(&record, entry.model_fp) {
                 return ModelCheckResolution::Stored(record);
@@ -891,29 +892,10 @@ fn check_model_property(
         Ok(model) => model,
         Err(e) => return ModelCheckResolution::Live(Err(e), None),
     };
-    if !cfg.graph_cache && !symbolic {
-        // The store is an L2 under the shared graph cache; with the
-        // cache off (`PROCHECK_NO_GRAPH_CACHE`) the whole warm path is
-        // off too — the private exploration below neither reads nor
-        // writes persisted state.
-        return ModelCheckResolution::Live(
-            cegar_check(
-                &model,
-                p,
-                &semantics,
-                limit,
-                cfg.max_cegar_iterations,
-                meter,
-                &cfg.collector,
-            ),
-            None,
-        );
-    }
     // The model is compiled (validated) and the property's vocabulary
     // checked *before* asking the cache for a graph: an inapplicable
     // property must report "not applicable", never the state-limit skip
-    // a doomed shared build would produce — the same error precedence
-    // as the private path above.
+    // a doomed shared build would produce.
     let compiled = match cache.compile(&model, &threat_cfg, &cfg.collector) {
         Ok(compiled) => compiled,
         Err(e) => return ModelCheckResolution::Live(Err(e), None),
@@ -927,12 +909,13 @@ fn check_model_property(
         _ => None,
     };
     let checked = sliced.as_ref().map_or(&*compiled, |s| &s.model);
+    checked_cone.get_or_insert_with(|| sliced.as_ref().map(|s| s.sig.clone()));
     // Fingerprint the model *as checked* — the cone projection when the
     // pipeline sliced, the full composition otherwise — so the verdict
     // key is itself the statement "the model this property observes is
     // unchanged". Computed on the vocabulary-error path too: the
     // resulting skip is a settled, replayable outcome.
-    let pending = cache.store().map(|_| {
+    let pending = store.map(|_| {
         let fps = checked_model_fps(checked);
         PendingWrite {
             key: verdict_key(
@@ -948,7 +931,7 @@ fn check_model_property(
     let untried = pending
         .as_ref()
         .filter(|pw| indexed.is_none_or(|entry| entry.verdict_key != pw.key));
-    if let (Some(store), Some(pw)) = (cache.store(), untried) {
+    if let (Some(store), Some(pw)) = (store, untried) {
         if let Some(record) = store.load_verdict(pw.key) {
             if record.property_id == prop.id && RunStore::verdict_usable(&record, pw.model_fp) {
                 if let Some(index) = index {
@@ -961,6 +944,9 @@ fn check_model_property(
     if let Err(e) = cp {
         return ModelCheckResolution::Live(Err(e), pending);
     }
+    // The budget's per-property cap lowers the effective state limit;
+    // tripping the lowered limit is a budget degradation, not a skip.
+    let limit = cfg.budget.property_limit(cfg.state_limit);
     let outcome = if symbolic {
         let backend = BmcBackend::with_collector(cfg.bmc_bound, cfg.collector.clone());
         cegar_check_backend_budgeted(
@@ -1061,32 +1047,6 @@ fn cache_hits_in_order(props: &[&NasProperty]) -> Vec<bool> {
         .collect()
 }
 
-/// Which graph slot served `prop` during the pool run: `Some(sig)` when
-/// slicing routed it to a `(threat config, cone)` slot, `None` for the
-/// full-graph slot. Re-derived after the pool from the same inputs the
-/// worker used — the cone computation is a pure function of the (cached)
-/// compiled model and the property — via [`ThreatModelCache::peek_compiled`],
-/// which does not perturb the hit/miss accounting. Only called for
-/// properties whose `graph_cache_hit` is set, i.e. whose compile +
-/// property check succeeded in the pool, so the fallbacks are never the
-/// interesting path.
-fn graph_cone_for(
-    prop: &NasProperty,
-    cfg: &AnalysisConfig,
-    cache: &ThreatModelCache,
-    threat_cfg: &ThreatConfig,
-) -> Option<ConeSig> {
-    if !cfg.slice {
-        return None;
-    }
-    let Check::Model(p) = &prop.check else {
-        return None;
-    };
-    let compiled = cache.peek_compiled(threat_cfg)?;
-    let cp = compiled.compile_property(p).ok()?;
-    profitable_slice(&compiled, &cp).map(|s| s.sig)
-}
-
 /// The pipeline's slicing policy: project onto the cone of influence
 /// only when the projection drops at least one *command*. A cone that
 /// keeps every command (it merely hides a variable or two) explores
@@ -1131,41 +1091,40 @@ pub fn analyze_implementation(
 /// only. Callers that mutate or synthesize models (the warm-run bench,
 /// incremental re-check experiments) enter here.
 ///
-/// When [`AnalysisConfig::store_dir`] is set (and the graph cache is
-/// on), the persistent store is opened first and each backend leg's
-/// verdict index is read: verdicts and graphs from previous runs
-/// short-circuit this one, and at the end the extracted machines are
-/// compared with the stored baseline snapshot (the FSM-delta telemetry)
-/// before becoming the new baseline, and the indexes are written if
-/// they changed. A fully warm run writes nothing. A store that fails to
-/// open degrades to a fully cold run.
+/// When [`AnalysisConfig::store_dir`] is set, the persistent store is
+/// opened first and each backend leg's verdict index is read: verdicts
+/// from previous runs short-circuit this one, and at the end the
+/// extracted machines are compared with the stored baseline snapshot
+/// (the FSM-delta telemetry) before becoming the new baseline, and the
+/// indexes are written if they changed. A fully warm run writes
+/// nothing. Reachability graphs stay in this run's memory. A store that
+/// fails to open degrades to a fully cold run.
 pub fn analyze_extracted(
     implementation: Implementation,
     models: &ExtractedModels,
     cfg: &AnalysisConfig,
 ) -> AnalysisReport {
-    let store = if cfg.graph_cache {
-        cfg.store_dir
-            .as_ref()
-            .and_then(|dir| RunStore::open(dir).ok())
-    } else {
-        None
-    };
-    let cache = match &store {
-        Some(store) => ThreatModelCache::with_store(Arc::clone(store)),
-        None => ThreatModelCache::new(),
-    };
+    let store = cfg
+        .store_dir
+        .as_ref()
+        .and_then(|dir| RunStore::open(dir).ok());
+    let cache = ThreatModelCache::new();
     // Both machines' canonical texts: the baseline snapshot's contents
     // and the verdict indexes' key input.
     let canon = store.as_ref().map(|_| BaselineRecord {
         ue: canonical_text(&models.ue),
         mme: canonical_text(&models.mme),
     });
-    let indexes = match (&store, &canon) {
-        (Some(store), Some(canon)) if models.extraction_errors.is_empty() => {
-            load_indexes(store, canon, cfg)
-        }
-        _ => [None, None],
+    let store_ctx = match (&store, &canon) {
+        (Some(store), Some(canon)) => Some(StoreCtx {
+            store,
+            indexes: if models.extraction_errors.is_empty() {
+                load_indexes(store, canon, cfg)
+            } else {
+                [None, None]
+            },
+        }),
+        _ => None,
     };
     let all = registry();
     let props: Vec<&NasProperty> = all
@@ -1176,7 +1135,8 @@ pub fn analyze_extracted(
                 .is_none_or(|ids| ids.contains(&p.id))
         })
         .collect();
-    let slots: Vec<OnceLock<PropertyResult>> = props.iter().map(|_| OnceLock::new()).collect();
+    let slots: Vec<OnceLock<(PropertyResult, CheckedCone)>> =
+        props.iter().map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
     // One meter for the whole run: the total-state cap and deadline are
     // charged by every worker against the same account.
@@ -1190,10 +1150,19 @@ pub fn analyze_extracted(
         // results are untouched.
         let start = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            check_property_metered(prop, models, implementation, cfg, &cache, &indexes, &meter)
+            check_property_metered(
+                prop,
+                models,
+                implementation,
+                cfg,
+                &cache,
+                store_ctx.as_ref(),
+                &meter,
+            )
         }))
         .unwrap_or_else(|payload| {
-            panicked_property_result(prop, panic_message(payload), start.elapsed())
+            let result = panicked_property_result(prop, panic_message(payload), start.elapsed());
+            (result, None)
         });
         slots[i]
             .set(result)
@@ -1214,10 +1183,10 @@ pub fn analyze_extracted(
     cfg.collector
         .record_max("ident.symbols_interned", procheck_ident::symbols_interned());
     let hits = cache_hits_in_order(&props);
-    let mut results: Vec<PropertyResult> = slots
+    let (mut results, cones): (Vec<PropertyResult>, Vec<CheckedCone>) = slots
         .into_iter()
         .map(|slot| slot.into_inner().expect("all slots filled by the pool"))
-        .collect();
+        .unzip();
     for (result, hit) in results.iter_mut().zip(hits) {
         result.cache_hit = hit;
     }
@@ -1231,12 +1200,13 @@ pub fn analyze_extracted(
     // thread-count-independent one, and it is what a sequential run
     // observes.
     let mut built_graphs: HashSet<(ThreatConfig, Option<ConeSig>)> = HashSet::new();
-    for (result, prop) in results.iter_mut().zip(&props) {
-        if result.graph_cache_hit.is_none() {
+    for ((result, prop), cone) in results.iter_mut().zip(&props).zip(&cones) {
+        // A property that consulted the graph cache compiled first, so
+        // its worker recorded the cone of the slot it used.
+        let (Some(_), Some(cone)) = (result.graph_cache_hit, cone) else {
             continue;
-        }
+        };
         let threat_cfg = prop.slice.threat_config();
-        let cone = graph_cone_for(prop, cfg, &cache, &threat_cfg);
         if built_graphs.insert((threat_cfg.clone(), cone.clone())) {
             result.graph_cache_hit = Some(false);
             if let Some(build) = cache.graph_build_stats(&threat_cfg, cone.as_ref()) {
@@ -1282,16 +1252,19 @@ pub fn analyze_extracted(
             ],
         );
     }
-    if let (Some(store), Some(canon)) = (&store, &canon) {
-        record_fsm_delta(implementation, models, canon, cfg, &cache, store, &props);
-        for index in indexes.into_iter().flatten() {
+    if let (Some(ctx), Some(canon)) = (store_ctx, &canon) {
+        let store = ctx.store;
+        let checked = props
+            .iter()
+            .zip(&cones)
+            .filter_map(|(prop, cone)| Some((prop.slice.threat_config(), cone.as_ref()?)));
+        record_fsm_delta(implementation, models, canon, cfg, &cache, store, checked);
+        for index in ctx.indexes.into_iter().flatten() {
             index.save(store);
         }
         // Mirror the store's own accounting onto the collector, in the
         // same post-pool position as the degraded counters so the event
-        // stream stays thread-count-independent. `store.graph_loads` is
-        // recorded live at each load (inside the exactly-once slot
-        // build) and deliberately not mirrored again here.
+        // stream stays thread-count-independent.
         let s = store.stats();
         cfg.collector.add("store.lookups", s.lookups);
         cfg.collector.add("store.hits", s.hits);
@@ -1337,19 +1310,22 @@ fn load_indexes(store: &RunStore, canon: &BaselineRecord, cfg: &AnalysisConfig) 
 /// warm run re-checked exactly the properties it did. The reuse
 /// decisions themselves were already made, per property, by
 /// fingerprint-key equality; this pass records counters only and can
-/// never change a result. A baseline whose texts equal `canon` (this
-/// run's canonical texts) is a zero delta, neither parsed nor
-/// rewritten. Otherwise the extracted machines become the new baseline
-/// — unless extraction failed, whose placeholder machines must not
-/// replace a real one.
-fn record_fsm_delta(
+/// never change a result. `checked` lists each model property whose
+/// configuration compiled this run, as its threat configuration and the
+/// cone it was checked against; a property answered from the verdict
+/// index compiled nothing and counts in neither `store.delta_cone_*`
+/// counter. A baseline whose texts equal `canon` (this run's canonical
+/// texts) is a zero delta, neither parsed nor rewritten. Otherwise the
+/// extracted machines become the new baseline — unless extraction
+/// failed, whose placeholder machines must not replace a real one.
+fn record_fsm_delta<'a>(
     implementation: Implementation,
     models: &ExtractedModels,
     canon: &BaselineRecord,
     cfg: &AnalysisConfig,
     cache: &ThreatModelCache,
     store: &RunStore,
-    props: &[&NasProperty],
+    checked: impl Iterator<Item = (ThreatConfig, &'a Option<ConeSig>)>,
 ) {
     let key = baseline_key(implementation.name(), &cfg.imsi, cfg.key_material);
     let base = store.load_baseline_record(key);
@@ -1369,23 +1345,15 @@ fn record_fsm_delta(
         cfg.collector
             .add("store.delta_transitions", delta_transitions);
         if delta_transitions > 0 {
-            // Per-property cone intersection. The compiled models are
-            // peeked from the cache (no accounting perturbation); a
-            // property whose configuration never compiled this run —
-            // answered from the verdict index — counts in neither
-            // counter.
+            // Per-property cone intersection, against the compiled
+            // models peeked from the cache (no accounting perturbation).
             let mut intersecting = 0u64;
             let mut disjoint = 0u64;
-            for prop in props {
-                if !matches!(prop.check, Check::Model(_)) {
-                    continue;
-                }
-                let threat_cfg = prop.slice.threat_config();
+            for (threat_cfg, cone) in checked {
                 let Some(compiled) = cache.peek_compiled(&threat_cfg) else {
                     continue;
                 };
                 let delta = delta_commands(&compiled, &ue_diff, &mme_diff);
-                let cone = graph_cone_for(prop, cfg, cache, &threat_cfg);
                 if cone_intersects_delta(cone.as_ref(), &delta) {
                     intersecting += 1;
                 } else {
@@ -1428,18 +1396,17 @@ mod tests {
     #[test]
     fn env_knobs_parse_accepted_values() {
         let cfg = from_vars(&[("PROCHECK_BMC_BOUND", "5")]).unwrap();
-        assert!(cfg.graph_cache && cfg.slice);
+        assert!(cfg.slice);
         assert_eq!(cfg.store_dir, None);
         assert_eq!(cfg.backend, BackendKind::Explicit);
         assert_eq!(cfg.bmc_bound, DEFAULT_BMC_BOUND, "the bound has no knob");
         let cfg = from_vars(&[
-            ("PROCHECK_NO_GRAPH_CACHE", "1"),
             ("PROCHECK_NO_SLICE", "TRUE"),
             ("PROCHECK_STORE", "/tmp/procheck-store"),
             ("PROCHECK_BACKEND", "Symbolic"),
         ])
         .unwrap();
-        assert!(!cfg.graph_cache && !cfg.slice);
+        assert!(!cfg.slice);
         assert_eq!(cfg.store_dir, Some(PathBuf::from("/tmp/procheck-store")));
         assert_eq!(cfg.backend, BackendKind::Symbolic);
         assert_eq!(
@@ -1452,17 +1419,12 @@ mod tests {
     /// `PROCHECK_NO_SLICE=""` keep slicing on.
     #[test]
     fn empty_env_knobs_are_unset() {
-        let vars: Vec<(&str, &str)> = [
-            "PROCHECK_NO_GRAPH_CACHE",
-            "PROCHECK_NO_SLICE",
-            "PROCHECK_STORE",
-            "PROCHECK_BACKEND",
-        ]
-        .iter()
-        .map(|name| (*name, ""))
-        .collect();
+        let vars: Vec<(&str, &str)> = ["PROCHECK_NO_SLICE", "PROCHECK_STORE", "PROCHECK_BACKEND"]
+            .iter()
+            .map(|name| (*name, ""))
+            .collect();
         let cfg = from_vars(&vars).unwrap();
-        assert!(cfg.graph_cache && cfg.slice);
+        assert!(cfg.slice);
         assert_eq!(cfg.store_dir, None);
         assert_eq!(cfg.backend, BackendKind::Explicit);
     }
@@ -1471,11 +1433,6 @@ mod tests {
     fn bad_env_knobs_are_rejected_by_name() {
         for (name, value, accepted) in [
             ("PROCHECK_BACKEND", "symbolc", "explicit, symbolic or both"),
-            (
-                "PROCHECK_NO_GRAPH_CACHE",
-                "off",
-                "1 or true (off), 0 or false (on)",
-            ),
             (
                 "PROCHECK_NO_SLICE",
                 "yes",

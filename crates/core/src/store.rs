@@ -2,8 +2,13 @@
 //!
 //! [`RunStore`] wraps a [`procheck_store::Store`] with everything the
 //! pipeline needs to go warm: stable key derivation, record
-//! encode/decode, graph revalidation, and the outcome conversions
-//! between [`PropertyOutcome`] and the on-disk [`OutcomeData`].
+//! encode/decode, and the outcome conversions between
+//! [`PropertyOutcome`] and the on-disk [`OutcomeData`]. The pipeline
+//! reads and writes three record kinds: verdicts, verdict indexes and
+//! FSM baselines. Its reachability graphs live in memory for one run;
+//! [`graph_key`], [`RunStore::load_graph`] and [`RunStore::save_graph`]
+//! remain only for the repository benchmark's traced replay
+//! (`benchmark/src/ledger.rs`).
 //!
 //! # Key discipline
 //!
@@ -114,9 +119,9 @@ pub fn threat_fingerprint(cfg: &ThreatConfig) -> Fingerprint {
 /// checking engine itself plus its BMC bound, so verdicts settled by
 /// one engine are never replayed as another's (an explicit `Verified`
 /// must not answer a symbolic query, whose honest answer may only be
-/// `BoundReached`). Thread counts and the graph cache are proven
-/// result-invariant and deliberately excluded — a store written at one
-/// thread count must hit at another.
+/// `BoundReached`). Thread counts are proven result-invariant and
+/// deliberately excluded — a store written at one thread count must hit
+/// at another.
 ///
 /// `backend_tag` is the engine discriminant
 /// ([`BACKEND_TAG_EXPLICIT`] / [`BACKEND_TAG_SYMBOLIC`]); `bmc_bound`
@@ -218,7 +223,8 @@ pub fn baseline_key(implementation: &str, imsi: &str, key_material: u64) -> Fing
 /// into the model's own tables), so a graph explored for one model is
 /// valid for any model whose semantic fingerprint matches — uniq-suffix
 /// shifts don't invalidate it. [`ReachGraph::from_data`] re-validates
-/// every index against the live model at load regardless.
+/// every index against the live model at load regardless. The pipeline
+/// stores no graphs; the benchmark ledger's replay is the only caller.
 pub fn graph_key(checked_semantic_fp: Fingerprint) -> Fingerprint {
     let mut h = StableHasher::with_domain("graph-key-v1");
     h.write(&checked_semantic_fp.0);
@@ -495,7 +501,9 @@ impl RunStore {
     /// against the model ([`ReachGraph::from_data`]), and the stored
     /// exploration must fit under this run's `state_limit` (a graph
     /// stored under a larger limit could contain states this run's
-    /// budget forbids — reject it rather than reason about it).
+    /// budget forbids — reject it rather than reason about it). The
+    /// pipeline loads no graphs; the benchmark ledger's replay is the
+    /// only caller.
     pub fn load_graph(
         &self,
         key: Fingerprint,
@@ -522,7 +530,8 @@ impl RunStore {
 
     /// Stores a successfully built graph under `key`, best-effort. Only
     /// complete builds should reach here — partial (limit/budget-failed)
-    /// explorations are not reusable artifacts.
+    /// explorations are not reusable artifacts. The pipeline stores no
+    /// graphs; the benchmark ledger's replay is the only caller.
     pub fn save_graph(&self, key: Fingerprint, graph: &ReachGraph) {
         self.save_payload(Kind::Graph, key, &graph.to_data().encode());
     }

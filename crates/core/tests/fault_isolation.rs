@@ -30,12 +30,11 @@ fn lock() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The golden config: single-threaded, graph cache on — byte-identical
-/// reference output for every unaffected property.
-fn config(graph_cache: bool, threads: usize) -> AnalysisConfig {
+/// The golden config at `threads` workers — byte-identical reference
+/// output for every unaffected property.
+fn config(threads: usize) -> AnalysisConfig {
     AnalysisConfig {
         threads,
-        graph_cache,
         state_limit: 2_000_000,
         max_cegar_iterations: 24,
         // Hermetic against an ambient PROCHECK_STORE: a warm store would
@@ -60,7 +59,7 @@ fn golden_lines() -> BTreeMap<String, String> {
         static CLEAN: OnceLock<BTreeMap<String, String>> = OnceLock::new();
         return CLEAN
             .get_or_init(|| {
-                let report = analyze_implementation(Implementation::Reference, &config(true, 1));
+                let report = analyze_implementation(Implementation::Reference, &config(1));
                 report
                     .results
                     .iter()
@@ -94,35 +93,32 @@ fn render(r: &PropertyResult) -> String {
 
 /// A panic planted inside one property's evaluation degrades exactly
 /// that property to an `error` outcome; the other 61 results are
-/// byte-identical to the golden snapshot — with the graph cache on and
-/// off, single-threaded and on a 4-worker pool.
+/// byte-identical to the golden snapshot — single-threaded and on a
+/// 4-worker pool.
 #[test]
 fn property_eval_panic_isolates_to_one_property() {
     let _guard = lock();
     let golden = golden_lines();
-    for graph_cache in [true, false] {
-        for threads in [1, 4] {
-            arm(FaultPlan::new(FaultSite::PropertyEval, FaultKind::Panic).at_key("S05"));
-            let report =
-                analyze_implementation(Implementation::Reference, &config(graph_cache, threads));
-            assert!(disarm(), "plan must fire (cache={graph_cache} t={threads})");
-            assert_eq!(report.results.len(), golden.len());
-            for r in &report.results {
-                if r.property_id == "S05" {
-                    assert_eq!(r.outcome.tag(), "error");
-                    let rendered = render(r);
-                    assert!(rendered.contains("injected fault"), "{rendered}");
-                } else {
-                    assert_eq!(
-                        render(r),
-                        golden[r.property_id],
-                        "sibling diverged (cache={graph_cache} t={threads})"
-                    );
-                }
+    for threads in [1, 4] {
+        arm(FaultPlan::new(FaultSite::PropertyEval, FaultKind::Panic).at_key("S05"));
+        let report = analyze_implementation(Implementation::Reference, &config(threads));
+        assert!(disarm(), "plan must fire (t={threads})");
+        assert_eq!(report.results.len(), golden.len());
+        for r in &report.results {
+            if r.property_id == "S05" {
+                assert_eq!(r.outcome.tag(), "error");
+                let rendered = render(r);
+                assert!(rendered.contains("injected fault"), "{rendered}");
+            } else {
+                assert_eq!(
+                    render(r),
+                    golden[r.property_id],
+                    "sibling diverged (t={threads})"
+                );
             }
-            assert_eq!(report.degraded.panics_isolated, 1);
-            assert_eq!(report.degraded.total(), 1);
         }
+        assert_eq!(report.degraded.panics_isolated, 1);
+        assert_eq!(report.degraded.total(), 1);
     }
 }
 
@@ -149,7 +145,7 @@ fn threat_compose_panic_poisons_only_its_config_group() {
         .collect();
     assert!(!group.is_empty());
     arm(FaultPlan::new(FaultSite::ThreatCompose, FaultKind::Panic));
-    let report = analyze_implementation(Implementation::Reference, &config(true, 1));
+    let report = analyze_implementation(Implementation::Reference, &config(1));
     assert!(disarm(), "compose fault must fire");
     let mut errored = 0;
     for r in &report.results {
@@ -191,7 +187,7 @@ fn graph_build_panic_poisons_only_its_graph() {
         })
         .expect("registry has model properties");
     arm(FaultPlan::new(FaultSite::GraphBuild, FaultKind::Panic));
-    let report = analyze_implementation(Implementation::Reference, &config(true, 1));
+    let report = analyze_implementation(Implementation::Reference, &config(1));
     assert!(disarm(), "graph-build fault must fire");
     let mut errored = 0;
     for (r, prop) in report.results.iter().zip(registry().iter()) {
@@ -222,7 +218,7 @@ fn extractor_panic_degrades_model_checks_only() {
     let _guard = lock();
     let golden = golden_lines();
     arm(FaultPlan::new(FaultSite::Extractor, FaultKind::Panic).at_key("ue"));
-    let report = analyze_implementation(Implementation::Reference, &config(true, 1));
+    let report = analyze_implementation(Implementation::Reference, &config(1));
     assert!(disarm(), "extractor fault must fire");
     assert_eq!(report.results.len(), golden.len(), "run completes");
     for (r, prop) in report.results.iter().zip(registry().iter()) {
@@ -258,7 +254,7 @@ fn log_source_truncation_completes_full_run() {
     // outcome per property" is fully exercised at a shallow bound.
     let cfg = AnalysisConfig {
         bmc_bound: 6,
-        ..config(true, 2)
+        ..config(2)
     };
     let report = analyze_implementation(Implementation::Reference, &cfg);
     assert!(disarm(), "log fault must fire");
@@ -284,7 +280,7 @@ fn seeded_fault_sweep_always_completes() {
             // seeds that mutate the log source produce mutated models,
             // so the BMC bound stays shallow to keep SAT effort sane.
             bmc_bound: 6,
-            ..config(true, 2)
+            ..config(2)
         };
         let report = analyze_implementation(Implementation::Reference, &cfg);
         disarm();

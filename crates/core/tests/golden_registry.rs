@@ -34,7 +34,6 @@ const MAX_ITERATIONS: usize = 24;
 fn config() -> AnalysisConfig {
     AnalysisConfig {
         threads: 1,
-        graph_cache: true,
         state_limit: STATE_LIMIT,
         max_cegar_iterations: MAX_ITERATIONS,
         // Hermetic against an ambient PROCHECK_STORE: the snapshot's

@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 mod common;
-use common::stored_index;
+use common::{stored_index, TempDir};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -29,11 +29,10 @@ fn lock() -> MutexGuard<'static, ()> {
 /// A model/linkability mix small enough to re-run many times.
 const IDS: &[&str] = &["S01", "S12", "PR07", "PR19", "PR20"];
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("procheck-storefault-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// A fresh, empty store directory unique to this case + process,
+/// removed when dropped.
+fn fresh_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("procheck-storefault-{tag}"))
 }
 
 fn cfg(store_dir: Option<PathBuf>) -> AnalysisConfig {
@@ -42,7 +41,6 @@ fn cfg(store_dir: Option<PathBuf>) -> AnalysisConfig {
         state_limit: 2_000_000,
         max_cegar_iterations: 24,
         threads: 1,
-        graph_cache: true,
         store_dir,
         ..AnalysisConfig::default()
     }
@@ -96,13 +94,19 @@ fn read_faults_degrade_to_cold_misses() {
         for kind in [FaultKind::Truncate, FaultKind::Garbage, FaultKind::Panic] {
             let tag = format!("{target:?}/{kind:?}");
             let dir = fresh_dir(&format!("read-{target:?}-{kind:?}"));
-            let cold =
-                analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+            let cold = analyze_extracted(
+                Implementation::Reference,
+                &models,
+                &cfg(Some(dir.to_path_buf())),
+            );
             assert!(cold.store_stats.writes > 0, "[{tag}] cold run populates");
 
             arm(FaultPlan::new(FaultSite::StoreRead, kind).at_key(target.key(&dir)));
-            let warm =
-                analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+            let warm = analyze_extracted(
+                Implementation::Reference,
+                &models,
+                &cfg(Some(dir.to_path_buf())),
+            );
             assert!(disarm(), "[{tag}] a warm run must reach the read hook");
             assert_eq!(
                 render(&warm),
@@ -138,8 +142,11 @@ fn read_faults_degrade_to_cold_misses() {
             );
 
             // The re-check re-wrote the record: the next run is fully warm.
-            let healed =
-                analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+            let healed = analyze_extracted(
+                Implementation::Reference,
+                &models,
+                &cfg(Some(dir.to_path_buf())),
+            );
             assert_eq!(render(&healed), render(&cold), "[{tag}]");
             assert_eq!(
                 healed.store_stats.hits, healed.store_stats.lookups,
@@ -148,7 +155,6 @@ fn read_faults_degrade_to_cold_misses() {
             );
             assert_eq!(healed.cache_stats.lookups, 0, "[{tag}] composes nothing");
             assert_eq!(healed.store_stats.writes, 0, "[{tag}] writes nothing");
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -173,7 +179,7 @@ fn write_faults_cost_only_the_next_runs_warmth() {
     let _ = analyze_extracted(
         Implementation::Reference,
         &models,
-        &cfg(Some(probe.clone())),
+        &cfg(Some(probe.to_path_buf())),
     );
     let targets = [Target::Index, Target::Verdict].map(|t| (t, t.key(&probe)));
     assert_eq!(
@@ -181,15 +187,18 @@ fn write_faults_cost_only_the_next_runs_warmth() {
         IDS.len(),
         "one verdict record per property"
     );
-    let _ = std::fs::remove_dir_all(&probe);
+    drop(probe);
 
     for (target, key) in targets {
         for kind in [FaultKind::Truncate, FaultKind::Garbage, FaultKind::Panic] {
             let tag = format!("{target:?}/{kind:?}");
             let dir = fresh_dir(&format!("write-{target:?}-{kind:?}"));
             arm(FaultPlan::new(FaultSite::StoreWrite, kind).at_key(&key));
-            let cold =
-                analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+            let cold = analyze_extracted(
+                Implementation::Reference,
+                &models,
+                &cfg(Some(dir.to_path_buf())),
+            );
             assert!(disarm(), "[{tag}] the cold run must write the target");
             assert_eq!(
                 render(&cold),
@@ -200,8 +209,11 @@ fn write_faults_cost_only_the_next_runs_warmth() {
 
             // Next run: the poisoned (or skipped) frame is rejected as a
             // cold miss, everything else replays.
-            let warm =
-                analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+            let warm = analyze_extracted(
+                Implementation::Reference,
+                &models,
+                &cfg(Some(dir.to_path_buf())),
+            );
             assert_eq!(render(&warm), render(&baseline), "[{tag}]");
             let lost = match target {
                 Target::Index => 0,
@@ -216,8 +228,11 @@ fn write_faults_cost_only_the_next_runs_warmth() {
             assert!(warm.degraded.is_clean(), "[{tag}]");
 
             // The miss re-settled and re-wrote it: run three is fully warm.
-            let healed =
-                analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+            let healed = analyze_extracted(
+                Implementation::Reference,
+                &models,
+                &cfg(Some(dir.to_path_buf())),
+            );
             assert_eq!(render(&healed), render(&baseline), "[{tag}]");
             assert_eq!(
                 healed.store_stats.hits, healed.store_stats.lookups,
@@ -226,7 +241,6 @@ fn write_faults_cost_only_the_next_runs_warmth() {
             );
             assert_eq!(healed.cache_stats.lookups, 0, "[{tag}] composes nothing");
             assert_eq!(healed.store_stats.writes, 0, "[{tag}] writes nothing");
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -240,13 +254,21 @@ fn failed_extraction_keeps_the_stored_baseline() {
     let _guard = lock();
     let models = extract_models(Implementation::Reference, &cfg(None));
     let dir = fresh_dir("extract-baseline");
-    let _ = analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+    let _ = analyze_extracted(
+        Implementation::Reference,
+        &models,
+        &cfg(Some(dir.to_path_buf())),
+    );
 
     arm(FaultPlan::new(FaultSite::Extractor, FaultKind::Panic).at_key("ue"));
     let broken = extract_models(Implementation::Reference, &cfg(None));
     assert!(disarm(), "UE extraction must reach the hook");
     assert!(!broken.extraction_errors.is_empty());
-    let failed = analyze_extracted(Implementation::Reference, &broken, &cfg(Some(dir.clone())));
+    let failed = analyze_extracted(
+        Implementation::Reference,
+        &broken,
+        &cfg(Some(dir.to_path_buf())),
+    );
     assert_eq!(
         failed.store_stats.writes, 0,
         "a failed extraction writes no baseline, no index and no verdict: {:?}",
@@ -254,7 +276,7 @@ fn failed_extraction_keeps_the_stored_baseline() {
     );
 
     let collector = procheck_telemetry::Collector::enabled();
-    let mut healthy_cfg = cfg(Some(dir.clone()));
+    let mut healthy_cfg = cfg(Some(dir.to_path_buf()));
     healthy_cfg.collector = collector.clone();
     let healthy = analyze_extracted(Implementation::Reference, &models, &healthy_cfg);
     assert_eq!(collector.counter_value("store.baseline_found"), 1);
@@ -265,7 +287,6 @@ fn failed_extraction_keeps_the_stored_baseline() {
     );
     assert_eq!(healthy.store_stats.hits, healthy.store_stats.lookups);
     assert_eq!(healthy.store_stats.writes, 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A faulted *baseline* load (the FSM-delta telemetry path) is absorbed
@@ -276,7 +297,11 @@ fn baseline_read_fault_only_mutes_the_delta_telemetry() {
     let _guard = lock();
     let models = extract_models(Implementation::Reference, &cfg(None));
     let dir = fresh_dir("baseline-read");
-    let cold = analyze_extracted(Implementation::Reference, &models, &cfg(Some(dir.clone())));
+    let cold = analyze_extracted(
+        Implementation::Reference,
+        &models,
+        &cfg(Some(dir.to_path_buf())),
+    );
 
     let key = procheck::store::baseline_key(
         Implementation::Reference.name(),
@@ -285,7 +310,7 @@ fn baseline_read_fault_only_mutes_the_delta_telemetry() {
     );
     arm(FaultPlan::new(FaultSite::StoreRead, FaultKind::Garbage).at_key(key.to_hex()));
     let collector = procheck_telemetry::Collector::enabled();
-    let mut warm_cfg = cfg(Some(dir.clone()));
+    let mut warm_cfg = cfg(Some(dir.to_path_buf()));
     warm_cfg.collector = collector.clone();
     let warm = analyze_extracted(Implementation::Reference, &models, &warm_cfg);
     assert!(disarm(), "the delta pass must load the stored baseline");
@@ -302,10 +327,9 @@ fn baseline_read_fault_only_mutes_the_delta_telemetry() {
 
     // The baseline was re-snapshotted; the next run diffs it again.
     let collector2 = procheck_telemetry::Collector::enabled();
-    let mut again_cfg = cfg(Some(dir.clone()));
+    let mut again_cfg = cfg(Some(dir.to_path_buf()));
     again_cfg.collector = collector2.clone();
     let _ = analyze_extracted(Implementation::Reference, &models, &again_cfg);
     assert_eq!(collector2.counter_value("store.baseline_found"), 1);
     assert_eq!(collector2.counter_value("store.delta_transitions"), 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }

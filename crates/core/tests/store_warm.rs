@@ -7,7 +7,8 @@
 //!    through the verdict index: it composes no threat model, consults
 //!    no graph slot and writes nothing. A store without indexes (as an
 //!    older build wrote it) is still fully warm through the second-level
-//!    keys, and gains its index on that run.
+//!    keys, and gains its index on that run. A cold run stores verdicts,
+//!    one index and one baseline, and no reachability graph.
 //! 3. **Corruption degrades to cold** — a store whose files are
 //!    truncated, checksum-flipped, or version-skewed produces the same
 //!    report as no store at all, never a wrong answer.
@@ -25,20 +26,19 @@ use procheck::pipeline::{
 use procheck::report::PropertyOutcome;
 use procheck_fsm::Transition;
 use procheck_stack::quirks::Implementation;
-use procheck_store::FORMAT_VERSION;
+use procheck_store::{Kind, FORMAT_VERSION};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 mod common;
-use common::stored_index;
+use common::{stored_index, TempDir};
 
 const IDS: &[&str] = &["S01", "S12", "PR07", "PR19", "PR20"];
 
-/// A fresh, empty store directory unique to this test + process.
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("procheck-warm-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// A fresh, empty store directory unique to this test + process,
+/// removed when dropped.
+fn fresh_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("procheck-warm-{tag}"))
 }
 
 /// The pipeline configuration under test: single-threaded and explicit
@@ -50,7 +50,6 @@ fn cfg(store_dir: Option<PathBuf>, threads: usize) -> AnalysisConfig {
         state_limit: 2_000_000,
         max_cegar_iterations: 24,
         threads,
-        graph_cache: true,
         store_dir,
         backend: BackendKind::Explicit,
         ..AnalysisConfig::default()
@@ -97,7 +96,7 @@ fn warm_run_replays_cold_run_byte_identically() {
     let cold = analyze_extracted(
         Implementation::Reference,
         &models,
-        &cfg(Some(dir.clone()), 1),
+        &cfg(Some(dir.to_path_buf()), 1),
     );
     assert_eq!(
         render(&cold),
@@ -115,7 +114,7 @@ fn warm_run_replays_cold_run_byte_identically() {
     let warm = analyze_extracted(
         Implementation::Reference,
         &models,
-        &cfg(Some(dir.clone()), 1),
+        &cfg(Some(dir.to_path_buf()), 1),
     );
     assert_eq!(render(&warm), render(&cold), "warm replay must be exact");
     assert!(warm.store_stats.lookups > 0);
@@ -141,14 +140,40 @@ fn warm_run_replays_cold_run_byte_identically() {
     let warm4 = analyze_extracted(
         Implementation::Reference,
         &models,
-        &cfg(Some(dir.clone()), 4),
+        &cfg(Some(dir.to_path_buf()), 4),
     );
     assert_eq!(render(&warm4), render(&cold));
     assert_eq!(warm4.store_stats.hits, warm4.store_stats.lookups);
     assert_eq!(warm4.cache_stats.lookups, 0);
     assert_eq!(warm4.store_stats.writes, 0);
+}
 
-    let _ = std::fs::remove_dir_all(&dir);
+/// A cold store-backed run of the full registry writes three record
+/// kinds: one verdict per property, one verdict index and one baseline.
+/// The graphs it explores stay in memory, so `graphs/` stays empty.
+#[test]
+fn cold_run_stores_no_graphs() {
+    let dir = fresh_dir("record-kinds");
+    let mut full = cfg(Some(dir.to_path_buf()), 2);
+    full.property_filter = None;
+    let models = extract_models(Implementation::Reference, &full);
+    let cold = analyze_extracted(Implementation::Reference, &models, &full);
+    assert!(cold.degraded.is_clean());
+    assert!(cold.graph_cache_stats.builds > 0, "the run explores graphs");
+    let records = |kind: Kind| {
+        std::fs::read_dir(dir.join(kind.dir()))
+            .unwrap_or_else(|e| panic!("{}/: {e}", kind.dir()))
+            .count()
+    };
+    assert_eq!(records(Kind::Graph), 0, "a cold run stores no graph");
+    assert_eq!(records(Kind::Verdict), cold.results.len());
+    assert_eq!(records(Kind::Index), 1);
+    assert_eq!(records(Kind::Baseline), 1);
+    assert_eq!(
+        cold.store_stats.writes,
+        cold.results.len() as u64 + 2,
+        "verdicts, the index and the baseline are all it writes"
+    );
 }
 
 /// Verdict keys carry the backend discriminant: an Explicit-warmed
@@ -175,7 +200,7 @@ fn store_warmth_is_backend_scoped() {
     let explicit_cold = analyze_extracted(
         Implementation::Reference,
         &models,
-        &backend_cfg(dir.clone(), BackendKind::Explicit),
+        &backend_cfg(dir.to_path_buf(), BackendKind::Explicit),
     );
     assert_eq!(explicit_cold.store_stats.hits, 0);
     assert!(explicit_cold.store_stats.writes > 0);
@@ -186,7 +211,7 @@ fn store_warmth_is_backend_scoped() {
     let symbolic_cold = analyze_extracted(
         Implementation::Reference,
         &models,
-        &backend_cfg(dir.clone(), BackendKind::Symbolic),
+        &backend_cfg(dir.to_path_buf(), BackendKind::Symbolic),
     );
     assert_eq!(
         symbolic_cold.store_stats.hits, 0,
@@ -203,7 +228,7 @@ fn store_warmth_is_backend_scoped() {
     let explicit_warm = analyze_extracted(
         Implementation::Reference,
         &models,
-        &backend_cfg(dir.clone(), BackendKind::Explicit),
+        &backend_cfg(dir.to_path_buf(), BackendKind::Explicit),
     );
     assert_eq!(render(&explicit_warm), render(&explicit_cold));
     assert_eq!(
@@ -213,7 +238,7 @@ fn store_warmth_is_backend_scoped() {
     let symbolic_warm = analyze_extracted(
         Implementation::Reference,
         &models,
-        &backend_cfg(dir.clone(), BackendKind::Symbolic),
+        &backend_cfg(dir.to_path_buf(), BackendKind::Symbolic),
     );
     assert_eq!(render(&symbolic_warm), render(&symbolic_cold));
     assert_eq!(
@@ -226,7 +251,7 @@ fn store_warmth_is_backend_scoped() {
     let both = analyze_extracted(
         Implementation::Reference,
         &models,
-        &backend_cfg(dir.clone(), BackendKind::Both),
+        &backend_cfg(dir.to_path_buf(), BackendKind::Both),
     );
     assert_eq!(
         both.store_stats.hits, both.store_stats.lookups,
@@ -248,27 +273,6 @@ fn store_warmth_is_backend_scoped() {
     // On agreement Both reports the explicit leg's results verbatim.
     assert_eq!(render(&both), render(&explicit_cold));
     assert!(both.degraded.is_clean());
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `PROCHECK_NO_GRAPH_CACHE` semantics: with the graph cache off the
-/// store is inert even when a directory is configured — nothing read,
-/// nothing written, results unchanged.
-#[test]
-fn store_is_inert_without_graph_cache() {
-    let dir = fresh_dir("inert");
-    let models = extract_models(Implementation::Reference, &cfg(None, 1));
-    let mut off = cfg(Some(dir.clone()), 1);
-    off.graph_cache = false;
-    let mut off_bare = cfg(None, 1);
-    off_bare.graph_cache = false;
-    let with_store = analyze_extracted(Implementation::Reference, &models, &off);
-    let without = analyze_extracted(Implementation::Reference, &models, &off_bare);
-    assert_eq!(render(&with_store), render(&without));
-    assert_eq!(with_store.store_stats, Default::default());
-    assert!(!dir.exists(), "inert store never touches the filesystem");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -297,7 +301,7 @@ fn corrupted_store_degrades_to_cold_miss() {
         let _ = analyze_extracted(
             Implementation::Reference,
             &models,
-            &cfg(Some(dir.clone()), 1),
+            &cfg(Some(dir.to_path_buf()), 1),
         );
         // The corpus corrupts the verdict index too.
         let _ = stored_index(&dir);
@@ -305,7 +309,7 @@ fn corrupted_store_degrades_to_cold_miss() {
         let warm = analyze_extracted(
             Implementation::Reference,
             &models,
-            &cfg(Some(dir.clone()), 1),
+            &cfg(Some(dir.to_path_buf()), 1),
         );
         assert_eq!(
             render(&warm),
@@ -318,7 +322,6 @@ fn corrupted_store_degrades_to_cold_miss() {
             "[{tag}] the run re-settles and re-writes the store"
         );
         assert!(warm.degraded.is_clean(), "[{tag}]");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -329,7 +332,7 @@ fn mutated_model_rechecks_only_what_the_delta_touches() {
     let cold = analyze_extracted(
         Implementation::Reference,
         &models,
-        &cfg(Some(dir.clone()), 1),
+        &cfg(Some(dir.to_path_buf()), 1),
     );
 
     // One added UE transition — the paper's incremental scenario: a
@@ -344,7 +347,7 @@ fn mutated_model_rechecks_only_what_the_delta_touches() {
     );
 
     let collector = procheck_telemetry::Collector::enabled();
-    let mut warm_cfg = cfg(Some(dir.clone()), 1);
+    let mut warm_cfg = cfg(Some(dir.to_path_buf()), 1);
     warm_cfg.collector = collector.clone();
     let warm = analyze_extracted(Implementation::Reference, &mutated, &warm_cfg);
 
@@ -391,15 +394,13 @@ fn mutated_model_rechecks_only_what_the_delta_touches() {
     let warm_orig = analyze_extracted(
         Implementation::Reference,
         &models,
-        &cfg(Some(dir.clone()), 1),
+        &cfg(Some(dir.to_path_buf()), 1),
     );
     assert_eq!(render(&warm_orig), render(&cold));
     assert_eq!(warm_orig.store_stats.hits, warm_orig.store_stats.lookups);
     // The verdict index is content-addressed too: the original pair's
     // index still answers, so nothing is composed.
     assert_eq!(warm_orig.cache_stats.lookups, 0);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A store without verdict indexes — what a build before the index
@@ -413,7 +414,7 @@ fn store_without_indexes_stays_warm_and_gains_one() {
     let cold = analyze_extracted(
         Implementation::Reference,
         &models,
-        &cfg(Some(dir.clone()), 1),
+        &cfg(Some(dir.to_path_buf()), 1),
     );
     let cold_index = stored_index(&dir);
     std::fs::remove_dir_all(dir.join("indexes")).unwrap();
@@ -421,7 +422,7 @@ fn store_without_indexes_stays_warm_and_gains_one() {
     let rebuilt = analyze_extracted(
         Implementation::Reference,
         &models,
-        &cfg(Some(dir.clone()), 1),
+        &cfg(Some(dir.to_path_buf()), 1),
     );
     assert_eq!(render(&rebuilt), render(&cold));
     assert_eq!(rebuilt.store_stats.lookups, IDS.len() as u64);
@@ -441,12 +442,10 @@ fn store_without_indexes_stays_warm_and_gains_one() {
     let warm = analyze_extracted(
         Implementation::Reference,
         &models,
-        &cfg(Some(dir.clone()), 1),
+        &cfg(Some(dir.to_path_buf()), 1),
     );
     assert_eq!(render(&warm), render(&cold));
     assert_eq!(warm.store_stats.hits, warm.store_stats.lookups);
     assert_eq!(warm.cache_stats.lookups, 0);
     assert_eq!(warm.store_stats.writes, 0);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

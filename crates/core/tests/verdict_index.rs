@@ -31,7 +31,7 @@ use procheck_threat::build_threat_model;
 use std::path::PathBuf;
 
 mod common;
-use common::stored_index;
+use common::{stored_index, TempDir};
 
 const STACKS: [Implementation; 3] = [
     Implementation::Reference,
@@ -62,7 +62,6 @@ fn default_knobs(store_dir: Option<PathBuf>) -> AnalysisConfig {
         state_limit: DEFAULT_STATE_LIMIT,
         max_cegar_iterations: 24,
         property_filter: None,
-        graph_cache: true,
         slice: true,
         store_dir,
         backend: BackendKind::Explicit,
@@ -131,18 +130,13 @@ fn compositions_of_canonical_round_trips_are_identical() {
 #[test]
 fn cold_run_index_digests_are_pinned() {
     for (imp, pinned) in INDEX_DIGESTS {
-        let dir = std::env::temp_dir().join(format!(
-            "procheck-index-tripwire-{}-{}",
-            imp.name(),
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = default_knobs(Some(dir.clone()));
+        let dir = TempDir::new(&format!("procheck-index-tripwire-{}", imp.name()));
+        let cfg = default_knobs(Some(dir.to_path_buf()));
         let models = extract_models(imp, &cfg);
         let report = analyze_extracted(imp, &models, &cfg);
         assert!(report.degraded.is_clean(), "{imp:?}");
         let (_, index) = stored_index(&dir);
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(dir);
         assert_eq!(index.entries.len(), 52, "{imp:?}: every model property");
 
         let digest = hash_bytes(&index.encode()).to_hex();

@@ -1202,7 +1202,7 @@ fn explore_wide(
     };
     stats.absorb(build_stats);
 
-    let mut g = ReachGraph {
+    Ok(ReachGraph {
         num_vars,
         arena: b.arena,
         parent_node: b.parent_node,
@@ -1210,16 +1210,11 @@ fn explore_wide(
         succ_off,
         succ_cmd,
         succ_node,
-        pred_off: Vec::new(),
-        pred: Vec::new(),
         init_count,
-        packed: false,
         levels,
         peak_level,
         stats: build_stats,
-    };
-    g.build_predecessors();
-    Ok(g)
+    })
 }
 
 /// Serial BFS over the packed arena, expanding successors straight from
@@ -1320,7 +1315,7 @@ fn explore_packed_serial(
     };
     stats.absorb(build_stats);
 
-    let mut g = ReachGraph {
+    Ok(ReachGraph {
         num_vars,
         arena: StateArena::Packed {
             layout: f.layout,
@@ -1331,16 +1326,11 @@ fn explore_packed_serial(
         succ_off,
         succ_cmd,
         succ_node,
-        pred_off: Vec::new(),
-        pred: Vec::new(),
         init_count,
-        packed: true,
         levels,
         peak_level,
         stats: build_stats,
-    };
-    g.build_predecessors();
-    Ok(g)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -2443,30 +2433,24 @@ mod tests {
         assert_eq!(direct.trace().unwrap(), cached.trace().unwrap());
     }
 
-    /// Structural sanity of the cached graph on the ring: CSR successor
-    /// and predecessor views agree, parents form a BFS tree.
+    /// Structural sanity of the cached graph on the ring: the CSR
+    /// successor view covers every edge, and the build stats count them.
     #[test]
     fn reach_graph_structure_is_consistent() {
         let m = ring(true);
         let g = graph(&m, 1000, &mut CheckStats::default()).unwrap();
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.init_count(), 1);
-        // Every successor edge appears as a predecessor link and vice versa.
         let mut fwd = Vec::new();
         for u in 0..g.node_count() as u32 {
             for (_, v) in g.successors(u) {
+                assert!(
+                    (v as usize) < g.node_count(),
+                    "edge {u} -> {v} leaves the graph"
+                );
                 fwd.push((u, v));
             }
         }
-        let mut bwd = Vec::new();
-        for v in 0..g.node_count() as u32 {
-            for &u in g.predecessors(v) {
-                bwd.push((u, v));
-            }
-        }
-        fwd.sort_unstable();
-        bwd.sort_unstable();
-        assert_eq!(fwd, bwd);
         assert_eq!(g.edge_count(), fwd.len());
         assert_eq!(g.build_stats().states, g.node_count() as u64);
         assert_eq!(g.build_stats().transitions, g.edge_count() as u64);

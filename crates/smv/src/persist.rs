@@ -1,11 +1,13 @@
 //! Graph persistence and stable model fingerprinting for the cross-run
 //! analysis store.
 //!
-//! A [`ReachGraph`] is expensive to build and cheap to store: the packed
-//! state arena, CSR successor adjacency, and BFS parent pointers are
-//! plain integer arrays. This module serializes them
-//! ([`ReachGraph::to_data`]) and reconstructs a graph from a stored
+//! A [`ReachGraph`]'s packed state arena, CSR successor adjacency, and
+//! BFS parent pointers are plain integer arrays. This module serializes
+//! them ([`ReachGraph::to_data`]) and reconstructs a graph from a stored
 //! payload ([`ReachGraph::from_data`]) against a freshly compiled model.
+//! The analysis pipeline keeps its graphs in memory for one run and
+//! never stores one; the repository benchmark's traced replay is the
+//! only caller of the two conversions.
 //!
 //! # Why dense ids may reach disk but `Sym`s must not
 //!
@@ -19,7 +21,7 @@
 //! domain order, and command order in every process. A stored graph is
 //! therefore valid exactly for models whose [`model_fingerprint`]
 //! (computed over resolved strings) matches the one it was stored
-//! under; the pipeline keys graph artifacts by that fingerprint, and
+//! under; graph artifacts are keyed by that fingerprint, and
 //! [`ReachGraph::from_data`] re-validates every index against the live
 //! model before the graph is used.
 
@@ -28,8 +30,8 @@ use crate::reach::{PackLayout, ReachGraph, StateArena, NO_PARENT, STUTTER_CMD};
 use procheck_store::{ByteReader, ByteWriter, Fingerprint, StableHasher};
 
 /// Plain-data image of a [`ReachGraph`]: every field a stored graph
-/// needs, as integer arrays. The predecessor CSR is deliberately absent
-/// — it is derived data, rebuilt in linear time at load.
+/// needs, as integer arrays. The pipeline stores no graphs; the
+/// repository benchmark's traced replay is the only user of this image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachGraphData {
     /// Declared variable count of the model the graph was explored for.
@@ -159,7 +161,7 @@ impl ReachGraph {
     /// Reconstructs a graph from a stored image against a freshly
     /// compiled `model`, re-deriving the pack layout from the live
     /// domains and validating every node, edge, and command index before
-    /// anything downstream can read it. The predecessor CSR is rebuilt.
+    /// anything downstream can read it.
     ///
     /// # Errors
     ///
@@ -264,7 +266,7 @@ impl ReachGraph {
                 }
             }
         }
-        let mut graph = ReachGraph {
+        Ok(ReachGraph {
             num_vars: model.num_vars(),
             arena,
             parent_node: data.parent_node.clone(),
@@ -272,10 +274,7 @@ impl ReachGraph {
             succ_off: data.succ_off.clone(),
             succ_cmd: data.succ_cmd.clone(),
             succ_node: data.succ_node.clone(),
-            pred_off: Vec::new(),
-            pred: Vec::new(),
             init_count: data.init_count,
-            packed: data.packed,
             levels: data.levels,
             peak_level: data.peak_level,
             stats: CheckStats {
@@ -283,9 +282,7 @@ impl ReachGraph {
                 transitions: data.stats[1],
                 peak_queue: data.stats[2],
             },
-        };
-        graph.build_predecessors();
-        Ok(graph)
+        })
     }
 }
 
@@ -460,7 +457,6 @@ mod tests {
         assert_eq!(restored.build_stats(), graph.build_stats());
         for id in 0..graph.node_count() as u32 {
             assert_eq!(restored.state_of(id), graph.state_of(id));
-            assert_eq!(restored.predecessors(id), graph.predecessors(id));
             assert_eq!(
                 restored.successors(id).collect::<Vec<_>>(),
                 graph.successors(id).collect::<Vec<_>>()

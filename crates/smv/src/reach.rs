@@ -12,10 +12,9 @@
 //! * **CSR successor adjacency** — per node, the enabled commands and
 //!   their successor states, in command declaration order (plus the
 //!   deadlock stutter self-loop), so queries never re-evaluate guards;
-//! * **predecessor links** (CSR as well), so counterexample paths can be
-//!   reconstructed or goals back-propagated without re-search;
 //! * **BFS parent pointers** from the original exploration — the
-//!   shortest-path tree every safety counterexample is rebuilt from.
+//!   shortest-path tree every safety counterexample is rebuilt from
+//!   without re-search.
 //!
 //! Properties are then answered as *queries* over this graph (direct
 //! scans for invariants/reachability, a product BFS carrying the monitor
@@ -199,14 +198,8 @@ pub struct ReachGraph {
     pub(crate) succ_cmd: Vec<u32>,
     /// Successor node per edge.
     pub(crate) succ_node: Vec<u32>,
-    /// CSR offsets into `pred` (length `nodes + 1`).
-    pub(crate) pred_off: Vec<u32>,
-    /// Predecessor node per incoming edge, grouped by target.
-    pub(crate) pred: Vec<u32>,
     /// The first `init_count` nodes are the (distinct) initial states.
     pub(crate) init_count: u32,
-    /// Whether the arena uses the packed `u64` encoding.
-    pub(crate) packed: bool,
     /// Number of BFS levels (depth layers, counting the initial one).
     pub(crate) levels: u32,
     /// Widest single BFS level encountered during exploration.
@@ -238,7 +231,7 @@ impl ReachGraph {
 
     /// True when states are stored as packed `u64` keys.
     pub fn is_packed(&self) -> bool {
-        self.packed
+        matches!(self.arena, StateArena::Packed { .. })
     }
 
     /// What exploring this graph cost (states interned, transitions
@@ -282,49 +275,9 @@ impl ReachGraph {
             .zip(self.succ_node[lo..hi].iter().copied())
     }
 
-    /// Predecessor nodes of `id` (sources of incoming edges, ascending).
-    pub fn predecessors(&self, id: u32) -> &[u32] {
-        let lo = self.pred_off[id as usize] as usize;
-        let hi = self.pred_off[id as usize + 1] as usize;
-        &self.pred[lo..hi]
-    }
-
     /// Copies node `id`'s state (value indices) into `out`.
     pub(crate) fn load_state(&self, id: u32, out: &mut [Value]) {
         self.arena.load(id, out);
-    }
-
-    /// Builds the predecessor CSR from the successor lists (counting
-    /// sort, so each node's predecessors come out ascending).
-    ///
-    /// Single-buffer counting sort: `counts[v]` starts as node `v`'s
-    /// start offset and doubles as its write cursor; after scattering,
-    /// `counts[v]` has advanced to `v`'s *end* offset, which is node
-    /// `v + 1`'s start — one `copy_within` shift recovers the offset
-    /// array without the second `counts.clone()` allocation.
-    pub(crate) fn build_predecessors(&mut self) {
-        let n = self.arena.len();
-        let mut counts = vec![0u32; n + 1];
-        for &v in &self.succ_node {
-            counts[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let mut pred = vec![0u32; self.succ_node.len()];
-        for u in 0..n {
-            let lo = self.succ_off[u] as usize;
-            let hi = self.succ_off[u + 1] as usize;
-            for &v in &self.succ_node[lo..hi] {
-                pred[counts[v as usize] as usize] = u as u32;
-                counts[v as usize] += 1;
-            }
-        }
-        // counts[v] is now v's end offset == (v + 1)'s start offset.
-        counts.copy_within(0..n, 1);
-        counts[0] = 0;
-        self.pred_off = counts;
-        self.pred = pred;
     }
 }
 
@@ -411,44 +364,6 @@ mod tests {
             s[i] = v;
         }
         assert_eq!(succ, layout.pack(&s));
-    }
-
-    /// Predecessors come out ascending per node, and the in-place cursor
-    /// trick leaves the offset array identical to the two-buffer version.
-    #[test]
-    fn build_predecessors_ascending_order() {
-        // 4 nodes; successor lists deliberately name targets from
-        // high-numbered sources first (node 3 -> 0 precedes 1 -> 0 in no
-        // list, but 2 and 3 both point at 1 and 0 out of source order).
-        let mut g = ReachGraph {
-            num_vars: 1,
-            arena: StateArena::Wide {
-                num_vars: 1,
-                values: vec![0, 1, 2, 3],
-            },
-            parent_node: vec![NO_PARENT; 4],
-            parent_cmd: vec![NO_PARENT; 4],
-            succ_off: vec![0, 2, 4, 5, 7],
-            succ_cmd: vec![0, 1, 0, 1, 0, 0, 1],
-            //           0 -> {1, 3}, 1 -> {0, 3}, 2 -> {1}, 3 -> {0, 1}
-            succ_node: vec![1, 3, 0, 3, 1, 0, 1],
-            pred_off: Vec::new(),
-            pred: Vec::new(),
-            init_count: 1,
-            packed: false,
-            levels: 1,
-            peak_level: 1,
-            stats: CheckStats::default(),
-        };
-        g.build_predecessors();
-        assert_eq!(g.pred_off, vec![0, 2, 5, 5, 7]);
-        assert_eq!(g.predecessors(0), &[1, 3]);
-        assert_eq!(g.predecessors(1), &[0, 2, 3]);
-        assert_eq!(g.predecessors(2), &[0u32; 0]);
-        assert_eq!(g.predecessors(3), &[0, 1]);
-        for v in 0..4 {
-            assert!(g.predecessors(v).windows(2).all(|w| w[0] <= w[1]));
-        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!   hash of `(FSM content, ThreatConfig fingerprint, property id,
 //!   reduction/backend knobs)`;
 //! * **reachability-graph artifacts** (payloads produced by
-//!   `procheck_smv::persist`) keyed by the checked model's fingerprint;
+//!   `procheck_smv::persist`) keyed by the checked model's fingerprint.
+//!   The pipeline keeps its graphs in memory and never stores or loads
+//!   one; the repository benchmark's traced replay (`benchmark/`) is
+//!   the only writer and reader left;
 //! * **baseline FSM snapshots** ([`BaselineRecord`]) a warm run diffs
 //!   against to drive delta-based invalidation;
 //! * **verdict indexes** ([`IndexRecord`]), one per (extracted FSM pair,
@@ -73,7 +76,8 @@ const CHECKSUM_LEN: usize = 16;
 pub enum Kind {
     /// Property verdicts.
     Verdict,
-    /// Serialized reachability graphs.
+    /// Serialized reachability graphs; only the repository benchmark's
+    /// traced replay writes and reads them.
     Graph,
     /// Baseline FSM snapshots.
     Baseline,
@@ -122,8 +126,6 @@ pub struct StoreStats {
     pub lookups: u64,
     /// Verdict lookups that produced a decoded record.
     pub hits: u64,
-    /// Graph-artifact hits (each one is an exploration avoided).
-    pub graph_loads: u64,
     /// Records rejected as corrupt/skewed (any kind), including
     /// corruption detected by the caller's record decode
     /// ([`Store::note_invalidated`]).
@@ -140,7 +142,6 @@ pub struct StoreStats {
 struct Counters {
     lookups: AtomicU64,
     hits: AtomicU64,
-    graph_loads: AtomicU64,
     invalidated: AtomicU64,
     writes: AtomicU64,
     bytes_read: AtomicU64,
@@ -264,9 +265,6 @@ impl Store {
                 self.counters
                     .bytes_read
                     .fetch_add(data.len() as u64, Ordering::Relaxed);
-                if kind == Kind::Graph {
-                    self.counters.graph_loads.fetch_add(1, Ordering::Relaxed);
-                }
                 LoadOutcome::Hit(payload)
             }
             Err(why) => {
@@ -329,7 +327,6 @@ impl Store {
         StoreStats {
             lookups: self.counters.lookups.load(Ordering::Relaxed),
             hits: self.counters.hits.load(Ordering::Relaxed),
-            graph_loads: self.counters.graph_loads.load(Ordering::Relaxed),
             invalidated: self.counters.invalidated.load(Ordering::Relaxed),
             writes: self.counters.writes.load(Ordering::Relaxed),
             bytes_read: self.counters.bytes_read.load(Ordering::Relaxed),
@@ -410,7 +407,6 @@ mod tests {
             "graph and index loads are not verdict lookups"
         );
         assert_eq!(stats.hits, 0);
-        assert_eq!(stats.graph_loads, 1);
     }
 
     #[test]
