@@ -17,12 +17,15 @@
 //! The same sharing applies one layer up: *exploring* a composed model
 //! costs far more than composing it, and every property keyed to the
 //! same configuration explores the identical reachable state space. The
-//! cache therefore also memoizes one fully-explored
-//! [`ReachGraph`] per configuration ([`ThreatModelCache::graph`]);
-//! properties answer as queries over the shared graph instead of
-//! re-running BFS. Failed builds (state-limit blowups) are cached too —
-//! every property sharing the configuration sees the same error without
-//! re-paying for the partial exploration. Graph slots are keyed by
+//! cache therefore also holds one [`LazyGraph`] per configuration
+//! ([`ThreatModelCache::graph`]): a resumable BFS that every property
+//! keyed to it queries. An invariant or reachability query stops the BFS
+//! at its first matching state; any other query runs it to the end
+//! first, once for all sharers. A BFS that fails (a state-limit blowup,
+//! an exhausted budget, an isolated panic) keeps its failure and its
+//! explored prefix, so every sharer sees the same error without
+//! re-paying for the partial exploration, and a scan whose match lies in
+//! the prefix still answers. Graph slots are keyed by
 //! `(ThreatConfig, Option<ConeSig>)`: `None` is the full composition,
 //! `Some(cone)` a cone-of-influence projection, so properties whose
 //! cones coincide still share one (smaller) exploration. The key holds
@@ -34,34 +37,34 @@
 //! outlive the run (the pipeline hands them to the persistent store).
 //!
 //! Locking: the map mutex is held only to fetch/insert a per-key slot;
-//! the (expensive) composition or exploration runs under the slot's
-//! `OnceLock`, so concurrent builds of *different* configurations
-//! proceed in parallel while two threads asking for the *same*
-//! configuration result in one build and one waiter.
+//! the (expensive) composition runs under the slot's `OnceLock`, and a
+//! graph's exploration under the graph's own lock, so work on
+//! *different* configurations proceeds in parallel while two threads
+//! asking for the *same* one result in one build and one waiter.
 //!
-//! Fault isolation: every build closure (compose, compile, explore) runs
-//! under `catch_unwind`. A panic mid-build poisons only that
-//! configuration's slot — it is cached as [`CheckError::Panic`], exactly
-//! like the existing error caching, so every property sharing the
-//! configuration sees the same degraded error while the other
-//! configurations' builds and all sibling properties proceed untouched.
+//! Fault isolation: every build closure (compose, compile, graph-slot
+//! creation) runs under `catch_unwind`, and a graph catches panics in its
+//! own exploration. A panic poisons only that configuration's slot — it
+//! is cached as [`CheckError::Panic`], exactly like the existing error
+//! caching, so every property sharing the configuration sees the same
+//! degraded error while the other configurations' builds and all
+//! sibling properties proceed untouched.
 
 use procheck_fsm::Fsm;
-use procheck_smv::budget::{panic_message, BudgetMeter};
-use procheck_smv::checker::{build_reach_graph_budgeted, CheckError, CheckStats, CompiledModel};
+use procheck_smv::budget::panic_message;
+use procheck_smv::checker::{CheckError, CompiledModel};
 use procheck_smv::coi::ConeSig;
 use procheck_smv::model::Model;
-use procheck_smv::reach::ReachGraph;
+use procheck_smv::{GraphExtent, LazyGraph};
 use procheck_telemetry::Collector;
 use procheck_threat::{build_threat_model, ThreatConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// A memoized graph build: the graph (or the error the build died with)
-/// plus what the build cost, kept even on failure so partial
-/// explorations stay visible in reports.
-type GraphSlot = OnceLock<(Result<Arc<ReachGraph>, CheckError>, CheckStats)>;
+/// A configuration's graph, explored on demand by the properties that
+/// query it, or the isolated panic its creation died with.
+type GraphSlot = OnceLock<Result<Arc<LazyGraph>, CheckError>>;
 
 /// A memoized model compilation: the id-space [`CompiledModel`] every
 /// query and CEGAR iteration for the configuration shares, or the
@@ -77,7 +80,7 @@ type ComposeSlot = OnceLock<Result<Arc<Model>, CheckError>>;
 type GraphKey = (ThreatConfig, Option<ConeSig>);
 
 /// Per-run cache of composed threat models, their compiled (id-space)
-/// forms, and their explored reachability graphs, keyed by the full
+/// forms, and their lazily explored reachability graphs, keyed by the full
 /// [`ThreatConfig`].
 #[derive(Debug, Default)]
 pub struct ThreatModelCache {
@@ -195,35 +198,30 @@ impl ThreatModelCache {
         result.clone()
     }
 
-    /// Returns the fully-explored reachability graph of `model` — the
-    /// compiled `IMP^μ` for `cfg`, or its projection onto `cone` —
-    /// exploring it on first use. Every caller passing an equal
-    /// `(cfg, cone)` gets the same `Arc`, or the same cached
-    /// [`CheckError`] when the one build failed: a state-limit blowup, an
-    /// exhausted `meter` (charged by the one exploration this slot ever
-    /// runs), or an isolated panic, each with its partial stats kept.
+    /// Returns the reachability graph of `model` — the compiled `IMP^μ`
+    /// for `cfg`, or its projection onto `cone` — creating it on first
+    /// use with only its initial states interned. Every caller passing an
+    /// equal `(cfg, cone)` gets the same `Arc`, and queries through it
+    /// explore only as far as they need (see [`LazyGraph`]); a state-limit
+    /// blowup or an exhausted budget surfaces from those queries.
     ///
-    /// Records `graph_cache.lookups`, `graph_cache.builds`,
-    /// `graph_cache.hits`, a `graph.build` span, and the build's `smv.*`
-    /// and `explore.*` counters on `collector` — plus `reduction.*` cone
-    /// counters for a sliced slot.
-    /// The work counters are recorded here, once per distinct slot, and
-    /// *not* by the queries served from the graph — so
-    /// `smv.states_explored` measures genuinely distinct exploration work
-    /// and stays identical at any thread count.
+    /// Records `graph_cache.lookups`, `graph_cache.builds` (creating the
+    /// slot counts as the build) and `graph_cache.hits` on `collector`.
+    /// The work counters are recorded once per slot after the run, from
+    /// the slot's final extent ([`ThreatModelCache::record_graph_extent`]).
     ///
     /// # Errors
     ///
-    /// Returns the (cached) [`CheckError`] from the graph build.
+    /// Returns the (cached) [`CheckError::Panic`] when creating the slot
+    /// panicked — only that slot is poisoned.
     pub fn graph(
         &self,
         cfg: &ThreatConfig,
         cone: Option<&ConeSig>,
         model: &CompiledModel,
         state_limit: usize,
-        meter: &BudgetMeter,
         collector: &Collector,
-    ) -> Result<Arc<ReachGraph>, CheckError> {
+    ) -> Result<Arc<LazyGraph>, CheckError> {
         let slot = {
             let mut map = self.graph_slots.lock().expect("graph cache map lock");
             Arc::clone(map.entry((cfg.clone(), cone.cloned())).or_default())
@@ -231,42 +229,16 @@ impl ThreatModelCache {
         self.graph_lookups.fetch_add(1, Ordering::Relaxed);
         collector.add("graph_cache.lookups", 1);
         let mut built_now = false;
-        let (result, _) = slot.get_or_init(|| {
+        let result = slot.get_or_init(|| {
             built_now = true;
             self.graph_builds.fetch_add(1, Ordering::Relaxed);
             collector.add("graph_cache.builds", 1);
-            let _span = collector.span("graph.build");
-            let (result, stats) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-inject")]
                 procheck_faults::inject(procheck_faults::FaultSite::GraphBuild, None);
-                let mut stats = CheckStats::default();
-                let result = build_reach_graph_budgeted(model, state_limit, meter, &mut stats, 1)
-                    .map(Arc::new);
-                (result, stats)
+                Arc::new(LazyGraph::new(model, state_limit))
             }))
-            .unwrap_or_else(|p| {
-                (
-                    Err(CheckError::Panic(panic_message(p))),
-                    CheckStats::default(),
-                )
-            });
-            collector.add("smv.states_explored", stats.states);
-            collector.add("smv.transitions", stats.transitions);
-            collector.record_max("smv.peak_queue", stats.peak_queue);
-            if let Some(sig) = cone {
-                // Cone-shape telemetry, once per distinct sliced cone —
-                // recorded even when the (partial) build failed, so the
-                // reduction accounting always covers every cone built.
-                collector.add("reduction.sliced_graphs", 1);
-                collector.add("reduction.cone_vars", sig.var_count() as u64);
-                collector.add("reduction.cone_cmds", sig.cmd_count() as u64);
-                collector.add("reduction.sliced_states", stats.states);
-            }
-            if let Ok(graph) = &result {
-                collector.add("explore.levels", u64::from(graph.levels()));
-                collector.record_max("explore.peak_level", graph.peak_level());
-            }
-            (result, stats)
+            .map_err(|p| CheckError::Panic(panic_message(p)))
         });
         if !built_now {
             collector.add("graph_cache.hits", 1);
@@ -287,17 +259,45 @@ impl ThreatModelCache {
             .cloned()
     }
 
-    /// What building the graph slot `(cfg, cone)` cost, if its build has
-    /// happened — recorded even when the build failed (partial
-    /// exploration up to the state limit).
-    pub fn graph_build_stats(
+    /// Records the work graph slot `(cfg, cone)` has done on `collector`
+    /// and returns its extent; `None` when the slot was never created or
+    /// its creation panicked. Call once per slot, after every query on it:
+    /// the extent is then the largest demand any property made, so the
+    /// counters are the same at any thread count.
+    ///
+    /// Records `smv.states_explored`, `smv.transitions`, `smv.peak_queue`,
+    /// `explore.levels`, `explore.peak_level`, `explore.partial_graphs`
+    /// (1 for a slot the run never completed) and a `graph.build` span
+    /// timing the slot's exploration — plus the `reduction.*` cone
+    /// counters for a sliced slot.
+    pub fn record_graph_extent(
         &self,
         cfg: &ThreatConfig,
         cone: Option<&ConeSig>,
-    ) -> Option<CheckStats> {
-        let map = self.graph_slots.lock().expect("graph cache map lock");
-        map.get(&(cfg.clone(), cone.cloned()))
-            .and_then(|slot| slot.get().map(|(_, stats)| *stats))
+        collector: &Collector,
+    ) -> Option<GraphExtent> {
+        let graph = {
+            let map = self.graph_slots.lock().expect("graph cache map lock");
+            map.get(&(cfg.clone(), cone.cloned()))
+                .and_then(|slot| slot.get())
+                .and_then(|r| r.as_ref().ok())
+                .cloned()
+        }?;
+        let extent = graph.extent();
+        collector.add("smv.states_explored", extent.stats.states);
+        collector.add("smv.transitions", extent.stats.transitions);
+        collector.record_max("smv.peak_queue", extent.stats.peak_queue);
+        collector.add("explore.levels", u64::from(extent.levels));
+        collector.record_max("explore.peak_level", extent.peak_level);
+        collector.add("explore.partial_graphs", u64::from(!extent.complete));
+        collector.record_span("graph.build", extent.elapsed);
+        if let Some(sig) = cone {
+            collector.add("reduction.sliced_graphs", 1);
+            collector.add("reduction.cone_vars", sig.var_count() as u64);
+            collector.add("reduction.cone_cmds", sig.cmd_count() as u64);
+            collector.add("reduction.sliced_states", extent.stats.states);
+        }
+        Some(extent)
     }
 
     /// Hit/miss accounting for the composed-model layer.
@@ -329,6 +329,7 @@ impl ThreatModelCache {
 mod tests {
     use super::*;
     use procheck_props::registry;
+    use procheck_smv::BudgetMeter;
     use procheck_stack::UeConfig;
 
     fn small_models() -> (Fsm, Fsm) {
@@ -346,16 +347,17 @@ mod tests {
         (ue, mme)
     }
 
-    /// A serial, unbudgeted full-graph lookup.
+    /// The full (unsliced) graph slot of `cfg`.
     fn full_graph(
         cache: &ThreatModelCache,
         compiled: &CompiledModel,
         cfg: &ThreatConfig,
         state_limit: usize,
         collector: &Collector,
-    ) -> Result<Arc<ReachGraph>, CheckError> {
-        let meter = BudgetMeter::unlimited();
-        cache.graph(cfg, None, compiled, state_limit, &meter, collector)
+    ) -> Arc<LazyGraph> {
+        cache
+            .graph(cfg, None, compiled, state_limit, collector)
+            .expect("creating a slot cannot fail without a fault")
     }
 
     /// Two properties sharing a ThreatConfig get the *same* model (by
@@ -395,8 +397,8 @@ mod tests {
     }
 
     /// The graph layer shares one exploration per distinct config,
-    /// records build telemetry exactly once, and serves repeat lookups
-    /// as hits.
+    /// serves repeat lookups as hits, and records the exploration's work
+    /// counters once, from the slot's extent.
     #[test]
     fn graph_layer_shares_one_exploration() {
         let (ue, mme) = small_models();
@@ -407,7 +409,7 @@ mod tests {
         let compiled = cache.compile(&model, &cfg, &collector).unwrap();
         let mut graphs = Vec::new();
         for _ in 0..3 {
-            graphs.push(full_graph(&cache, &compiled, &cfg, 1_000_000, &collector).unwrap());
+            graphs.push(full_graph(&cache, &compiled, &cfg, 1_000_000, &collector));
         }
         assert!(Arc::ptr_eq(&graphs[0], &graphs[1]));
         assert!(Arc::ptr_eq(&graphs[0], &graphs[2]));
@@ -415,19 +417,24 @@ mod tests {
         assert_eq!(stats.lookups, 3);
         assert_eq!(stats.builds, 1);
         assert_eq!(stats.hits(), 2);
-        assert_eq!(cache.graph_stats().builds, 1);
         assert_eq!(collector.counter_value("graph_cache.lookups"), 3);
         assert_eq!(collector.counter_value("graph_cache.builds"), 1);
         assert_eq!(collector.counter_value("graph_cache.hits"), 2);
-        // Exploration counters are recorded once, at build.
+        // Nothing is explored until a query asks.
+        assert_eq!(collector.counter_value("smv.states_explored"), 0);
+        let graph = graphs[0]
+            .complete(&compiled, &BudgetMeter::unlimited())
+            .expect("fits");
+        let extent = cache
+            .record_graph_extent(&cfg, None, &collector)
+            .expect("slot exists");
+        assert!(extent.complete);
+        assert_eq!(extent.stats, graph.build_stats());
         assert_eq!(
             collector.counter_value("smv.states_explored"),
-            graphs[0].build_stats().states
+            graph.build_stats().states
         );
-        assert_eq!(
-            cache.graph_build_stats(&cfg, None),
-            Some(graphs[0].build_stats())
-        );
+        assert_eq!(collector.counter_value("explore.partial_graphs"), 0);
     }
 
     /// The compiled-model layer shares one compilation per distinct
@@ -466,29 +473,41 @@ mod tests {
         assert_eq!(spans, 1, "one compile span per compilation");
     }
 
-    /// A failed graph build (state-limit blowup) is cached like a
-    /// successful one: every sharer sees the same error, the exploration
-    /// is paid for once, and the partial stats stay readable.
+    /// A failed exploration (state-limit blowup) is kept on the slot:
+    /// every sharer sees the same error, the exploration is paid for
+    /// once, and the partial stats stay readable.
     #[test]
     fn failed_graph_builds_are_cached() {
         let (ue, mme) = small_models();
         let cache = ThreatModelCache::new();
-        let collector = Collector::disabled();
+        let collector = Collector::enabled();
         let cfg = registry()[0].slice.threat_config();
         let model = cache.compose(&ue, &mme, &cfg, &collector).expect("compose");
         let compiled = cache.compile(&model, &cfg, &collector).unwrap();
-        let a = full_graph(&cache, &compiled, &cfg, 1, &collector).unwrap_err();
-        let b = full_graph(&cache, &compiled, &cfg, 1, &collector).unwrap_err();
+        let meter = BudgetMeter::unlimited();
+        let a = full_graph(&cache, &compiled, &cfg, 1, &collector)
+            .complete(&compiled, &meter)
+            .unwrap_err();
+        let b = full_graph(&cache, &compiled, &cfg, 1, &collector)
+            .complete(&compiled, &meter)
+            .unwrap_err();
         assert!(matches!(a, CheckError::StateLimit(1)));
         assert_eq!(a, b);
         assert_eq!(cache.graph_stats().builds, 1);
-        let partial = cache.graph_build_stats(&cfg, None).expect("stats recorded");
-        assert!(partial.states > 1, "partial exploration must be visible");
+        let partial = cache
+            .record_graph_extent(&cfg, None, &collector)
+            .expect("slot exists");
+        assert!(
+            partial.stats.states > 1,
+            "partial exploration must be visible"
+        );
+        assert!(!partial.complete);
+        assert_eq!(collector.counter_value("explore.partial_graphs"), 1);
     }
 
-    /// A budget-exhausted graph build degrades exactly like a
-    /// state-limit one: the failure is cached, sharers (even later
-    /// un-budgeted lookups) see the same error, and the exploration is
+    /// A budget-exhausted exploration degrades exactly like a
+    /// state-limit one: the failure is kept, sharers (even later
+    /// un-budgeted queries) see the same error, and the exploration is
     /// never re-paid.
     #[test]
     fn budget_exhausted_graph_builds_are_cached() {
@@ -501,14 +520,16 @@ mod tests {
         let compiled = cache.compile(&model, &cfg, &collector).unwrap();
         let meter = Budget::unlimited().with_total_states(1).start();
         meter.charge_and_probe(1).expect("exactly at cap");
-        let a = cache
-            .graph(&cfg, None, &compiled, 1_000_000, &meter, &collector)
+        let a = full_graph(&cache, &compiled, &cfg, 1_000_000, &collector)
+            .complete(&compiled, &meter)
             .unwrap_err();
         assert!(matches!(a, CheckError::Budget(_)), "{a:?}");
-        let b = full_graph(&cache, &compiled, &cfg, 1_000_000, &collector).unwrap_err();
+        let b = full_graph(&cache, &compiled, &cfg, 1_000_000, &collector)
+            .complete(&compiled, &BudgetMeter::unlimited())
+            .unwrap_err();
         assert_eq!(a, b, "sharers see the cached budget failure");
         assert_eq!(cache.graph_stats().builds, 1);
-        assert!(cache.graph_build_stats(&cfg, None).is_some());
+        assert!(cache.record_graph_extent(&cfg, None, &collector).is_some());
     }
 
     /// Hit/miss accounting: lookups = hits + builds, and the traced path

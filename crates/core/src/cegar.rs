@@ -108,7 +108,8 @@ impl CegarOutcome {
 ///
 /// Callers checking many properties against one threat configuration
 /// should share the graph through the pipeline's cache and call
-/// [`cegar_check_backend_budgeted`] with an [`ExplicitBackend`] instead.
+/// [`cegar_check_backend_budgeted`] with its
+/// [`LazyGraph`](procheck_smv::LazyGraph) instead.
 ///
 /// [`ReachGraph`]: procheck_smv::reach::ReachGraph
 ///
@@ -181,9 +182,10 @@ pub fn cegar_check(
 /// about `property` on `model`, validates each counterexample with the
 /// CPV, and widens the exclusion mask per refinement.
 ///
-/// With an [`ExplicitBackend`] over an already-explored graph (typically
-/// shared behind the per-`ThreatConfig` cache), refinements never
-/// rebuild or re-explore anything: excluding an adversary command only
+/// With an [`ExplicitBackend`] over an already-explored graph, or the
+/// per-`ThreatConfig` cache's [`LazyGraph`](procheck_smv::LazyGraph),
+/// refinements never rebuild or re-explore anything: excluding an
+/// adversary command only
 /// sets its bit in a [`procheck_ident::CmdIdSet`] mask for the next
 /// query, and the checker synthesizes the deadlock stutter exactly where
 /// the filtered model would have one, so verdicts, traces, and

@@ -18,11 +18,13 @@
 //! identical to a single-threaded run. Composed threat models are
 //! shared through a [`ThreatModelCache`], so each distinct property
 //! slice is built once per run instead of once per property — and the
-//! same cache shares one fully-explored reachability graph per distinct
-//! configuration (or cone), so each distinct threat model is *explored*
-//! once per run and every property answers as a query over the shared
-//! graph. The cache lives in memory; only verdicts, verdict indexes and
-//! FSM baselines reach the persistent store.
+//! same cache shares one reachability graph per distinct configuration
+//! (or cone), explored at most once per run and only as far as its
+//! properties need: an invariant or reachability goal stops the BFS at
+//! its first matching state, and every other property answers as a
+//! query over the graph run to the end. The cache lives in memory; only
+//! verdicts, verdict indexes and FSM baselines reach the persistent
+//! store.
 
 use crate::cache::{CacheStats, ThreatModelCache};
 use crate::cegar::{cegar_check_backend_budgeted, CegarOutcome, FinalVerdict};
@@ -43,7 +45,6 @@ use procheck_props::{registry, BaseProfile, Check, LinkScenario, NasProperty};
 use procheck_smv::budget::{panic_message, Budget, BudgetMeter};
 use procheck_smv::checker::{CheckError, CompiledModel, CompiledProperty, DEFAULT_STATE_LIMIT};
 use procheck_smv::coi::{expand_counterexample, slice_for_property, ConeSig, SlicedModel};
-use procheck_smv::ExplicitBackend;
 use procheck_stack::quirks::Implementation;
 use procheck_stack::UeConfig;
 use procheck_store::{BaselineRecord, Fingerprint, IndexEntry, StoreStats, VerdictRecord};
@@ -965,11 +966,11 @@ fn check_model_property(
         *graph_cache_hit = Some(false);
         let cone = sliced.as_ref().map(|s| &s.sig);
         cache
-            .graph(&threat_cfg, cone, checked, limit, meter, &cfg.collector)
+            .graph(&threat_cfg, cone, checked, limit, &cfg.collector)
             .and_then(|graph| {
                 cegar_check_backend_budgeted(
                     checked,
-                    &ExplicitBackend { graph: &graph },
+                    &*graph,
                     p,
                     &semantics,
                     limit,
@@ -1194,9 +1195,11 @@ pub fn analyze_extracted(
     // properties that consulted the graph cache, the first (in registry
     // order) per distinct graph slot — `(threat config, cone signature)`
     // when sliced, the threat config alone when not — is the designated
-    // builder, charged the one exploration; every later sharer is a hit
-    // charged nothing. Which worker thread actually built the graph is a
-    // scheduling accident; this assignment is the only
+    // builder, charged the slot's whole exploration; every later sharer
+    // is a hit charged nothing. Which worker thread actually extended the
+    // graph, and how far each time, is a scheduling accident; the slot's
+    // final extent is the largest demand any property made, so this
+    // assignment (and the work counters recorded with it) is the only
     // thread-count-independent one, and it is what a sequential run
     // observes.
     let mut built_graphs: HashSet<(ThreatConfig, Option<ConeSig>)> = HashSet::new();
@@ -1209,9 +1212,11 @@ pub fn analyze_extracted(
         let threat_cfg = prop.slice.threat_config();
         if built_graphs.insert((threat_cfg.clone(), cone.clone())) {
             result.graph_cache_hit = Some(false);
-            if let Some(build) = cache.graph_build_stats(&threat_cfg, cone.as_ref()) {
-                result.states_explored = build.states;
-                result.peak_queue = result.peak_queue.max(build.peak_queue);
+            if let Some(extent) =
+                cache.record_graph_extent(&threat_cfg, cone.as_ref(), &cfg.collector)
+            {
+                result.states_explored = extent.stats.states;
+                result.peak_queue = result.peak_queue.max(extent.stats.peak_queue);
             }
         } else {
             result.graph_cache_hit = Some(true);
@@ -1258,9 +1263,21 @@ pub fn analyze_extracted(
             .iter()
             .zip(&cones)
             .filter_map(|(prop, cone)| Some((prop.slice.threat_config(), cone.as_ref()?)));
-        record_fsm_delta(implementation, models, canon, cfg, &cache, store, checked);
+        // The store work after the pool is contained like a store load:
+        // a panic (say, on a stored baseline no parser anticipated)
+        // counts as an invalidated record, and the report still comes
+        // back. The baseline save (contained by the store's own write
+        // path) runs even when the delta pass did not finish, so a bad
+        // baseline is replaced rather than re-read.
+        let key = baseline_key(implementation.name(), &cfg.imsi, cfg.key_material);
+        let unchanged = store
+            .contain(|| record_fsm_delta(key, models, canon, cfg, &cache, store, checked))
+            .unwrap_or(false);
+        if !unchanged && models.extraction_errors.is_empty() {
+            store.save_baseline_record(key, canon);
+        }
         for index in ctx.indexes.into_iter().flatten() {
-            index.save(store);
+            store.contain(|| index.save(store));
         }
         // Mirror the store's own accounting onto the collector, in the
         // same post-pool position as the degraded counters so the event
@@ -1304,35 +1321,35 @@ fn load_indexes(store: &RunStore, canon: &BaselineRecord, cfg: &AnalysisConfig) 
 }
 
 /// The incremental-re-check telemetry pass: diff this run's extracted
-/// machines against the stored baseline snapshot, lower the delta to
-/// the compiled command sets it touches, and record which properties'
-/// cones of influence the delta lands in — the *explanation* for why a
-/// warm run re-checked exactly the properties it did. The reuse
-/// decisions themselves were already made, per property, by
+/// machines against the stored baseline snapshot under `key`, lower the
+/// delta to the compiled command sets it touches, and record which
+/// properties' cones of influence the delta lands in — the *explanation*
+/// for why a warm run re-checked exactly the properties it did. The
+/// reuse decisions themselves were already made, per property, by
 /// fingerprint-key equality; this pass records counters only and can
 /// never change a result. `checked` lists each model property whose
 /// configuration compiled this run, as its threat configuration and the
 /// cone it was checked against; a property answered from the verdict
 /// index compiled nothing and counts in neither `store.delta_cone_*`
-/// counter. A baseline whose texts equal `canon` (this run's canonical
-/// texts) is a zero delta, neither parsed nor rewritten. Otherwise the
-/// extracted machines become the new baseline — unless extraction
-/// failed, whose placeholder machines must not replace a real one.
+/// counter. Returns true when the stored baseline's texts equal `canon`
+/// (this run's canonical texts): a zero delta, neither parsed nor due to
+/// be rewritten. Otherwise the caller saves the extracted machines as the
+/// new baseline — unless extraction failed, whose placeholder machines
+/// must not replace a real one.
 fn record_fsm_delta<'a>(
-    implementation: Implementation,
+    key: Fingerprint,
     models: &ExtractedModels,
     canon: &BaselineRecord,
     cfg: &AnalysisConfig,
     cache: &ThreatModelCache,
     store: &RunStore,
     checked: impl Iterator<Item = (ThreatConfig, &'a Option<ConeSig>)>,
-) {
-    let key = baseline_key(implementation.name(), &cfg.imsi, cfg.key_material);
+) -> bool {
     let base = store.load_baseline_record(key);
     if base.as_ref() == Some(canon) {
         cfg.collector.add("store.baseline_found", 1);
         cfg.collector.add("store.delta_transitions", 0);
-        return;
+        return true;
     }
     if let Some((base_ue, base_mme)) = base.and_then(|base| store.parse_baseline(&base)) {
         let ue_diff = procheck_fsm::diff::diff(&base_ue, &models.ue);
@@ -1367,9 +1384,7 @@ fn record_fsm_delta<'a>(
     } else {
         cfg.collector.add("store.baseline_found", 0);
     }
-    if models.extraction_errors.is_empty() {
-        store.save_baseline_record(key, canon);
-    }
+    false
 }
 
 #[cfg(test)]

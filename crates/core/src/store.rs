@@ -448,6 +448,16 @@ impl RunStore {
         }
     }
 
+    /// Runs store work that reads, parses or writes records under the
+    /// same containment as a load: a panic inside `f` (say, on a stored
+    /// record no parser anticipated) counts as an invalidated record and
+    /// returns `None`, so the run that hit it still completes.
+    pub(crate) fn contain<T>(&self, f: impl FnOnce() -> T) -> Option<T> {
+        catch_unwind(AssertUnwindSafe(f))
+            .map_err(|_| self.store.note_invalidated())
+            .ok()
+    }
+
     /// Frames and writes `payload` under `(kind, key)`, best-effort.
     /// Injected `StoreWrite` data faults corrupt the *framed bytes*
     /// before the write, so the next run exercises the corrupt-read

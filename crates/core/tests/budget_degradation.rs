@@ -152,13 +152,18 @@ fn zero_deadline_degrades_symbolic_backend_too() {
 /// Budget exhaustion mid-run leaves partial work visible: the exhausted
 /// property still reports the exploration it paid for before tripping
 /// (via the shared graph build), rather than pretending nothing ran.
+///
+/// S02 is an invariant that holds, so its verdict needs its whole
+/// 8,018-state graph, and the 2,000-state budget trips after 3,186
+/// states. (S01 served here once; its attack is the 400th node of its
+/// graph, which a query reaches without exploring past the budget.)
 #[test]
 fn exhausted_checks_carry_partial_stats() {
     let report = analyze_implementation(
         Implementation::Reference,
-        &cfg(Budget::unlimited().with_total_states(2_000), &["S01"]),
+        &cfg(Budget::unlimited().with_total_states(2_000), &["S02"]),
     );
-    let r = report.result("S01").unwrap();
+    let r = report.result("S02").unwrap();
     assert_eq!(r.outcome.tag(), "budget-exhausted");
     assert!(
         r.states_explored > 0,
@@ -168,4 +173,77 @@ fn exhausted_checks_carry_partial_stats() {
         r.states_explored < 2_000_000,
         "exploration was cut off well before the state limit"
     );
+}
+
+/// An invariant whose violation lies inside the budget is a verdict,
+/// not a degraded outcome: S01's attack is the 400th node of its graph,
+/// so under a 2,000-state budget the run reports exactly the unlimited
+/// run's outcome, having explored fewer states than the budget allows.
+#[test]
+fn violation_inside_the_budget_is_reported() {
+    let unlimited = analyze_implementation(
+        Implementation::Reference,
+        &cfg(Budget::unlimited(), &["S01"]),
+    );
+    let budgeted = analyze_implementation(
+        Implementation::Reference,
+        &cfg(Budget::unlimited().with_total_states(2_000), &["S01"]),
+    );
+    let (want, got) = (
+        unlimited.result("S01").unwrap(),
+        budgeted.result("S01").unwrap(),
+    );
+    assert_eq!(got.outcome.tag(), "attack");
+    assert_eq!(got.outcome, want.outcome, "same attack, same trace");
+    assert_eq!(
+        (got.cegar_iterations, got.refinements, got.cpv_queries),
+        (want.cegar_iterations, want.refinements, want.cpv_queries)
+    );
+    assert!(
+        got.states_explored < 2_000,
+        "explored {} states",
+        got.states_explored
+    );
+    assert!(budgeted.degraded.is_clean(), "{:?}", budgeted.degraded);
+}
+
+/// Under a state limit, each property on a shared graph keeps the
+/// outcome its own match allows, whichever sibling reaches the graph
+/// first. S21, S24, S29, S35 and PR16 share one threat configuration on
+/// Reference. S21, S24 and S35 are invariants violated within the first
+/// 1,000 states (S35 at the 915th node), so they report their unlimited
+/// attacks; S29 (a response) and PR16 (a precedence) need the whole
+/// graph and report the state-limit skip — identically at one and four
+/// workers.
+#[test]
+fn state_limit_keeps_verdicts_found_inside_it() {
+    const IDS: [&str; 5] = ["S21", "S24", "S29", "S35", "PR16"];
+    let unlimited =
+        analyze_implementation(Implementation::Reference, &cfg(Budget::unlimited(), &IDS));
+    for threads in [1, 4] {
+        let report = analyze_implementation(
+            Implementation::Reference,
+            &AnalysisConfig {
+                state_limit: 1_000,
+                threads,
+                ..cfg(Budget::unlimited(), &IDS)
+            },
+        );
+        for id in ["S21", "S24", "S35"] {
+            let (want, got) = (unlimited.result(id).unwrap(), report.result(id).unwrap());
+            assert_eq!(want.outcome.tag(), "attack", "{id}");
+            assert_eq!(got.outcome, want.outcome, "{id} at threads={threads}");
+        }
+        for id in ["S29", "PR16"] {
+            let PropertyOutcome::Skipped(reason) = &report.result(id).unwrap().outcome else {
+                panic!(
+                    "{id} at threads={threads}: {:?}",
+                    report.result(id).unwrap().outcome
+                );
+            };
+            assert_eq!(reason, "state limit 1000 exceeded", "{id}");
+        }
+        assert_eq!(report.degraded.skipped, 2, "threads={threads}");
+        assert_eq!(report.degraded.total(), 2, "threads={threads}");
+    }
 }

@@ -21,7 +21,7 @@ use procheck::cegar::cegar_check_backend_budgeted;
 use procheck::pipeline::{analyze_implementation, extract_models, AnalysisConfig, BackendKind};
 use procheck_props::{registry, Check};
 use procheck_smv::smvformat::to_smv;
-use procheck_smv::{BudgetMeter, ExplicitBackend};
+use procheck_smv::BudgetMeter;
 use procheck_stack::quirks::Implementation;
 use procheck_telemetry::Collector;
 use procheck_threat::{build_threat_model, StepSemantics, ThreatConfig};
@@ -105,17 +105,10 @@ fn render_snapshot() -> String {
             continue;
         }
         let line = match compiled.and_then(|compiled| {
-            let graph = cache.graph(
-                &threat_cfg,
-                None,
-                &compiled,
-                STATE_LIMIT,
-                &meter,
-                &collector,
-            )?;
+            let graph = cache.graph(&threat_cfg, None, &compiled, STATE_LIMIT, &collector)?;
             cegar_check_backend_budgeted(
                 &compiled,
-                &ExplicitBackend { graph: &graph },
+                &*graph,
                 p,
                 &semantics,
                 STATE_LIMIT,

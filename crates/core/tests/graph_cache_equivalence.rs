@@ -1,11 +1,12 @@
 //! The reachability-graph cache must be invisible in results: the
 //! pipeline, which explores each distinct threat configuration (or
-//! cone) once and answers properties as queries over the shared graph,
-//! returns the verdicts, counterexample traces and CEGAR outcomes of the
-//! reference check — `cegar_check` on a privately composed, privately
-//! explored, unsliced graph per property — at any thread count. Only
-//! the exploration *accounting* may differ (that is the point of the
-//! cache).
+//! cone) at most once, only as far as its properties need, and answers
+//! properties as queries over the shared graph, returns the verdicts,
+//! counterexample traces and CEGAR outcomes of the reference check —
+//! `cegar_check` on a privately composed, eagerly and privately
+//! explored, unsliced graph per property — on all three stacks, at any
+//! thread count. Only the exploration *accounting* may differ (that is
+//! the point of the cache).
 
 use procheck::cegar::{cegar_check, FinalVerdict};
 use procheck::pipeline::{
@@ -41,8 +42,17 @@ fn config(threads: usize) -> AnalysisConfig {
     }
 }
 
-fn run(threads: usize) -> AnalysisReport {
-    analyze_implementation(Implementation::Reference, &config(threads))
+/// The stacks checked against the reference. The golden snapshot covers
+/// only Reference, while the largest early stops (S06's configuration)
+/// are on srsLTE and OAI.
+const IMPLEMENTATIONS: [Implementation; 3] = [
+    Implementation::Reference,
+    Implementation::Srs,
+    Implementation::Oai,
+];
+
+fn run(implementation: Implementation, threads: usize) -> AnalysisReport {
+    analyze_implementation(implementation, &config(threads))
 }
 
 /// Everything checked for equivalence: identity, outcome (including
@@ -67,15 +77,21 @@ struct Reference {
     states: u64,
 }
 
-/// The reference check of every model property of the Reference stack,
-/// in registry order: its threat model composed and explored privately
-/// and unsliced, and handed to `cegar_check`. The outcome is mapped the
-/// way the pipeline reports it. Computed once per test binary.
-fn reference() -> &'static [Reference] {
-    static REFERENCE: OnceLock<Vec<Reference>> = OnceLock::new();
-    REFERENCE.get_or_init(|| {
+/// The reference check of every model property of `implementation`, in
+/// registry order: its threat model composed and explored privately,
+/// eagerly and unsliced, and handed to `cegar_check`. The outcome is
+/// mapped the way the pipeline reports it. Computed once per stack and
+/// test binary.
+fn reference(implementation: Implementation) -> &'static [Reference] {
+    static REFERENCE: [OnceLock<Vec<Reference>>; 3] =
+        [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    let slot = IMPLEMENTATIONS
+        .iter()
+        .position(|&i| i == implementation)
+        .expect("a checked stack");
+    REFERENCE[slot].get_or_init(|| {
         let cfg = config(1);
-        let models = extract_models(Implementation::Reference, &cfg);
+        let models = extract_models(implementation, &cfg);
         let meter = BudgetMeter::unlimited();
         registry()
             .iter()
@@ -132,35 +148,41 @@ fn reference() -> &'static [Reference] {
 
 #[test]
 fn cached_and_uncached_runs_agree_on_every_property() {
-    let expected: Vec<&str> = reference().iter().map(|r| r.fingerprint.as_str()).collect();
-    assert!(expected.len() >= 52, "every model property must be checked");
-    for threads in [1, 4] {
-        let report = run(threads);
-        let got: Vec<String> = report
-            .results
+    for implementation in IMPLEMENTATIONS {
+        let expected: Vec<&str> = reference(implementation)
             .iter()
-            .zip(registry())
-            .filter(|(_, prop)| matches!(prop.check, Check::Model(_)))
-            .map(|(r, _)| {
-                fingerprint(
-                    r.property_id,
-                    &r.outcome,
-                    r.cegar_iterations,
-                    r.refinements,
-                    r.cpv_queries,
-                )
-            })
+            .map(|r| r.fingerprint.as_str())
             .collect();
-        assert_eq!(
-            expected, got,
-            "threads={threads}: the pipeline diverged from the private, unsliced reference check"
-        );
+        assert!(expected.len() >= 52, "every model property must be checked");
+        for threads in [1, 4] {
+            let report = run(implementation, threads);
+            let got: Vec<String> = report
+                .results
+                .iter()
+                .zip(registry())
+                .filter(|(_, prop)| matches!(prop.check, Check::Model(_)))
+                .map(|(r, _)| {
+                    fingerprint(
+                        r.property_id,
+                        &r.outcome,
+                        r.cegar_iterations,
+                        r.refinements,
+                        r.cpv_queries,
+                    )
+                })
+                .collect();
+            assert_eq!(
+                expected, got,
+                "{implementation:?} at threads={threads}: the pipeline diverged from the \
+                 private, unsliced reference check"
+            );
+        }
     }
 }
 
 #[test]
 fn cache_accounting_matches_each_mode() {
-    let cached = run(1);
+    let cached = run(Implementation::Reference, 1);
 
     // Shared: fewer explorations than consulting properties, one
     // designated builder per distinct configuration, and real node
@@ -189,15 +211,18 @@ fn cache_accounting_matches_each_mode() {
 
     // The tentpole claim: exploring once per distinct configuration
     // visits strictly fewer states than exploring once per property (the
-    // reference check). Measured floor: the registry's 17 distinct
-    // threat configurations sum to 294,770 reachable states (each
-    // contains a `verified` property, so every space is explored in
-    // full) vs 565,503 for one build per property — a 1.9x drop here,
-    // 2.3x vs the seed's per-CEGAR-iteration re-exploration. The margin
-    // asserted below is deliberately looser than the measurement so
-    // registry growth does not flake the suite.
+    // reference check). Measured: the registry's distinct slots explore
+    // 239,638 states (the 17 threat configurations hold 294,770
+    // reachable states; slicing and stopping at each invariant's first
+    // violation leave some unexplored) vs 565,503 for one full build per
+    // property — a 2.4x drop. The margin asserted below is deliberately
+    // looser than the measurement so registry growth does not flake the
+    // suite.
     let cached_states: u64 = cached.results.iter().map(|x| x.states_explored).sum();
-    let uncached_states: u64 = reference().iter().map(|r| r.states).sum();
+    let uncached_states: u64 = reference(Implementation::Reference)
+        .iter()
+        .map(|r| r.states)
+        .sum();
     assert!(
         cached_states * 3 < uncached_states * 2,
         "cached run must explore < 2/3 of the states ({cached_states} vs {uncached_states})"

@@ -1,24 +1,35 @@
-//! Injected `StoreRead` / `StoreWrite` faults against the persistent
-//! store: every fault — a panic mid-load, a frame mangled on the way in
-//! or out — must cost at most one run's warmth for one record, never a
-//! wrong or missing result. The golden reference is the same run
-//! without a store; reports are compared byte for byte.
+//! Faults against the persistent store: injected `StoreRead` /
+//! `StoreWrite` faults, and stored records a parser did not anticipate.
+//! Every fault — a panic mid-load, a frame mangled on the way in or out,
+//! a well-framed record that will not parse — must cost at most one
+//! run's warmth for one record, never a wrong or missing result. The
+//! golden reference is the same run without a store; reports are
+//! compared byte for byte.
 //!
-//! The armed fault plan is process-global, so tests serialize their
-//! arm/run/disarm sections through one mutex (the `fault_isolation.rs`
-//! idiom).
+//! The injected faults need `--features fault-inject`; the malformed
+//! record test runs in every build. The armed fault plan is
+//! process-global, so tests serialize their arm/run/disarm sections
+//! through one mutex (the `fault_isolation.rs` idiom).
 
-#![cfg(feature = "fault-inject")]
-
-use procheck::pipeline::{analyze_extracted, extract_models, AnalysisConfig, AnalysisReport};
+#[cfg(feature = "fault-inject")]
+use procheck::pipeline::{analyze_extracted, extract_models};
+use procheck::pipeline::{analyze_implementation, AnalysisConfig, AnalysisReport};
+#[cfg(feature = "fault-inject")]
 use procheck_faults::{arm, disarm, FaultKind, FaultPlan, FaultSite};
 use procheck_stack::quirks::Implementation;
+use procheck_store::{BaselineRecord, Kind, Store};
+use procheck_telemetry::Collector;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+#[cfg(feature = "fault-inject")]
+use std::path::Path;
+use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
+#[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
 mod common;
-use common::{stored_index, TempDir};
+#[cfg(feature = "fault-inject")]
+use common::stored_index;
+use common::TempDir;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -60,12 +71,14 @@ fn render(report: &AnalysisReport) -> String {
 
 /// Which record a fault matrix arms: the verdict index, which every warm
 /// run reads first, or one model verdict the index points at.
+#[cfg(feature = "fault-inject")]
 #[derive(Debug, Clone, Copy)]
 enum Target {
     Index,
     Verdict,
 }
 
+#[cfg(feature = "fault-inject")]
 impl Target {
     /// The hex key of this target in a store populated by a cold run.
     fn key(self, dir: &Path) -> String {
@@ -86,6 +99,7 @@ impl Target {
 /// its property live. Either way the report stays byte-identical, only
 /// the faulted record is rewritten, and that heals the store for the
 /// next run, which composes and writes nothing.
+#[cfg(feature = "fault-inject")]
 #[test]
 fn read_faults_degrade_to_cold_misses() {
     let _guard = lock();
@@ -166,6 +180,7 @@ fn read_faults_degrade_to_cold_misses() {
 /// a faulted index costs no verdict's warmth, only the composition the
 /// second-level keys need, and that run rewrites it. The run after is
 /// fully warm again and composes and writes nothing.
+#[cfg(feature = "fault-inject")]
 #[test]
 fn write_faults_cost_only_the_next_runs_warmth() {
     let _guard = lock();
@@ -249,6 +264,7 @@ fn write_faults_cost_only_the_next_runs_warmth() {
 /// must not make them the stored baseline (nor key an index by them), or
 /// the next healthy run would report a delta against the placeholders
 /// for machines that never changed.
+#[cfg(feature = "fault-inject")]
 #[test]
 fn failed_extraction_keeps_the_stored_baseline() {
     let _guard = lock();
@@ -292,6 +308,7 @@ fn failed_extraction_keeps_the_stored_baseline() {
 /// A faulted *baseline* load (the FSM-delta telemetry path) is absorbed
 /// like any other: the run completes, reports no delta, and re-snapshots
 /// the baseline so the next run diffs cleanly again.
+#[cfg(feature = "fault-inject")]
 #[test]
 fn baseline_read_fault_only_mutes_the_delta_telemetry() {
     let _guard = lock();
@@ -332,4 +349,50 @@ fn baseline_read_fault_only_mutes_the_delta_telemetry() {
     let _ = analyze_extracted(Implementation::Reference, &models, &again_cfg);
     assert_eq!(collector2.counter_value("store.baseline_found"), 1);
     assert_eq!(collector2.counter_value("store.delta_transitions"), 0);
+}
+
+/// A stored baseline that frames and decodes cleanly but names a blank
+/// state (its UE text is `"F ue\nS  \n"`) must not abort the run that
+/// reads it: the delta pass counts it invalidated, the report equals a
+/// storeless run's, and the baseline is replaced, so the next run finds
+/// one again and diffs it cleanly.
+#[test]
+fn blank_state_name_in_a_stored_baseline_is_invalidated() {
+    let _guard = lock();
+    let storeless = analyze_implementation(Implementation::Reference, &cfg(None));
+    let dir = fresh_dir("blank-baseline");
+    let key = procheck::store::baseline_key(
+        Implementation::Reference.name(),
+        &cfg(None).imsi,
+        cfg(None).key_material,
+    );
+    let record = BaselineRecord {
+        ue: "F ue\nS  \n".to_string(),
+        mme: "F mme\n".to_string(),
+    };
+    Store::open(dir.to_path_buf())
+        .expect("store opens")
+        .save(Kind::Baseline, key, &record.encode())
+        .expect("baseline written");
+
+    let collector = Collector::enabled();
+    let mut stored_cfg = cfg(Some(dir.to_path_buf()));
+    stored_cfg.collector = collector.clone();
+    let stored = analyze_implementation(Implementation::Reference, &stored_cfg);
+    assert_eq!(render(&stored), render(&storeless));
+    assert!(
+        stored.store_stats.invalidated >= 1,
+        "the unparsable baseline counts as invalidated: {:?}",
+        stored.store_stats
+    );
+    assert_eq!(collector.counter_value("store.baseline_found"), 0);
+
+    let collector = Collector::enabled();
+    let mut again_cfg = cfg(Some(dir.to_path_buf()));
+    again_cfg.collector = collector.clone();
+    let again = analyze_implementation(Implementation::Reference, &again_cfg);
+    assert_eq!(render(&again), render(&storeless));
+    assert_eq!(collector.counter_value("store.baseline_found"), 1);
+    assert_eq!(collector.counter_value("store.delta_transitions"), 0);
+    assert_eq!(again.store_stats.invalidated, 0, "{:?}", again.store_stats);
 }

@@ -23,7 +23,7 @@
 //! follow the tag verbatim to end-of-line, so any name without a newline
 //! round-trips (extractor names are identifier-like).
 
-use crate::{ActionAtom, CondAtom, Fsm, Transition};
+use crate::{ActionAtom, CondAtom, Fsm, StateName, Transition};
 
 /// Renders `fsm` in the canonical line-oriented text form.
 pub fn canonical_text(fsm: &Fsm) -> String {
@@ -65,9 +65,10 @@ pub fn canonical_text(fsm: &Fsm) -> String {
 ///
 /// # Errors
 ///
-/// A description of the first malformed line; callers in the store layer
+/// A description of the first malformed line — including a blank state
+/// name on an `I`, `S`, `<` or `>` line; callers in the store layer
 /// treat any error as baseline corruption (a cold miss), never as an
-/// empty machine.
+/// empty machine. Malformed text never panics.
 pub fn parse_canonical(text: &str) -> Result<Fsm, String> {
     let mut lines = text.lines().enumerate().peekable();
     let (_, first) = lines.next().ok_or("empty canonical text")?;
@@ -77,11 +78,11 @@ pub fn parse_canonical(text: &str) -> Result<Fsm, String> {
     let mut fsm = Fsm::new(name);
     // A transition block under assembly: endpoints arrive on the `<`/`>`
     // lines after the `t` marker, so the `Transition` is only built when
-    // the block ends (state names must be non-empty at construction).
+    // the block ends.
     #[derive(Default)]
     struct Block {
-        from: Option<String>,
-        to: Option<String>,
+        from: Option<StateName>,
+        to: Option<StateName>,
         conds: Vec<CondAtom>,
         acts: Vec<ActionAtom>,
     }
@@ -90,7 +91,7 @@ pub fn parse_canonical(text: &str) -> Result<Fsm, String> {
         let (Some(from), Some(to)) = (block.from, block.to) else {
             return Err("transition block missing `<` or `>` endpoint".to_string());
         };
-        let mut t = Transition::build(from.as_str(), to.as_str());
+        let mut t = Transition::build(from, to);
         t.condition.extend(block.conds);
         t.action.extend(block.acts);
         fsm.add_transition(t);
@@ -102,9 +103,12 @@ pub fn parse_canonical(text: &str) -> Result<Fsm, String> {
         let (tag, body) = line
             .split_once(' ')
             .ok_or_else(|| format!("line {n}: missing tag separator in {line:?}"))?;
+        // State names are checked here: a blank one is an error, never
+        // the panic building it would raise.
+        let state = || StateName::try_new(body).map_err(|e| format!("line {n}: {e}"));
         match tag {
-            "I" => fsm.set_initial(body),
-            "S" => fsm.add_state(body),
+            "I" => fsm.set_initial(state()?),
+            "S" => fsm.add_state(state()?),
             "C" => fsm.add_condition(CondAtom::parse(body)),
             "A" => fsm.add_action(ActionAtom::new(body)),
             "t" => flush(&mut fsm, pending.replace(Block::default()))?,
@@ -113,8 +117,8 @@ pub fn parse_canonical(text: &str) -> Result<Fsm, String> {
                     .as_mut()
                     .ok_or_else(|| format!("line {n}: `{tag}` outside a transition block"))?;
                 match tag {
-                    "<" => t.from = Some(body.to_string()),
-                    ">" => t.to = Some(body.to_string()),
+                    "<" => t.from = Some(state()?),
+                    ">" => t.to = Some(state()?),
                     "c" => t.conds.push(CondAtom::parse(body)),
                     _ => t.acts.push(ActionAtom::new(body)),
                 }
@@ -185,6 +189,16 @@ mod tests {
         assert!(parse_canonical("X nope\n").is_err());
         assert!(parse_canonical("F m\n< stray\n").is_err());
         assert!(parse_canonical("F m\nS\n").is_err(), "missing separator");
+        // Blank state names are errors, not the panic building one raises.
+        for text in [
+            "F ue\nS  \n",
+            "F ue\nI \n",
+            "F ue\nt \n<  \n> b\n",
+            "F ue\nt \n< a\n> \t\n",
+        ] {
+            let err = parse_canonical(text).expect_err(text);
+            assert!(err.contains("invalid state name"), "{text:?}: {err}");
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property-based tests for the FSM model: DOT round-trips for arbitrary
-//! machines, refinement laws, and merge algebra.
+//! machines, refinement laws, merge algebra, and canonical-text parsing
+//! of malformed store baselines.
 
+use procheck_fsm::canon::{canonical_text, parse_canonical};
 use procheck_fsm::refinement::{check_refinement, StateMapping};
 use procheck_fsm::{dot, Fsm, Transition};
 use proptest::prelude::*;
@@ -34,7 +36,82 @@ fn arb_fsm() -> impl Strategy<Value = Fsm> {
     })
 }
 
+/// A name in canonical text: mostly identifier-like, sometimes blank
+/// (empty or whitespace only).
+fn arb_name() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[a-c]{1,3}",
+        "[a-b] [A-B]",
+        "[a-b]=[0-1]",
+        Just(String::new()),
+        Just("  ".to_string()),
+    ]
+}
+
+/// One line of canonical text, a whole transition block, or a tag with
+/// no separator. The tags are the real ones plus an unknown `X`.
+fn arb_line() -> impl Strategy<Value = String> {
+    let tag = prop_oneof![
+        Just("I"),
+        Just("S"),
+        Just("C"),
+        Just("A"),
+        Just("t"),
+        Just("<"),
+        Just(">"),
+        Just("c"),
+        Just("a"),
+        Just("X"),
+    ];
+    prop_oneof![
+        (tag, arb_name()).prop_map(|(tag, body)| format!("{tag} {body}")),
+        (arb_name(), arb_name(), arb_name(), arb_name()).prop_map(|(from, to, cond, act)| {
+            format!("t \n< {from}\n> {to}\nc {cond}\na {act}")
+        }),
+        Just("S".to_string()),
+    ]
+}
+
+/// Canonical-shaped text: an `F` line (missing one time in four), then
+/// lines and blocks that may leave blank names, missing endpoints,
+/// unknown tags and unfinished blocks, sometimes cut off mid-line.
+fn arb_canonical_text() -> impl Strategy<Value = String> {
+    (
+        0u8..4,
+        arb_name(),
+        proptest::collection::vec(arb_line(), 0..10),
+        any::<usize>(),
+        any::<bool>(),
+    )
+        .prop_map(|(header, name, lines, cut, truncate)| {
+            let mut text = if header > 0 {
+                format!("F {name}\n")
+            } else {
+                String::new()
+            };
+            for line in lines {
+                text.push_str(&line);
+                text.push('\n');
+            }
+            if truncate && !text.is_empty() {
+                text.truncate(cut % text.len());
+            }
+            text
+        })
+}
+
 proptest! {
+    /// A stored baseline's canonical text never panics the parser: it
+    /// fails with an error, or it yields a machine whose canonical text
+    /// parses back to the same machine.
+    #[test]
+    fn canonical_text_parses_or_fails_cleanly(text in arb_canonical_text()) {
+        if let Ok(fsm) = parse_canonical(&text) {
+            let canon = canonical_text(&fsm);
+            prop_assert_eq!(parse_canonical(&canon), Ok(fsm), "{:?}", canon);
+        }
+    }
+
     /// Graphviz-like serialisation round-trips any FSM.
     #[test]
     fn dot_round_trip(fsm in arb_fsm()) {

@@ -8,6 +8,9 @@
 //! * [`ExplicitBackend`] — the explicit-state engine in this crate,
 //!   answering properties as queries over a cached
 //!   [`ReachGraph`] (the historical path, bit-for-bit unchanged);
+//! * [`LazyGraph`](crate::lazy::LazyGraph) — the same engine over a graph
+//!   explored only as far as its queries need, answering exactly as
+//!   [`ExplicitBackend`] over the finished graph would;
 //! * `BmcBackend` in `procheck-symbolic` — a bounded model checker that
 //!   bit-blasts the same [`CompiledModel`] into CNF and solves it with
 //!   an in-repo CDCL solver.
@@ -40,10 +43,13 @@ pub enum BackendVerdict {
     BoundReached(usize),
 }
 
-/// One checking engine behind the seam. Implementations must be pure
-/// functions of `(model, property, excluded)` — deterministic, no
-/// hidden state between calls — so CEGAR refinement sequences and
-/// cross-validation comparisons are reproducible.
+/// One checking engine behind the seam. Answers must be pure functions
+/// of `(model, property, excluded)` — deterministic, never depending on
+/// earlier calls — so CEGAR refinement sequences and cross-validation
+/// comparisons are reproducible. An engine may keep state between calls
+/// only where it changes what an answer costs, never the answer: how far
+/// a [`LazyGraph`](crate::lazy::LazyGraph) has been explored is such
+/// state. Only a budget failure depends on what else the run has spent.
 pub trait CheckBackend {
     /// A stable, lower-case engine name (`"explicit"`, `"bmc"`),
     /// used in telemetry and divergence reports.

@@ -5,7 +5,9 @@
 //!
 //! * [`build_reach_graph_budgeted`] runs one flagless BFS over the model
 //!   and produces a [`ReachGraph`] — packed state
-//!   arena, CSR successor adjacency, predecessor links, BFS parents.
+//!   arena, CSR successor adjacency, BFS parents. The BFS is a resumable
+//!   packed explorer, so a [`crate::lazy::LazyGraph`] can run the same
+//!   search only as far as its queries need.
 //! * [`check_on_graph`] answers any [`Property`] as a *query* over that
 //!   graph: invariants and reachability are direct scans in BFS order;
 //!   precedence and response run a product BFS that carries the one-bit
@@ -695,11 +697,15 @@ pub fn build_reach_graph_budgeted(
     stats: &mut CheckStats,
     _explore_threads: usize,
 ) -> Result<ReachGraph, CheckError> {
-    let domain_sizes: Vec<usize> = model.vars.iter().map(|v| v.domain.len()).collect();
-    match PackLayout::for_domains(&domain_sizes) {
-        Some(layout) => explore_packed_serial(model, layout, limit, meter, stats),
-        None => explore_wide(model, limit, meter, stats),
+    let Some(mut explorer) = PackedExplorer::new(model, limit) else {
+        return explore_wide(model, limit, meter, stats);
+    };
+    let explored = explorer.advance(meter, |_| false);
+    if explored.is_ok() {
+        explorer.charge_tail(meter);
     }
+    stats.absorb(explorer.stats());
+    explored.map(|_| explorer.finish())
 }
 
 /// A guard lowered against a [`PackLayout`]: every atom carries its
@@ -708,7 +714,7 @@ pub fn build_reach_graph_budgeted(
 /// into a scratch vector. Exploration lowers the guard conjuncts the
 /// [`EnableTables`] cannot table; queries lower their predicates once and
 /// evaluate them on every node's key.
-enum PGuard {
+pub(crate) enum PGuard {
     True,
     False,
     /// `key & mask == bits` — equality against one variable's field.
@@ -740,7 +746,7 @@ enum PGuard {
 }
 
 impl PGuard {
-    fn eval(&self, key: u64) -> bool {
+    pub(crate) fn eval(&self, key: u64) -> bool {
         match self {
             PGuard::True => true,
             PGuard::False => false,
@@ -763,7 +769,7 @@ impl PGuard {
     }
 }
 
-fn lower_guard(e: &CExpr, l: &PackLayout) -> PGuard {
+pub(crate) fn lower_guard(e: &CExpr, l: &PackLayout) -> PGuard {
     match e {
         CExpr::True => PGuard::True,
         CExpr::False => PGuard::False,
@@ -1217,120 +1223,213 @@ fn explore_wide(
     })
 }
 
-/// Serial BFS over the packed arena, expanding successors straight from
-/// the raw `u64` key: the enabled commands come from the per-field
-/// [`EnableTables`] and updates apply as precomputed `(clear, set)`
-/// masks, so nothing is unpacked and no guard is evaluated per command.
-/// Probe placement (state limit per pop, budget every [`PROBE_STRIDE`]
-/// pops) matches [`explore_wide`] exactly, so partial stats on the error
-/// paths stay bit-identical to the historical serial engine.
-fn explore_packed_serial(
-    c: &CompiledModel,
-    layout: PackLayout,
+/// The packed explorer: one serial BFS over packed `u64` keys, expanding
+/// successors straight from the raw key. The enabled commands come from
+/// the per-field [`EnableTables`] and updates apply as precomputed
+/// `(clear, set)` masks, so nothing is unpacked and no guard is evaluated
+/// per command.
+///
+/// The search is resumable. The struct holds the frontier, the CSR
+/// arrays, the work counters, the pop cursor and the level bookkeeping,
+/// and [`PackedExplorer::advance`] pops nodes until the BFS ends or a
+/// pop interns a node its caller is looking for. [`build_reach_graph_budgeted`] advances
+/// it to the end in one call; a [`crate::lazy::LazyGraph`] advances it
+/// only as far as its queries need. Probe placement (state limit per
+/// pop, budget every [`PROBE_STRIDE`] pops) matches [`explore_wide`]
+/// exactly and does not depend on where the search paused, so a BFS run
+/// to the end is node for node, edge for edge and level for level the
+/// same graph, with the same partial stats on the error paths.
+pub(crate) struct PackedExplorer {
+    kernel: PackedKernel,
+    /// Scratch enabled-command word for the node being expanded.
+    word: Vec<u64>,
+    frontier: PackedFrontier,
     limit: usize,
-    meter: &BudgetMeter,
-    stats: &mut CheckStats,
-) -> Result<ReachGraph, CheckError> {
-    let num_vars = c.num_vars();
-    let cap = c.capacity_hint(limit);
-    let k = PackedKernel::new(c, &layout);
-    let mut word = vec![0u64; k.tables.words];
-    let mut f = PackedFrontier::with_capacity(layout, cap);
+    num_vars: usize,
+    init_count: u32,
+    succ_off: Vec<u32>,
+    succ_cmd: Vec<u32>,
+    succ_node: Vec<u32>,
+    transitions: u64,
+    peak_queue: u64,
+    /// Interned states already charged to the budget meter.
+    charged: usize,
+    /// The next node to pop: nodes below it are expanded, nodes from it
+    /// on are the frontier (pop order equals intern order, so the queue
+    /// is implicit and each node's CSR offsets seal as it is popped).
+    next: usize,
+    level_end: usize,
+    levels: u32,
+    peak_level: u64,
+}
 
-    for s in c.initial_states() {
-        let key = f.layout.pack(&s);
-        f.intern_key(key, (NO_PARENT, NO_PARENT));
+impl PackedExplorer {
+    /// An explorer with the initial states interned and nothing popped,
+    /// or `None` when the model's domains do not pack into 64 bits.
+    pub(crate) fn new(c: &CompiledModel, limit: usize) -> Option<Self> {
+        let domain_sizes: Vec<usize> = c.vars.iter().map(|v| v.domain.len()).collect();
+        let layout = PackLayout::for_domains(&domain_sizes)?;
+        let cap = c.capacity_hint(limit);
+        let kernel = PackedKernel::new(c, &layout);
+        let word = vec![0u64; kernel.tables.words];
+        let mut frontier = PackedFrontier::with_capacity(layout, cap);
+        for s in c.initial_states() {
+            let key = frontier.layout.pack(&s);
+            frontier.intern_key(key, (NO_PARENT, NO_PARENT));
+        }
+        let init_count = frontier.keys.len() as u32;
+        let mut succ_off = Vec::with_capacity(cap + 1);
+        succ_off.push(0);
+        Some(PackedExplorer {
+            kernel,
+            word,
+            frontier,
+            limit,
+            num_vars: c.num_vars(),
+            init_count,
+            succ_off,
+            succ_cmd: Vec::new(),
+            succ_node: Vec::new(),
+            transitions: 0,
+            peak_queue: u64::from(init_count),
+            charged: 0,
+            next: 0,
+            level_end: 0,
+            levels: 0,
+            peak_level: 0,
+        })
     }
-    let init_count = f.keys.len() as u32;
 
-    let mut succ_off: Vec<u32> = Vec::with_capacity(cap + 1);
-    succ_off.push(0);
-    let mut succ_cmd: Vec<u32> = Vec::new();
-    let mut succ_node: Vec<u32> = Vec::new();
-    let mut transitions = 0u64;
-    let mut peak_queue = init_count as u64;
-
-    let budgeted = meter.is_limited();
-    let mut charged: usize = 0;
-    let mut next: usize = 0;
-    let mut level_end: usize = 0;
-    let mut levels: u32 = 0;
-    let mut peak_level: u64 = 0;
-    while next < f.keys.len() {
-        if next == level_end {
-            level_end = f.keys.len();
-            levels += 1;
-            peak_level = peak_level.max((level_end - next) as u64);
-        }
-        if f.keys.len() > limit {
-            return Err(abort_partial(
-                stats,
-                f.keys.len() as u64,
-                transitions,
-                peak_queue,
-                CheckError::StateLimit(limit),
-            ));
-        }
-        if budgeted && next.is_multiple_of(PROBE_STRIDE) {
-            let fresh = (f.keys.len() - charged) as u64;
-            charged = f.keys.len();
-            if let Err(e) = meter.charge_and_probe(fresh) {
-                return Err(abort_partial(
-                    stats,
-                    f.keys.len() as u64,
-                    transitions,
-                    peak_queue,
-                    CheckError::Budget(e),
-                ));
+    /// Pops nodes until the BFS ends (`None`), or until a pop interns a
+    /// node whose key satisfies `found`, checked in id order: the id of
+    /// the first such node.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::StateLimit`] past the limit; [`CheckError::Budget`]
+    /// when the meter trips. Either leaves the explorer as it was at the
+    /// failing pop: every node interned before it stays readable.
+    pub(crate) fn advance(
+        &mut self,
+        meter: &BudgetMeter,
+        found: impl Fn(u64) -> bool,
+    ) -> Result<Option<u32>, CheckError> {
+        let budgeted = meter.is_limited();
+        let f = &mut self.frontier;
+        while self.next < f.keys.len() {
+            if self.next == self.level_end {
+                self.level_end = f.keys.len();
+                self.levels += 1;
+                self.peak_level = self.peak_level.max((self.level_end - self.next) as u64);
+            }
+            if f.keys.len() > self.limit {
+                return Err(CheckError::StateLimit(self.limit));
+            }
+            if budgeted && self.next.is_multiple_of(PROBE_STRIDE) {
+                let fresh = (f.keys.len() - self.charged) as u64;
+                self.charged = f.keys.len();
+                meter.charge_and_probe(fresh).map_err(CheckError::Budget)?;
+            }
+            let id = self.next as u32;
+            self.next += 1;
+            let key = f.keys[id as usize];
+            self.kernel.tables.enabled(key, &mut self.word);
+            let first_edge = self.succ_cmd.len();
+            let first_new = f.keys.len();
+            for_each_bit(&self.word, |i| {
+                let pc = &self.kernel.cmds[i];
+                let sid = f.intern_key((key & pc.clear) | pc.set, (id, i as u32));
+                self.succ_cmd.push(i as u32);
+                self.succ_node.push(sid);
+            });
+            if self.succ_cmd.len() == first_edge {
+                self.succ_cmd.push(STUTTER_CMD);
+                self.succ_node.push(id);
+            }
+            self.transitions += (self.succ_cmd.len() - first_edge) as u64;
+            self.succ_off.push(self.succ_cmd.len() as u32);
+            self.peak_queue = self.peak_queue.max((f.keys.len() - self.next) as u64);
+            if let Some(hit) = (first_new..f.keys.len()).find(|&n| found(f.keys[n])) {
+                return Ok(Some(hit as u32));
             }
         }
-        let id = next as u32;
-        next += 1;
-        let key = f.keys[id as usize];
-        k.tables.enabled(key, &mut word);
-        let first_edge = succ_cmd.len();
-        for_each_bit(&word, |i| {
-            let pc = &k.cmds[i];
-            let sid = f.intern_key((key & pc.clear) | pc.set, (id, i as u32));
-            succ_cmd.push(i as u32);
-            succ_node.push(sid);
-        });
-        if succ_cmd.len() == first_edge {
-            succ_cmd.push(STUTTER_CMD);
-            succ_node.push(id);
+        Ok(None)
+    }
+
+    /// Charges the interned states the meter has not seen yet, without
+    /// failing: work that completed (or paused) is never failed
+    /// retroactively, but the next probe sharing the meter sees an
+    /// accurate run total.
+    pub(crate) fn charge_tail(&mut self, meter: &BudgetMeter) {
+        if meter.is_limited() {
+            let _ = meter.charge_and_probe((self.len() - self.charged) as u64);
+            self.charged = self.len();
         }
-        transitions += (succ_cmd.len() - first_edge) as u64;
-        succ_off.push(succ_cmd.len() as u32);
-        peak_queue = peak_queue.max((f.keys.len() - next) as u64);
     }
 
-    if budgeted {
-        let _ = meter.charge_and_probe((f.keys.len() - charged) as u64);
+    /// Interned states so far.
+    pub(crate) fn len(&self) -> usize {
+        self.frontier.keys.len()
     }
-    let states = f.keys.len() as u64;
-    let build_stats = CheckStats {
-        states,
-        transitions,
-        peak_queue,
-    };
-    stats.absorb(build_stats);
 
-    Ok(ReachGraph {
-        num_vars,
-        arena: StateArena::Packed {
-            layout: f.layout,
-            keys: f.keys,
-        },
-        parent_node: f.parent_node,
-        parent_cmd: f.parent_cmd,
-        succ_off,
-        succ_cmd,
-        succ_node,
-        init_count,
-        levels,
-        peak_level,
-        stats: build_stats,
-    })
+    /// The packed keys interned so far, in BFS (id) order.
+    pub(crate) fn keys(&self) -> &[u64] {
+        &self.frontier.keys
+    }
+
+    /// The layout the keys are packed with.
+    pub(crate) fn layout(&self) -> &PackLayout {
+        &self.frontier.layout
+    }
+
+    /// BFS levels entered so far, and the widest of them.
+    pub(crate) fn levels(&self) -> (u32, u64) {
+        (self.levels, self.peak_level)
+    }
+
+    /// What the search has cost so far.
+    pub(crate) fn stats(&self) -> CheckStats {
+        CheckStats {
+            states: self.len() as u64,
+            transitions: self.transitions,
+            peak_queue: self.peak_queue,
+        }
+    }
+
+    /// The BFS path to `target`, from its interned parents.
+    pub(crate) fn path_to(&self, c: &CompiledModel, target: u32) -> Vec<TraceStep> {
+        let f = &self.frontier;
+        rebuild_path(
+            c,
+            |id, out| f.layout.unpack(f.keys[id as usize], out),
+            &f.parent_node,
+            &f.parent_cmd,
+            target,
+        )
+    }
+
+    /// The finished graph. Call once [`PackedExplorer::advance`] has
+    /// run to the end of the BFS.
+    pub(crate) fn finish(self) -> ReachGraph {
+        debug_assert_eq!(self.next, self.len(), "finish() before the BFS ended");
+        let stats = self.stats();
+        ReachGraph {
+            num_vars: self.num_vars,
+            arena: StateArena::Packed {
+                layout: self.frontier.layout,
+                keys: self.frontier.keys,
+            },
+            parent_node: self.frontier.parent_node,
+            parent_cmd: self.frontier.parent_cmd,
+            succ_off: self.succ_off,
+            succ_cmd: self.succ_cmd,
+            succ_node: self.succ_node,
+            init_count: self.init_count,
+            levels: self.levels,
+            peak_level: self.peak_level,
+            stats,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1519,16 +1618,34 @@ fn eval_nodes(g: &ReachGraph, e: &CExpr) -> Vec<bool> {
 /// Rebuilds the BFS-shortest path to `target` from the graph's own
 /// parent pointers (no re-search).
 fn rebuild_graph_path(c: &CompiledModel, g: &ReachGraph, target: u32) -> Vec<TraceStep> {
-    let mut cur: State = vec![0; g.num_vars()];
+    rebuild_path(
+        c,
+        |id, out| g.load_state(id, out),
+        &g.parent_node,
+        &g.parent_cmd,
+        target,
+    )
+}
+
+/// Rebuilds the BFS-shortest path to `target` from BFS parent arrays,
+/// loading each node's state with `load`.
+fn rebuild_path(
+    c: &CompiledModel,
+    load: impl Fn(u32, &mut [Value]),
+    parent_node: &[u32],
+    parent_cmd: &[u32],
+    target: u32,
+) -> Vec<TraceStep> {
+    let mut cur: State = vec![0; c.num_vars()];
     let mut rev = Vec::new();
     let mut id = target;
     loop {
-        g.load_state(id, &mut cur);
-        let parent = g.parent_node[id as usize];
+        load(id, &mut cur);
+        let parent = parent_node[id as usize];
         let label = if parent == NO_PARENT {
             "init".to_string()
         } else {
-            c.label_of(g.parent_cmd[id as usize]).to_string()
+            c.label_of(parent_cmd[id as usize]).to_string()
         };
         rev.push(TraceStep {
             label,

@@ -16,7 +16,10 @@
 //!   checks under optional fairness constraints, all answered as
 //!   queries over that graph);
 //! * [`reach`] — the cached reachable-state graph itself: packed state
-//!   arena, CSR successor/predecessor adjacency, BFS parent pointers;
+//!   arena, CSR successor adjacency, BFS parent pointers;
+//! * [`lazy`] — the same graph explored on demand: an invariant or
+//!   reachability query stops the BFS at its first matching state, and
+//!   every other query runs it to the end first;
 //! * [`coi`] — per-property cone-of-influence slicing: project a
 //!   compiled model onto the variables a property can observe before
 //!   exploring, and re-expand any counterexample to full-variable form
@@ -59,6 +62,7 @@ pub mod checker;
 pub mod coi;
 pub mod expr;
 pub mod fxhash;
+pub mod lazy;
 pub mod model;
 pub mod persist;
 pub mod reach;
@@ -70,6 +74,7 @@ pub use budget::{Budget, BudgetExceeded, BudgetMeter};
 pub use checker::{CompiledModel, CompiledProperty, Property, Verdict};
 pub use coi::{expand_counterexample, slice_for_property, ConeSig, SlicedModel};
 pub use expr::Expr;
+pub use lazy::{GraphExtent, LazyGraph};
 pub use model::{GuardedCmd, Model};
 pub use persist::{model_fingerprint, model_semantic_fingerprint, ReachGraphData};
 pub use reach::ReachGraph;

@@ -19,7 +19,9 @@
 //! Properties are then answered as *queries* over this graph (direct
 //! scans for invariants/reachability, a product BFS carrying the monitor
 //! bit for precedence/response and CEGAR-refined re-checks) — see
-//! [`crate::checker::check_on_graph`]. Queries visit graph nodes by
+//! [`crate::checker::check_on_graph`]. A [`crate::lazy::LazyGraph`]
+//! builds the same graph on demand, sealing it once its BFS has run to
+//! the end. Queries visit graph nodes by
 //! index; they never touch the interning table, which is dropped once
 //! construction finishes.
 

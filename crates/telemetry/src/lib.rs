@@ -141,6 +141,18 @@ impl Collector {
         }
     }
 
+    /// Records a span whose duration was measured elsewhere — for work
+    /// done in pieces, such as a graph explored across several queries,
+    /// reported as one span once the pieces are summed.
+    pub fn record_span(&self, name: &'static str, elapsed: std::time::Duration) {
+        if let Some(inner) = &self.inner {
+            inner.events.lock().expect("event lock").push(Event::Span {
+                name: name.to_string(),
+                elapsed_us: elapsed.as_micros() as u64,
+            });
+        }
+    }
+
     /// Records a point event with string fields.
     pub fn mark(&self, name: &str, fields: &[(&str, &str)]) {
         if let Some(inner) = &self.inner {
@@ -374,6 +386,7 @@ mod tests {
         c.record_max("y", 9);
         c.mark("m", &[("k", "v")]);
         drop(c.span("s"));
+        c.record_span("r", std::time::Duration::from_millis(3));
         let counter = c.counter("x");
         counter.add(100);
         assert_eq!(counter.value(), 0);
@@ -417,6 +430,19 @@ mod tests {
         assert!(matches!(&events[0], Event::Span { name, .. } if name == "first"));
         assert!(matches!(&events[1], Event::Mark { name, .. } if name == "between"));
         assert!(matches!(&events[2], Event::Span { name, .. } if name == "second"));
+    }
+
+    #[test]
+    fn recorded_spans_keep_their_measured_duration() {
+        let c = Collector::enabled();
+        c.record_span("pieces", std::time::Duration::from_micros(1_500));
+        assert_eq!(
+            c.events(),
+            vec![Event::Span {
+                name: "pieces".to_string(),
+                elapsed_us: 1_500
+            }]
+        );
     }
 
     #[test]
