@@ -13,25 +13,30 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use procheck::pipeline::{
-    analyze_extracted, analyze_implementation, extract_models, AnalysisConfig,
+use procheck::pipeline::{analyze_extracted, extract_models, AnalysisConfig};
+use procheck_props::distinct_threat_configs;
+use procheck_smv::checker::{
+    build_reach_graph_budgeted, CheckStats, CompiledModel, DEFAULT_STATE_LIMIT,
 };
-use procheck_props::registry;
+use procheck_smv::BudgetMeter;
 use procheck_stack::quirks::Implementation;
-use procheck_telemetry::Collector;
+use procheck_threat::build_threat_model;
 
 /// Samples per gate; the gate reads their median.
 const SAMPLES: usize = 5;
 
-/// Full-registry checking throughput, in distinct states explored per
-/// second of a Reference analysis through the shared graph cache, best
-/// over the `threads` sweep {1, `available_parallelism`}. The floor is a
-/// 2.6M baseline less 25%. On a 2-vCPU VM the single-sample best of the
-/// kernel before the per-field enable tables reached 1.70M; the slowest
-/// of seventeen runs of the table-driven kernel was 2.24M. So the floor
-/// sits below every run of the current kernel and above every run of
-/// the old one: this gate is the one that catches a kernel revert.
-const STATES_PER_SEC_FLOOR: f64 = 1_950_000.0;
+/// Explorer throughput, in states per second of building the full
+/// graphs of the 17 distinct Reference threat configurations (294,770
+/// states) one after another. The models are composed and compiled
+/// before the clock starts, so the rate is the explorer's alone and
+/// does not fall when the pipeline stops exploring early for the same
+/// answers. The floor keeps the margin the gate had when it timed whole
+/// analyses, 1.95M against medians of 3.89M and 4.14M (about 0.49): on
+/// a 2-vCPU VM the median of ten runs of this gate was 4.20M, and the
+/// floor is 0.49 of that. It stays above 1.95M and above the 1.39M of
+/// the per-command kernel the enable tables replaced, so a kernel
+/// revert still trips it.
+const STATES_PER_SEC_FLOOR: f64 = 2_040_000.0;
 
 /// Cold over warm wall-clock of a store-backed Reference analysis: an
 /// unchanged warm run replays every verdict instead of exploring. An
@@ -83,34 +88,38 @@ fn assert_median_floors<const N: usize>(
     );
 }
 
-/// One `states_per_sec` sample: the best rate over the `threads` sweep.
-fn best_states_per_sec() -> f64 {
-    let mut sweep = vec![1, hardware_threads()];
-    sweep.dedup();
-    sweep
-        .into_iter()
-        .map(|threads| {
-            let collector = Collector::enabled();
-            let cfg = AnalysisConfig {
-                threads,
-                collector: collector.clone(),
-                store_dir: None,
-                ..AnalysisConfig::default()
-            };
-            let start = Instant::now();
-            let report = analyze_implementation(Implementation::Reference, &cfg);
-            let secs = start.elapsed().as_secs_f64();
-            assert_eq!(report.results.len(), registry().len());
-            collector.counter_value("smv.states_explored") as f64 / secs
+/// Every distinct full Reference threat model, composed and compiled.
+fn reference_models() -> Vec<CompiledModel> {
+    let models = extract_models(Implementation::Reference, &AnalysisConfig::default());
+    distinct_threat_configs()
+        .iter()
+        .map(|cfg| {
+            let model = build_threat_model(&models.ue, &models.mme, cfg);
+            CompiledModel::new(&model).expect("registry models compile")
         })
-        .fold(0.0, f64::max)
+        .collect()
+}
+
+/// One `states_per_sec` sample: every model's graph built to the end,
+/// serially, over the time the builds took.
+fn explored_states_per_sec(models: &[CompiledModel]) -> f64 {
+    let meter = BudgetMeter::unlimited();
+    let mut stats = CheckStats::default();
+    let start = Instant::now();
+    for model in models {
+        build_reach_graph_budgeted(model, DEFAULT_STATE_LIMIT, &meter, &mut stats, 1)
+            .expect("registry graphs fit the default limit");
+    }
+    stats.states as f64 / start.elapsed().as_secs_f64()
 }
 
 #[test]
 #[ignore = "timing floor: run in release with --ignored --test-threads=1"]
 fn states_per_sec() {
+    let models = reference_models();
+    assert_eq!(models.len(), 17, "distinct Reference threat configurations");
     assert_median_floors([("states_per_sec", STATES_PER_SEC_FLOOR)], || {
-        [best_states_per_sec()]
+        [explored_states_per_sec(&models)]
     });
 }
 

@@ -48,7 +48,9 @@
 //! is cached as [`CheckError::Panic`], exactly like the existing error
 //! caching, so every property sharing the configuration sees the same
 //! degraded error while the other configurations' builds and all
-//! sibling properties proceed untouched.
+//! sibling properties proceed untouched. A model whose state needs more
+//! than 64 bits fails its graph-slot creation the same way: the
+//! explorer's width error is cached on the slot.
 
 use procheck_fsm::Fsm;
 use procheck_smv::budget::panic_message;
@@ -63,7 +65,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A configuration's graph, explored on demand by the properties that
-/// query it, or the isolated panic its creation died with.
+/// query it, or the error its creation died with: an isolated panic, or
+/// a state wider than 64 bits.
 type GraphSlot = OnceLock<Result<Arc<LazyGraph>, CheckError>>;
 
 /// A memoized model compilation: the id-space [`CompiledModel`] every
@@ -212,8 +215,10 @@ impl ThreatModelCache {
     ///
     /// # Errors
     ///
-    /// Returns the (cached) [`CheckError::Panic`] when creating the slot
-    /// panicked — only that slot is poisoned.
+    /// Returns the (cached) error creating the slot died with — only that
+    /// slot is poisoned: [`CheckError::Panic`] when it panicked,
+    /// [`CheckError::InvalidModel`] when a state of `model` needs more
+    /// than 64 bits.
     pub fn graph(
         &self,
         cfg: &ThreatConfig,
@@ -236,9 +241,9 @@ impl ThreatModelCache {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-inject")]
                 procheck_faults::inject(procheck_faults::FaultSite::GraphBuild, None);
-                Arc::new(LazyGraph::new(model, state_limit))
+                LazyGraph::new(model, state_limit).map(Arc::new)
             }))
-            .map_err(|p| CheckError::Panic(panic_message(p)))
+            .unwrap_or_else(|p| Err(CheckError::Panic(panic_message(p))))
         });
         if !built_now {
             collector.add("graph_cache.hits", 1);
@@ -261,7 +266,7 @@ impl ThreatModelCache {
 
     /// Records the work graph slot `(cfg, cone)` has done on `collector`
     /// and returns its extent; `None` when the slot was never created or
-    /// its creation panicked. Call once per slot, after every query on it:
+    /// its creation failed. Call once per slot, after every query on it:
     /// the extent is then the largest demand any property made, so the
     /// counters are the same at any thread count.
     ///
@@ -326,7 +331,7 @@ impl ThreatModelCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use procheck_props::registry;
     use procheck_smv::BudgetMeter;
@@ -422,9 +427,7 @@ mod tests {
         assert_eq!(collector.counter_value("graph_cache.hits"), 2);
         // Nothing is explored until a query asks.
         assert_eq!(collector.counter_value("smv.states_explored"), 0);
-        let graph = graphs[0]
-            .complete(&compiled, &BudgetMeter::unlimited())
-            .expect("fits");
+        let graph = graphs[0].complete(&BudgetMeter::unlimited()).expect("fits");
         let extent = cache
             .record_graph_extent(&cfg, None, &collector)
             .expect("slot exists");
@@ -486,10 +489,10 @@ mod tests {
         let compiled = cache.compile(&model, &cfg, &collector).unwrap();
         let meter = BudgetMeter::unlimited();
         let a = full_graph(&cache, &compiled, &cfg, 1, &collector)
-            .complete(&compiled, &meter)
+            .complete(&meter)
             .unwrap_err();
         let b = full_graph(&cache, &compiled, &cfg, 1, &collector)
-            .complete(&compiled, &meter)
+            .complete(&meter)
             .unwrap_err();
         assert!(matches!(a, CheckError::StateLimit(1)));
         assert_eq!(a, b);
@@ -521,15 +524,59 @@ mod tests {
         let meter = Budget::unlimited().with_total_states(1).start();
         meter.charge_and_probe(1).expect("exactly at cap");
         let a = full_graph(&cache, &compiled, &cfg, 1_000_000, &collector)
-            .complete(&compiled, &meter)
+            .complete(&meter)
             .unwrap_err();
         assert!(matches!(a, CheckError::Budget(_)), "{a:?}");
         let b = full_graph(&cache, &compiled, &cfg, 1_000_000, &collector)
-            .complete(&compiled, &BudgetMeter::unlimited())
+            .complete(&BudgetMeter::unlimited())
             .unwrap_err();
         assert_eq!(a, b, "sharers see the cached budget failure");
         assert_eq!(cache.graph_stats().builds, 1);
         assert!(cache.record_graph_extent(&cfg, None, &collector).is_some());
+    }
+
+    /// Eleven variables of 64 values each, `x0` stepping from `v0` to
+    /// `v1`: a state needs 66 bits, more than the explicit engine packs.
+    pub(crate) fn too_wide() -> Model {
+        use procheck_smv::{Expr, GuardedCmd};
+        let mut m = Model::new("wide");
+        let domain: Vec<String> = (0..64).map(|i| format!("v{i}")).collect();
+        let domain_refs: Vec<&str> = domain.iter().map(String::as_str).collect();
+        for i in 0..11 {
+            m.declare_var(&format!("x{i}"), &domain_refs, &["v0"]);
+        }
+        m.add_command(GuardedCmd::new("step", Expr::var_eq("x0", "v0")).set("x0", "v1"));
+        m
+    }
+
+    /// A model whose state needs more than 64 bits fails its slot's
+    /// creation once: every caller sharing the slot gets the same width
+    /// error, and nothing is explored or recorded for it.
+    #[test]
+    fn width_rejections_are_cached_on_the_slot() {
+        let compiled = CompiledModel::new(&too_wide()).expect("valid");
+        let cache = ThreatModelCache::new();
+        let collector = Collector::enabled();
+        let cfg = registry()[0].slice.threat_config();
+        let errors: Vec<CheckError> = (0..3)
+            .map(|_| {
+                cache
+                    .graph(&cfg, None, &compiled, 1_000_000, &collector)
+                    .expect_err("66 bits")
+            })
+            .collect();
+        let CheckError::InvalidModel(problems) = &errors[0] else {
+            panic!("{:?}", errors[0])
+        };
+        assert!(
+            problems[0].starts_with("a state needs 66 bits, over the 64 of a packed key: x0 6,"),
+            "{problems:?}"
+        );
+        assert!(errors.iter().all(|e| *e == errors[0]));
+        assert_eq!(cache.graph_stats().builds, 1);
+        assert_eq!(cache.graph_stats().hits(), 2);
+        assert!(cache.record_graph_extent(&cfg, None, &collector).is_none());
+        assert_eq!(collector.counter_value("smv.states_explored"), 0);
     }
 
     /// Hit/miss accounting: lookups = hits + builds, and the traced path

@@ -578,6 +578,33 @@ mod tests {
         assert_eq!(one_shot(&model, &p, &sem), traced);
     }
 
+    /// A model whose state needs more than 64 bits is rejected by the
+    /// private loop with the explorer's width error, before anything is
+    /// explored, and the loop's counters still flush.
+    #[test]
+    fn models_over_64_bits_are_rejected_with_the_explorers_error() {
+        use procheck_smv::checker::build_reach_graph_budgeted;
+        let wide = crate::cache::tests::too_wide();
+        let p = Property::reachable("moved", Expr::var_eq("x0", "v1"));
+        let collector = Collector::enabled();
+        let meter = BudgetMeter::unlimited();
+        let sem = StepSemantics::new(ThreatConfig::lte());
+        let err = cegar_check(&wide, &p, &sem, 1000, 16, &meter, &collector).unwrap_err();
+        let compiled = CompiledModel::new(&wide).unwrap();
+        let mut stats = CheckStats::default();
+        let direct = build_reach_graph_budgeted(&compiled, 1000, &meter, &mut stats, 1);
+        assert_eq!(Err(err.clone()), direct.map(|_| ()));
+        let CheckError::InvalidModel(problems) = &err else {
+            panic!("{err:?}")
+        };
+        assert!(
+            problems[0].starts_with("a state needs 66 bits, over the 64 of a packed key: x0 6,"),
+            "{problems:?}"
+        );
+        assert_eq!(collector.counter_value("cegar.runs"), 1);
+        assert_eq!(collector.counter_value("smv.states_explored"), 0);
+    }
+
     #[test]
     fn holds_without_refinement_when_forge_disabled() {
         let (ue, mme) = mini_models();

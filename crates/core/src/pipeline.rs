@@ -43,7 +43,9 @@ use procheck_fsm::stats::FsmStats;
 use procheck_fsm::Fsm;
 use procheck_props::{registry, BaseProfile, Check, LinkScenario, NasProperty};
 use procheck_smv::budget::{panic_message, Budget, BudgetMeter};
-use procheck_smv::checker::{CheckError, CompiledModel, CompiledProperty, DEFAULT_STATE_LIMIT};
+use procheck_smv::checker::{
+    CheckError, CheckStats, CompiledModel, CompiledProperty, QueryStats, DEFAULT_STATE_LIMIT,
+};
 use procheck_smv::coi::{expand_counterexample, slice_for_property, ConeSig, SlicedModel};
 use procheck_stack::quirks::Implementation;
 use procheck_stack::UeConfig;
@@ -516,7 +518,7 @@ fn check_property_metered(
                     &mut graph_cache_hit,
                     &mut cone,
                 );
-                resolve_model_check(prop, p, resolution, cfg, store, symbolic)
+                resolve_model_check(prop, resolution, cfg, store, symbolic)
             };
             let leg = match cfg.backend {
                 BackendKind::Explicit => run_leg(false),
@@ -662,10 +664,16 @@ struct LegResult {
 /// Degraded outcomes (budget, panics) describe this run and never reach
 /// disk; a [`CheckError::BackendDivergence`] — a counterexample that
 /// failed replay validation — surfaces as a hard
-/// [`PropertyOutcome::Error`] and bumps `backend.divergences`.
+/// [`PropertyOutcome::Error`] and bumps `backend.divergences`. Every
+/// [`CheckError::InvalidModel`] that reaches here, whatever the property
+/// kind, is a stored `Skipped("not applicable to this model: …")`: a
+/// property outside the model's vocabulary, a composed model that fails
+/// validation, or one whose state needs more than the explicit engine's
+/// 64 bits. The one `InvalidModel` that settles as a verdict, a
+/// reachability goal outside the model's vocabulary, is settled where
+/// [`check_model_property`] raises it and never reaches here.
 fn resolve_model_check(
     prop: &NasProperty,
-    p: &procheck_smv::checker::Property,
     resolution: ModelCheckResolution,
     cfg: &AnalysisConfig,
     store: Option<&StoreCtx>,
@@ -709,21 +717,14 @@ fn resolve_model_check(
                     };
                     (mapped, outcome.iterations, outcome.refinements.len())
                 }
-                Err(CheckError::InvalidModel(problems)) => {
-                    // A reachability goal whose vocabulary does not exist
-                    // in this model is trivially unreachable; other
-                    // property kinds are genuinely not applicable.
-                    let outcome = if matches!(p, procheck_smv::checker::Property::Reachable { .. })
-                    {
-                        PropertyOutcome::GoalUnreachable
-                    } else {
-                        PropertyOutcome::Skipped(format!(
-                            "not applicable to this model: {}",
-                            problems.join("; ")
-                        ))
-                    };
-                    (outcome, 0, 0)
-                }
+                Err(CheckError::InvalidModel(problems)) => (
+                    PropertyOutcome::Skipped(format!(
+                        "not applicable to this model: {}",
+                        problems.join("; ")
+                    )),
+                    0,
+                    0,
+                ),
                 Err(CheckError::StateLimit(n)) if n < cfg.state_limit => (
                     // Only the budget's per-property cap can lower the
                     // limit below the configured one.
@@ -849,7 +850,9 @@ fn leg_knobs(cfg: &AnalysisConfig, symbolic: bool) -> Fingerprint {
 /// and — before any exploration — look up the as-checked model's key,
 /// unless the index already tried that key. Compose and compile errors
 /// surface before the property's vocabulary check, which surfaces
-/// before any graph work; the second-level lookup sits *after*
+/// before any graph work (a reachability goal outside the vocabulary
+/// settles there as unreachable, with zero counts; any other property
+/// returns the error); the second-level lookup sits *after*
 /// compilation so even not-applicable outcomes replay warm, and
 /// `graph_cache_hit` is left `None` on every path that never consulted
 /// the graph layer (store hits included). Once compiled, the cone the
@@ -943,7 +946,22 @@ fn check_model_property(
         }
     }
     if let Err(e) = cp {
-        return ModelCheckResolution::Live(Err(e), pending);
+        // A reachability goal whose vocabulary does not exist in this
+        // model is trivially unreachable, settled with nothing checked;
+        // other property kinds are genuinely not applicable.
+        let settled = match p {
+            procheck_smv::checker::Property::Reachable { .. } => Ok(CegarOutcome {
+                verdict: FinalVerdict::GoalUnreachable,
+                iterations: 0,
+                refinements: Vec::new(),
+                cpv_queries: 0,
+                cpv_steps: 0,
+                explore: CheckStats::default(),
+                query: QueryStats::default(),
+            }),
+            _ => Err(e),
+        };
+        return ModelCheckResolution::Live(settled, pending);
     }
     // The budget's per-property cap lowers the effective state limit;
     // tripping the lowered limit is a budget degradation, not a skip.
@@ -1532,6 +1550,48 @@ mod tests {
         let r = report.result("S01").unwrap();
         assert_eq!(r.outcome.tag(), "skipped");
         assert!(!r.is_finding(), "a skip is not a finding");
+    }
+
+    /// A reachability goal whose live check fails because the model's
+    /// state needs more than 64 bits is not applicable to that model,
+    /// never unreachable: it settles as a skip naming the widths, and
+    /// the skip is stored and replays as that skip.
+    #[test]
+    fn width_rejected_reachability_goal_settles_as_a_skip() {
+        use procheck_smv::checker::Property;
+        let prop = registry()
+            .into_iter()
+            .find(|p| matches!(p.check, Check::Model(Property::Reachable { .. })))
+            .expect("the registry has reachability goals");
+        let compiled = CompiledModel::new(&crate::cache::tests::too_wide()).expect("valid");
+        let rejected = ThreatModelCache::new()
+            .graph(
+                &prop.slice.threat_config(),
+                None,
+                &compiled,
+                DEFAULT_STATE_LIMIT,
+                &Collector::disabled(),
+            )
+            .expect_err("66 bits");
+        let leg = resolve_model_check(
+            &prop,
+            ModelCheckResolution::Live(Err(rejected), None),
+            &AnalysisConfig::default(),
+            None,
+            false,
+        );
+        let PropertyOutcome::Skipped(why) = &leg.outcome else {
+            panic!("{}: {:?}", prop.id, leg.outcome)
+        };
+        assert!(
+            why.starts_with(
+                "not applicable to this model: a state needs 66 bits, over the 64 of a packed key: x0 6,"
+            ),
+            "{why}"
+        );
+        assert_eq!((leg.iterations, leg.refinements), (0, 0));
+        let stored = outcome_to_data(&leg.outcome).expect("a skip is stored");
+        assert_eq!(outcome_from_data(stored), leg.outcome);
     }
 
     /// PR19/PR20: the freshness-limit countermeasure closes P1/P2.

@@ -188,7 +188,6 @@ fn registry_successors_equal_direct_guard_evaluation() {
     let model = build_threat_model(&models.ue, &models.mme, &cfg);
     let compiled = CompiledModel::new(&model).unwrap();
     let graph = explore(&compiled, 2_000_000);
-    assert!(graph.is_packed());
     for id in 0..graph.node_count() as u32 {
         let state = graph.state_of(id);
         let enabled: Vec<u32> = (0..compiled.command_count())

@@ -1,7 +1,10 @@
 //! Explicit-state checking engine.
 //!
-//! States are interned vectors of per-variable value indices. The engine
-//! is split into an *explore* phase and an *evaluate* phase:
+//! Every state is one packed `u64` key: each variable's value index sits
+//! in its own bit field, and a model whose fields need more than 64 bits
+//! is rejected with [`CheckError::InvalidModel`] naming each variable's
+//! width (the symbolic backend in `procheck-symbolic` still checks it).
+//! The engine is split into an *explore* phase and an *evaluate* phase:
 //!
 //! * [`build_reach_graph_budgeted`] runs one flagless BFS over the model
 //!   and produces a [`ReachGraph`] — packed state
@@ -29,7 +32,7 @@ use crate::budget::{BudgetExceeded, BudgetMeter, PROBE_STRIDE};
 use crate::expr::Expr;
 use crate::fxhash::{FxBuildHasher, FxHashMap};
 use crate::model::Model;
-use crate::reach::{PackLayout, ReachGraph, StateArena, NO_PARENT, STUTTER_CMD};
+use crate::reach::{PackLayout, ReachGraph, NO_PARENT, STUTTER_CMD};
 use crate::trace::{Counterexample, TraceStep};
 use procheck_ident::{CmdId, CmdIdSet, Sym, ValId, VarId};
 use serde::{Deserialize, Serialize};
@@ -37,6 +40,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::mem;
 
 /// Default bound on explored product states.
 pub const DEFAULT_STATE_LIMIT: usize = 4_000_000;
@@ -634,49 +638,11 @@ impl CompiledModel {
 // Explore phase: building the reachable graph
 // ---------------------------------------------------------------------------
 
-/// Interning state-arena builder for the wide (unpackable) fallback.
-/// The index table exists only during the BFS; the finished
-/// [`ReachGraph`] keeps just the arena. Packed models use
-/// [`PackedFrontier`] instead.
-struct ArenaBuilder {
-    arena: StateArena,
-    wide_index: FxHashMap<Box<[Value]>, u32>,
-    parent_node: Vec<u32>,
-    parent_cmd: Vec<u32>,
-}
-
-impl ArenaBuilder {
-    fn len(&self) -> usize {
-        self.parent_node.len()
-    }
-
-    /// Interns a state, recording BFS parent info on first sight. The
-    /// state is *borrowed*: it is copied only when actually fresh, so
-    /// the BFS hot loop never clones per pop or per duplicate successor.
-    fn intern(&mut self, s: &[Value], parent: (u32, u32)) -> (u32, bool) {
-        match &mut self.arena {
-            StateArena::Packed { .. } => unreachable!("packed models use PackedFrontier"),
-            StateArena::Wide { values, .. } => {
-                if let Some(&id) = self.wide_index.get(s) {
-                    return (id, false);
-                }
-                let id = self.wide_index.len() as u32;
-                values.extend_from_slice(s);
-                self.wide_index.insert(s.to_vec().into_boxed_slice(), id);
-                self.parent_node.push(parent.0);
-                self.parent_cmd.push(parent.1);
-                (id, true)
-            }
-        }
-    }
-}
-
 /// Explores the compiled model's reachable state space once, by one
-/// serial BFS, and returns it as a [`ReachGraph`] ready for any number
-/// of property queries: over packed `u64` keys when the model's domains
-/// fit 64 bits, over value vectors otherwise. Exploration cost is
-/// absorbed into `stats` — on the error paths too, so callers see how
-/// far an aborted build got.
+/// serial BFS over packed `u64` keys, and returns it as a
+/// [`ReachGraph`] ready for any number of property queries. Exploration
+/// cost is absorbed into `stats` — on the error paths too, so callers
+/// see how far an aborted build got.
 ///
 /// The live [`BudgetMeter`] is charged for freshly interned states every
 /// [`PROBE_STRIDE`] pops, and exhaustion aborts this build without
@@ -688,8 +654,9 @@ impl ArenaBuilder {
 ///
 /// # Errors
 ///
-/// [`CheckError::StateLimit`] past `limit`; [`CheckError::Budget`] when
-/// the meter trips.
+/// [`CheckError::InvalidModel`] when a state of `model` needs more than
+/// 64 bits, before anything is explored; [`CheckError::StateLimit`] past
+/// `limit`; [`CheckError::Budget`] when the meter trips.
 pub fn build_reach_graph_budgeted(
     model: &CompiledModel,
     limit: usize,
@@ -697,9 +664,7 @@ pub fn build_reach_graph_budgeted(
     stats: &mut CheckStats,
     _explore_threads: usize,
 ) -> Result<ReachGraph, CheckError> {
-    let Some(mut explorer) = PackedExplorer::new(model, limit) else {
-        return explore_wide(model, limit, meter, stats);
-    };
+    let mut explorer = PackedExplorer::new(model, limit)?;
     let explored = explorer.advance(meter, |_| false);
     if explored.is_ok() {
         explorer.charge_tail(meter);
@@ -1076,153 +1041,6 @@ impl PackedFrontier {
     }
 }
 
-/// Folds partial exploration cost into `stats` before an aborting error
-/// is returned.
-fn abort_partial(
-    stats: &mut CheckStats,
-    states: u64,
-    transitions: u64,
-    peak_queue: u64,
-    err: CheckError,
-) -> CheckError {
-    stats.absorb(CheckStats {
-        states,
-        transitions,
-        peak_queue,
-    });
-    err
-}
-
-/// Serial BFS over the wide (unpackable) arena — the original generic
-/// exploration loop, kept verbatim for models whose domain product does
-/// not fit 64 bits.
-fn explore_wide(
-    c: &CompiledModel,
-    limit: usize,
-    meter: &BudgetMeter,
-    stats: &mut CheckStats,
-) -> Result<ReachGraph, CheckError> {
-    let num_vars = c.num_vars();
-    let cap = c.capacity_hint(limit);
-
-    let mut b = ArenaBuilder {
-        arena: StateArena::Wide {
-            num_vars,
-            values: Vec::new(),
-        },
-        wide_index: FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default()),
-        parent_node: Vec::with_capacity(cap),
-        parent_cmd: Vec::with_capacity(cap),
-    };
-
-    for s in c.initial_states() {
-        b.intern(&s, (NO_PARENT, NO_PARENT));
-    }
-    let init_count = b.len() as u32;
-
-    let mut succ_off: Vec<u32> = Vec::with_capacity(cap + 1);
-    succ_off.push(0);
-    let mut succ_cmd: Vec<u32> = Vec::new();
-    let mut succ_node: Vec<u32> = Vec::new();
-    let mut transitions = 0u64;
-    let mut peak_queue = init_count as u64;
-    let mut cur: State = vec![0; num_vars];
-    let mut scratch: State = vec![0; num_vars];
-
-    // BFS with an implicit queue: pop order equals intern order, so the
-    // frontier is just the ids in `next..len` and the CSR offsets can be
-    // sealed as each node is popped.
-    let budgeted = meter.is_limited();
-    let mut charged: usize = 0;
-    let mut next: usize = 0;
-    let mut level_end: usize = 0;
-    let mut levels: u32 = 0;
-    let mut peak_level: u64 = 0;
-    while next < b.len() {
-        if next == level_end {
-            level_end = b.len();
-            levels += 1;
-            peak_level = peak_level.max((level_end - next) as u64);
-        }
-        if b.len() > limit {
-            return Err(abort_partial(
-                stats,
-                b.len() as u64,
-                transitions,
-                peak_queue,
-                CheckError::StateLimit(limit),
-            ));
-        }
-        if budgeted && next.is_multiple_of(PROBE_STRIDE) {
-            let fresh = (b.len() - charged) as u64;
-            charged = b.len();
-            if let Err(e) = meter.charge_and_probe(fresh) {
-                return Err(abort_partial(
-                    stats,
-                    b.len() as u64,
-                    transitions,
-                    peak_queue,
-                    CheckError::Budget(e),
-                ));
-            }
-        }
-        let id = next as u32;
-        next += 1;
-        b.arena.load(id, &mut cur);
-        let mut any = false;
-        for (i, cmd) in c.commands.iter().enumerate() {
-            if cmd.guard.eval(&cur) {
-                any = true;
-                transitions += 1;
-                scratch.copy_from_slice(&cur);
-                for &(vi, value) in &cmd.updates {
-                    scratch[vi.index()] = value.0;
-                }
-                let (sid, _) = b.intern(&scratch, (id, i as u32));
-                succ_cmd.push(i as u32);
-                succ_node.push(sid);
-            }
-        }
-        if !any {
-            // Deadlocked state: a single stutter self-loop, as the
-            // single-pass checker generated.
-            transitions += 1;
-            succ_cmd.push(STUTTER_CMD);
-            succ_node.push(id);
-        }
-        succ_off.push(succ_cmd.len() as u32);
-        peak_queue = peak_queue.max((b.len() - next) as u64);
-    }
-
-    if budgeted {
-        // Charge the tail states so the *next* build sharing this meter
-        // sees an accurate run total; completed work is never failed
-        // retroactively, so the probe result is deliberately ignored.
-        let _ = meter.charge_and_probe((b.len() - charged) as u64);
-    }
-    let states = b.len() as u64;
-    let build_stats = CheckStats {
-        states,
-        transitions,
-        peak_queue,
-    };
-    stats.absorb(build_stats);
-
-    Ok(ReachGraph {
-        num_vars,
-        arena: b.arena,
-        parent_node: b.parent_node,
-        parent_cmd: b.parent_cmd,
-        succ_off,
-        succ_cmd,
-        succ_node,
-        init_count,
-        levels,
-        peak_level,
-        stats: build_stats,
-    })
-}
-
 /// The packed explorer: one serial BFS over packed `u64` keys, expanding
 /// successors straight from the raw key. The enabled commands come from
 /// the per-field [`EnableTables`] and updates apply as precomputed
@@ -1235,17 +1053,16 @@ fn explore_wide(
 /// pop interns a node its caller is looking for. [`build_reach_graph_budgeted`] advances
 /// it to the end in one call; a [`crate::lazy::LazyGraph`] advances it
 /// only as far as its queries need. Probe placement (state limit per
-/// pop, budget every [`PROBE_STRIDE`] pops) matches [`explore_wide`]
-/// exactly and does not depend on where the search paused, so a BFS run
-/// to the end is node for node, edge for edge and level for level the
-/// same graph, with the same partial stats on the error paths.
+/// pop, budget every [`PROBE_STRIDE`] pops) does not depend on where the
+/// search paused, so a BFS run to the end is node for node, edge for
+/// edge and level for level the same graph, with the same partial stats
+/// on the error paths.
 pub(crate) struct PackedExplorer {
     kernel: PackedKernel,
     /// Scratch enabled-command word for the node being expanded.
     word: Vec<u64>,
     frontier: PackedFrontier,
     limit: usize,
-    num_vars: usize,
     init_count: u32,
     succ_off: Vec<u32>,
     succ_cmd: Vec<u32>,
@@ -1264,11 +1081,14 @@ pub(crate) struct PackedExplorer {
 }
 
 impl PackedExplorer {
-    /// An explorer with the initial states interned and nothing popped,
-    /// or `None` when the model's domains do not pack into 64 bits.
-    pub(crate) fn new(c: &CompiledModel, limit: usize) -> Option<Self> {
-        let domain_sizes: Vec<usize> = c.vars.iter().map(|v| v.domain.len()).collect();
-        let layout = PackLayout::for_domains(&domain_sizes)?;
+    /// An explorer with the initial states interned and nothing popped.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::InvalidModel`] when a state of `c` needs more than
+    /// 64 bits; the message names the total and every variable's width.
+    pub(crate) fn new(c: &CompiledModel, limit: usize) -> Result<Self, CheckError> {
+        let layout = PackLayout::for_model(c)?;
         let cap = c.capacity_hint(limit);
         let kernel = PackedKernel::new(c, &layout);
         let word = vec![0u64; kernel.tables.words];
@@ -1280,12 +1100,11 @@ impl PackedExplorer {
         let init_count = frontier.keys.len() as u32;
         let mut succ_off = Vec::with_capacity(cap + 1);
         succ_off.push(0);
-        Some(PackedExplorer {
+        Ok(PackedExplorer {
             kernel,
             word,
             frontier,
             limit,
-            num_vars: c.num_vars(),
             init_count,
             succ_off,
             succ_cmd: Vec::new(),
@@ -1408,22 +1227,21 @@ impl PackedExplorer {
         )
     }
 
-    /// The finished graph. Call once [`PackedExplorer::advance`] has
-    /// run to the end of the BFS.
-    pub(crate) fn finish(self) -> ReachGraph {
+    /// The finished graph, its arrays moved out of the explorer. Call
+    /// once, after [`PackedExplorer::advance`] has run to the end of the
+    /// BFS.
+    pub(crate) fn finish(&mut self) -> ReachGraph {
         debug_assert_eq!(self.next, self.len(), "finish() before the BFS ended");
         let stats = self.stats();
+        let f = &mut self.frontier;
         ReachGraph {
-            num_vars: self.num_vars,
-            arena: StateArena::Packed {
-                layout: self.frontier.layout,
-                keys: self.frontier.keys,
-            },
-            parent_node: self.frontier.parent_node,
-            parent_cmd: self.frontier.parent_cmd,
-            succ_off: self.succ_off,
-            succ_cmd: self.succ_cmd,
-            succ_node: self.succ_node,
+            layout: f.layout.clone(),
+            keys: mem::take(&mut f.keys),
+            parent_node: mem::take(&mut f.parent_node),
+            parent_cmd: mem::take(&mut f.parent_cmd),
+            succ_off: mem::take(&mut self.succ_off),
+            succ_cmd: mem::take(&mut self.succ_cmd),
+            succ_node: mem::take(&mut self.succ_node),
             init_count: self.init_count,
             levels: self.levels,
             peak_level: self.peak_level,
@@ -1592,22 +1410,11 @@ fn product_bfs(
     Ok(pg)
 }
 
-/// A compiled expression's value in every graph node, in id order. On a
-/// packed arena the expression is lowered once and read straight off the
-/// keys; only the wide arena unpacks states.
-fn node_values<'a>(g: &'a ReachGraph, e: &'a CExpr) -> impl Iterator<Item = bool> + 'a {
-    let packed = match &g.arena {
-        StateArena::Packed { layout, keys } => Some((lower_guard(e, layout), keys)),
-        StateArena::Wide { .. } => None,
-    };
-    let mut cur: State = vec![0; g.num_vars()];
-    (0..g.node_count() as u32).map(move |id| match &packed {
-        Some((guard, keys)) => guard.eval(keys[id as usize]),
-        None => {
-            g.load_state(id, &mut cur);
-            e.eval(&cur)
-        }
-    })
+/// A compiled expression's value in every graph node, in id order: the
+/// expression is lowered once and read straight off the keys.
+fn node_values<'a>(g: &'a ReachGraph, e: &CExpr) -> impl Iterator<Item = bool> + 'a {
+    let guard = lower_guard(e, &g.layout);
+    g.keys.iter().map(move |&key| guard.eval(key))
 }
 
 /// Evaluates a compiled expression in every graph node, in id order.
@@ -1923,9 +1730,9 @@ fn check_response_on_graph(
 /// # Errors
 ///
 /// Returns [`CheckError::InvalidModel`] if the model references
-/// undeclared variables or out-of-domain values, and
-/// [`CheckError::StateLimit`] if exploration exceeds `limit` states.
-/// This API never panics.
+/// undeclared variables or out-of-domain values, then if a state needs
+/// more than 64 bits, and [`CheckError::StateLimit`] if exploration
+/// exceeds `limit` states. This API never panics.
 pub fn check_bounded(
     model: &Model,
     property: &Property,
@@ -2125,7 +1932,7 @@ fn build_fair_cycle(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::GuardedCmd;
 
@@ -2424,7 +2231,6 @@ mod tests {
             let mut m = ring(with_drop);
             m.add_fairness(Expr::var_eq("st", "done"));
             let g = graph(&m, 1000, &mut CheckStats::default()).unwrap();
-            assert!(g.is_packed(), "3-value domain must bit-pack");
             let props = [
                 Property::invariant("inv", Expr::var_ne("st", "done")),
                 Property::invariant("dom", Expr::var_in("st", ["idle", "req", "done"])),
@@ -2526,28 +2332,76 @@ mod tests {
         assert_eq!(ce.lasso_start, ref_ce.lasso_start);
     }
 
-    /// Models whose packed width exceeds 64 bits fall back to the wide
-    /// arena and still answer queries identically.
-    #[test]
-    fn wide_fallback_matches_direct_checks() {
+    /// Eleven variables of 64 values each, `x0` stepping from `v0` to
+    /// `v1`: a state needs 66 bits.
+    pub(crate) fn too_wide() -> Model {
         let mut m = Model::new("wide");
-        let domain: Vec<String> = (0..64).map(|i| format!("v{i}")).collect();
-        let domain_refs: Vec<&str> = domain.iter().map(String::as_str).collect();
         for i in 0..11 {
-            m.declare_var(&format!("x{i}"), &domain_refs, &["v0"]);
+            declare(&mut m, &format!("x{i}"), 64);
         }
         m.add_command(GuardedCmd::new("step", Expr::var_eq("x0", "v0")).set("x0", "v1"));
-        let g = graph(&m, 1000, &mut CheckStats::default()).unwrap();
-        assert!(!g.is_packed(), "11 x 6 bits must overflow the u64 key");
-        assert_eq!(g.node_count(), 2);
+        m
+    }
+
+    /// The one problem a model too wide for a packed key is rejected
+    /// with.
+    fn width_error(problem: &str) -> CheckError {
+        CheckError::InvalidModel(vec![problem.to_string()])
+    }
+
+    /// A model whose state needs more than 64 bits is rejected before
+    /// anything is explored, by the graph build and by the one-shot
+    /// check alike, with the total and each variable's width.
+    #[test]
+    fn models_over_64_bits_are_rejected_with_their_widths() {
+        let m = too_wide();
+        let want = width_error(
+            "a state needs 66 bits, over the 64 of a packed key: \
+             x0 6, x1 6, x2 6, x3 6, x4 6, x5 6, x6 6, x7 6, x8 6, x9 6, x10 6",
+        );
+        let mut stats = CheckStats::default();
+        assert_eq!(graph(&m, 1000, &mut stats).unwrap_err(), want);
+        assert_eq!(stats, CheckStats::default(), "nothing explored");
         let p = Property::reachable("moved", Expr::var_eq("x0", "v1"));
-        let direct = bounded(&m, &p, 1000).unwrap();
-        let c = CompiledModel::new(&m).unwrap();
-        let cp = c.compile_property(&p).unwrap();
-        let mut q = QueryStats::default();
-        let cached = query(&c, &g, &cp, &c.exclusion_set(), &mut q).unwrap();
-        assert_eq!(direct, cached);
-        assert_eq!(direct.trace().unwrap(), cached.trace().unwrap());
+        assert_eq!(bounded(&m, &p, 1000).unwrap_err(), want);
+        // Property problems still come first.
+        let bad = Property::reachable("ghost", Expr::var_eq("ghost", "v1"));
+        assert_eq!(
+            bounded(&m, &bad, 1000).unwrap_err(),
+            width_error("`property` references undeclared `ghost`")
+        );
+    }
+
+    /// A model that packs into exactly 64 bits explores like any other;
+    /// one more two-valued variable makes it 65 bits, and it is rejected.
+    #[test]
+    fn sixty_four_bits_explore_and_sixty_five_are_rejected() {
+        // Eight 8-bit counters: `c0` steps round its 256 values, and `c7`,
+        // the top field, jumps to its highest value when `c0` does.
+        let mut m = Model::new("exactly_64");
+        for i in 0..8 {
+            declare(&mut m, &format!("c{i}"), 256);
+        }
+        for j in 0..256 {
+            m.add_command(
+                GuardedCmd::new(format!("c0_{j}"), Expr::var_eq("c0", format!("v{j}")))
+                    .set("c0", format!("v{}", (j + 1) % 256)),
+            );
+        }
+        m.add_command(GuardedCmd::new("c7_top", Expr::var_eq("c0", "v255")).set("c7", "v255"));
+        let g = graph(&m, 1_000_000, &mut CheckStats::default()).expect("64 bits fit");
+        assert_eq!(g.node_count(), 512, "every c0 value with c7 at v0 and v255");
+        assert_successors_match_guards(&CompiledModel::new(&m).expect("valid"), &g);
+        assert_eq!(g.state_of(511)[7], 255, "the top field round-trips");
+
+        m.declare_var("one_more", &["a", "b"], &["a"]);
+        assert_eq!(
+            graph(&m, 1_000_000, &mut CheckStats::default()).unwrap_err(),
+            width_error(
+                "a state needs 65 bits, over the 64 of a packed key: \
+                 c0 8, c1 8, c2 8, c3 8, c4 8, c5 8, c6 8, c7 8, one_more 1"
+            )
+        );
     }
 
     /// Structural sanity of the cached graph on the ring: the CSR
@@ -2871,7 +2725,6 @@ mod tests {
                 1,
             )
             .expect("fits");
-            assert!(g.is_packed());
             assert_eq!(g.node_count(), states, "{}", model.name());
             assert_successors_match_guards(&c, &g);
         }

@@ -20,7 +20,8 @@
 //! So verdicts, traces and query stats equal those of the same query over
 //! an eagerly built graph; only the exploration a run pays for shrinks.
 //! A graph run to the end is node for node and edge for edge the graph
-//! [`build_reach_graph_budgeted`] returns.
+//! [`build_reach_graph_budgeted`](crate::checker::build_reach_graph_budgeted)
+//! returns.
 //!
 //! A state limit, a budget trip or a panic while extending stops the BFS
 //! for good and is kept on the graph with its partial stats. The explored
@@ -30,14 +31,15 @@
 //! reached the graph first. A panic is caught inside the graph, so its
 //! lock is never poisoned.
 //!
-//! Models too wide to pack into 64 bits are explored eagerly, by the wide
-//! fallback, the first time any query needs them.
+//! A model whose state needs more than 64 bits gets no graph:
+//! [`LazyGraph::new`] returns the width error the packed explorer
+//! rejects it with.
 
 use crate::backend::{BackendVerdict, CheckBackend, ExplicitBackend};
 use crate::budget::{panic_message, BudgetMeter};
 use crate::checker::{
-    build_reach_graph_budgeted, lower_guard, CExpr, CProp, CheckError, CheckStats, CompiledModel,
-    CompiledProperty, PackedExplorer, QueryStats, Verdict,
+    lower_guard, CExpr, CProp, CheckError, CheckStats, CompiledModel, CompiledProperty,
+    PackedExplorer, QueryStats, Verdict,
 };
 use crate::reach::ReachGraph;
 use crate::trace::Counterexample;
@@ -52,7 +54,6 @@ use std::time::{Duration, Instant};
 /// to query from several threads: queries on one graph take turns
 /// extending it.
 pub struct LazyGraph {
-    limit: usize,
     slot: Mutex<Slot>,
 }
 
@@ -80,12 +81,9 @@ struct Slot {
 }
 
 enum Explored {
-    /// A packed model whose BFS has not ended: paused, or stopped by the
-    /// slot's failure.
+    /// A BFS that has not ended: paused, or stopped by the slot's
+    /// failure.
     Partial(Box<PackedExplorer>),
-    /// A model too wide to pack: not explored yet, or (with the slot's
-    /// failure set) what its failed build cost.
-    Wide(CheckStats),
     /// Explored to the end.
     Complete(Arc<ReachGraph>),
 }
@@ -96,43 +94,40 @@ enum Scan {
     Hit(Counterexample),
     /// The BFS ended and no node matches.
     Miss,
-    /// The graph is finished (or too wide to scan lazily): query it.
+    /// The graph is finished: query it.
     Graph(Arc<ReachGraph>),
 }
 
 impl LazyGraph {
     /// A graph of `model` with only its initial states interned. The BFS
     /// fails with [`CheckError::StateLimit`] past `limit` states.
-    pub fn new(model: &CompiledModel, limit: usize) -> Self {
-        let explored = match PackedExplorer::new(model, limit) {
-            Some(explorer) => Explored::Partial(Box::new(explorer)),
-            None => Explored::Wide(CheckStats::default()),
-        };
-        LazyGraph {
-            limit,
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::InvalidModel`] when a state of `model` needs more
+    /// than 64 bits; the message names the total and every variable's
+    /// width.
+    pub fn new(model: &CompiledModel, limit: usize) -> Result<Self, CheckError> {
+        let explorer = PackedExplorer::new(model, limit)?;
+        Ok(LazyGraph {
             slot: Mutex::new(Slot {
-                explored,
+                explored: Explored::Partial(Box::new(explorer)),
                 failure: None,
                 elapsed: Duration::ZERO,
             }),
-        }
+        })
     }
 
     /// Runs the BFS to the end, if it has not ended, and returns the
-    /// finished graph. `model` must be the model the graph was created
-    /// from; `meter` is charged for the states the BFS interns.
+    /// finished graph; `meter` is charged for the states the BFS interns.
     ///
     /// # Errors
     ///
     /// The error the BFS stopped with, now or earlier:
     /// [`CheckError::StateLimit`], [`CheckError::Budget`] or an isolated
     /// [`CheckError::Panic`].
-    pub fn complete(
-        &self,
-        model: &CompiledModel,
-        meter: &BudgetMeter,
-    ) -> Result<Arc<ReachGraph>, CheckError> {
-        self.locked(|slot| slot.complete(model, self.limit, meter))
+    pub fn complete(&self, meter: &BudgetMeter) -> Result<Arc<ReachGraph>, CheckError> {
+        self.locked(|slot| slot.complete(meter))
     }
 
     /// How far the graph has been explored so far.
@@ -143,7 +138,6 @@ impl LazyGraph {
             .expect("a lazy graph's lock is never poisoned");
         let (stats, (levels, peak_level), complete) = match &slot.explored {
             Explored::Partial(explorer) => (explorer.stats(), explorer.levels(), false),
-            Explored::Wide(stats) => (*stats, (0, 0), false),
             Explored::Complete(graph) => (
                 graph.build_stats(),
                 (graph.levels(), graph.peak_level()),
@@ -181,29 +175,19 @@ impl LazyGraph {
 }
 
 impl Slot {
-    fn complete(
-        &mut self,
-        model: &CompiledModel,
-        limit: usize,
-        meter: &BudgetMeter,
-    ) -> Result<Arc<ReachGraph>, CheckError> {
-        if let Explored::Complete(graph) = &self.explored {
-            return Ok(Arc::clone(graph));
-        }
+    fn complete(&mut self, meter: &BudgetMeter) -> Result<Arc<ReachGraph>, CheckError> {
+        let explorer = match &mut self.explored {
+            Explored::Complete(graph) => return Ok(Arc::clone(graph)),
+            Explored::Partial(explorer) => explorer,
+        };
         if let Some(e) = &self.failure {
             return Err(e.clone());
         }
         let start = Instant::now();
-        let built = match &mut self.explored {
-            Explored::Partial(explorer) => explorer.advance(meter, |_| false).map(|_| None),
-            Explored::Wide(stats) => {
-                build_reach_graph_budgeted(model, limit, meter, stats, 1).map(Some)
-            }
-            Explored::Complete(_) => unreachable!("returned above"),
-        };
+        let ended = explorer.advance(meter, |_| false);
         self.elapsed += start.elapsed();
-        match built {
-            Ok(wide) => Ok(self.seal(wide, meter)),
+        match ended {
+            Ok(_) => Ok(self.seal(meter)),
             Err(e) => {
                 self.failure = Some(e.clone());
                 Err(e)
@@ -248,7 +232,7 @@ impl Slot {
             }
             Ok(None) => {
                 stats.nodes_reused += explorer.len() as u64;
-                self.seal(None, meter);
+                self.seal(meter);
                 Ok(Scan::Miss)
             }
             Err(e) => {
@@ -258,20 +242,16 @@ impl Slot {
         }
     }
 
-    /// Stores the finished graph: the wide build's, or the graph of the
-    /// ended BFS, whose last states are charged to `meter`.
-    fn seal(&mut self, wide: Option<ReachGraph>, meter: &BudgetMeter) -> Arc<ReachGraph> {
-        let placeholder = Explored::Wide(CheckStats::default());
-        let graph = Arc::new(
-            match (wide, std::mem::replace(&mut self.explored, placeholder)) {
-                (Some(graph), _) => graph,
-                (None, Explored::Partial(mut explorer)) => {
-                    explorer.charge_tail(meter);
-                    explorer.finish()
-                }
-                (None, _) => unreachable!("only an explorer seals without a graph"),
-            },
-        );
+    /// Stores the graph of the ended BFS, whose last states are charged
+    /// to `meter`.
+    fn seal(&mut self, meter: &BudgetMeter) -> Arc<ReachGraph> {
+        let graph = match &mut self.explored {
+            Explored::Partial(explorer) => {
+                explorer.charge_tail(meter);
+                Arc::new(explorer.finish())
+            }
+            Explored::Complete(graph) => Arc::clone(graph),
+        };
         self.explored = Explored::Complete(Arc::clone(&graph));
         graph
     }
@@ -300,7 +280,7 @@ impl CheckBackend for LazyGraph {
             Some((e, bad)) if matches!(slot.explored, Explored::Partial(_)) => {
                 slot.scan(model, e, bad, meter, stats)
             }
-            _ => slot.complete(model, self.limit, meter).map(Scan::Graph),
+            _ => slot.complete(meter).map(Scan::Graph),
         })?;
         let reachability = matches!(property.kind(), CProp::Reachable { .. });
         let verdict = match found {
@@ -319,9 +299,7 @@ impl CheckBackend for LazyGraph {
 
 impl fmt::Debug for LazyGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LazyGraph")
-            .field("limit", &self.limit)
-            .finish_non_exhaustive()
+        f.debug_struct("LazyGraph").finish_non_exhaustive()
     }
 }
 
@@ -361,7 +339,7 @@ mod tests {
     #[test]
     fn invariant_stops_the_bfs_and_response_completes_it() {
         let c = CompiledModel::new(&lattice()).expect("valid");
-        let lazy = LazyGraph::new(&c, 1_000_000);
+        let lazy = LazyGraph::new(&c, 1_000_000).expect("fits");
         assert_eq!(lazy.extent().stats.states, 1, "only the initial state");
         let v = ask(
             &lazy,
@@ -388,43 +366,27 @@ mod tests {
         assert_eq!(full.levels, 13);
     }
 
-    /// A model too wide to pack is explored by the wide fallback the
-    /// first time a query needs it, and answers like the eager graph.
+    /// A model whose state needs more than 64 bits gets no graph: the
+    /// constructor returns the width error, the same one an eager build
+    /// returns.
     #[test]
-    fn wide_models_explore_on_first_need() {
-        let mut m = Model::new("wide");
-        let domain: Vec<String> = (0..64).map(|i| format!("v{i}")).collect();
-        let domain_refs: Vec<&str> = domain.iter().map(String::as_str).collect();
-        for i in 0..11 {
-            m.declare_var(&format!("x{i}"), &domain_refs, &["v0"]);
-        }
-        m.add_command(GuardedCmd::new("step", Expr::var_eq("x0", "v0")).set("x0", "v1"));
-        let c = CompiledModel::new(&m).expect("valid");
-        let lazy = LazyGraph::new(&c, 1000);
-        assert_eq!(lazy.extent().stats.states, 0, "nothing explored yet");
-        let p = Property::reachable("moved", Expr::var_eq("x0", "v1"));
-        let v = ask(&lazy, &c, &p);
-        let extent = lazy.extent();
-        assert!(extent.complete);
-        assert_eq!(extent.stats.states, 2);
-        let graph = build_reach_graph_budgeted(
+    fn models_over_64_bits_get_no_graph() {
+        let c = CompiledModel::new(&crate::checker::tests::too_wide()).expect("valid");
+        let err = LazyGraph::new(&c, 1000).expect_err("66 bits");
+        let CheckError::InvalidModel(problems) = &err else {
+            panic!("{err:?}")
+        };
+        assert!(
+            problems[0].starts_with("a state needs 66 bits, over the 64 of a packed key: x0 6,"),
+            "{problems:?}"
+        );
+        let eager = crate::checker::build_reach_graph_budgeted(
             &c,
             1000,
             &BudgetMeter::unlimited(),
             &mut CheckStats::default(),
             1,
-        )
-        .expect("fits");
-        let eager = ExplicitBackend { graph: &graph }
-            .answer(
-                &c,
-                &c.compile_property(&p).expect("valid property"),
-                &c.exclusion_set(),
-                1000,
-                &BudgetMeter::unlimited(),
-                &mut QueryStats::default(),
-            )
-            .expect("fits");
-        assert_eq!(BackendVerdict::Definite(v), eager);
+        );
+        assert_eq!(eager.unwrap_err(), err);
     }
 }

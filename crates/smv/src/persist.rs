@@ -26,24 +26,24 @@
 //! model before the graph is used.
 
 use crate::checker::{CExpr, CheckStats, CompiledModel};
-use crate::reach::{PackLayout, ReachGraph, StateArena, NO_PARENT, STUTTER_CMD};
+use crate::reach::{PackLayout, ReachGraph, NO_PARENT, STUTTER_CMD};
 use procheck_store::{ByteReader, ByteWriter, Fingerprint, StableHasher};
 
 /// Plain-data image of a [`ReachGraph`]: every field a stored graph
 /// needs, as integer arrays. The pipeline stores no graphs; the
 /// repository benchmark's traced replay is the only user of this image.
+///
+/// The encoded record keeps the layout of the format that also stored
+/// unpacked states: after `num_vars` come a packed flag, always 1, and
+/// an unpacked value array, always empty. [`ReachGraphData::decode`]
+/// rejects a record that says otherwise.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachGraphData {
     /// Declared variable count of the model the graph was explored for.
     pub num_vars: u64,
-    /// True when `keys` holds the packed arena; false when `values`
-    /// holds the wide arena.
-    pub packed: bool,
-    /// Packed `u64` state keys (empty unless `packed`).
+    /// Packed `u64` state key per node, in node id order; the model's
+    /// pack layout tells the fields apart.
     pub keys: Vec<u64>,
-    /// Wide arena value indices, `num_vars` per state (empty when
-    /// `packed`).
-    pub values: Vec<u16>,
     /// BFS parent node per node.
     pub parent_node: Vec<u32>,
     /// Command index of the edge from the BFS parent.
@@ -70,9 +70,9 @@ impl ReachGraphData {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u64(self.num_vars);
-        w.u8(u8::from(self.packed));
+        w.u8(1);
         w.vec_u64(&self.keys);
-        w.vec_u16(&self.values);
+        w.vec_u16(&[]);
         w.vec_u32(&self.parent_node);
         w.vec_u32(&self.parent_cmd);
         w.vec_u32(&self.succ_off);
@@ -91,13 +91,14 @@ impl ReachGraphData {
     ///
     /// # Errors
     ///
-    /// A description of the decode failure; the caller treats it as
-    /// record corruption (a cold miss).
+    /// A description of the decode failure, a record whose packed flag
+    /// is not 1 or whose unpacked value array is not empty included; the
+    /// caller treats it as record corruption (a cold miss).
     pub fn decode(payload: &[u8]) -> Result<Self, String> {
         let mut r = ByteReader::new(payload);
-        let mut run = || -> Result<ReachGraphData, procheck_store::DecodeError> {
+        let mut run = || -> Result<(bool, ReachGraphData), procheck_store::DecodeError> {
             let num_vars = r.u64()?;
-            let packed = r.u8()? != 0;
+            let flag = r.u8()?;
             let keys = r.vec_u64()?;
             let values = r.vec_u16()?;
             let parent_node = r.vec_u32()?;
@@ -110,11 +111,10 @@ impl ReachGraphData {
             let peak_level = r.u64()?;
             let stats = [r.u64()?, r.u64()?, r.u64()?];
             r.finish()?;
-            Ok(ReachGraphData {
+            let packed = flag == 1 && values.is_empty();
+            let data = ReachGraphData {
                 num_vars,
-                packed,
                 keys,
-                values,
                 parent_node,
                 parent_cmd,
                 succ_off,
@@ -124,24 +124,22 @@ impl ReachGraphData {
                 levels,
                 peak_level,
                 stats,
-            })
+            };
+            Ok((packed, data))
         };
-        run().map_err(|e| format!("graph payload: {e}"))
+        match run().map_err(|e| format!("graph payload: {e}"))? {
+            (true, data) => Ok(data),
+            (false, _) => Err("graph payload: states are not packed keys".to_string()),
+        }
     }
 }
 
 impl ReachGraph {
     /// Serializes this graph into its plain-data image.
     pub fn to_data(&self) -> ReachGraphData {
-        let (packed, keys, values) = match &self.arena {
-            StateArena::Packed { keys, .. } => (true, keys.clone(), Vec::new()),
-            StateArena::Wide { values, .. } => (false, Vec::new(), values.clone()),
-        };
         ReachGraphData {
-            num_vars: self.num_vars as u64,
-            packed,
-            keys,
-            values,
+            num_vars: self.num_vars() as u64,
+            keys: self.keys.clone(),
             parent_node: self.parent_node.clone(),
             parent_cmd: self.parent_cmd.clone(),
             succ_off: self.succ_off.clone(),
@@ -176,35 +174,8 @@ impl ReachGraph {
                 model.num_vars()
             ));
         }
-        let domain_sizes: Vec<usize> = model.vars.iter().map(|v| v.domain.len()).collect();
-        let arena = if data.packed {
-            if !data.values.is_empty() {
-                return Err("packed graph carries a wide arena".to_string());
-            }
-            let layout = PackLayout::for_domains(&domain_sizes).ok_or_else(|| {
-                "stored graph is packed but the model does not fit 64 bits".to_string()
-            })?;
-            StateArena::Packed {
-                layout,
-                keys: data.keys.clone(),
-            }
-        } else {
-            if !data.keys.is_empty() {
-                return Err("wide graph carries packed keys".to_string());
-            }
-            if model.num_vars() > 0 && !data.values.len().is_multiple_of(model.num_vars()) {
-                return Err(format!(
-                    "wide arena length {} is not a multiple of {} variables",
-                    data.values.len(),
-                    model.num_vars()
-                ));
-            }
-            StateArena::Wide {
-                num_vars: model.num_vars(),
-                values: data.values.clone(),
-            }
-        };
-        let n = arena.len();
+        let layout = PackLayout::for_model(model).map_err(|e| e.to_string())?;
+        let n = data.keys.len();
         let edges = data.succ_node.len();
         if data.parent_node.len() != n || data.parent_cmd.len() != n {
             return Err(format!(
@@ -256,10 +227,10 @@ impl ReachGraph {
         // Every stored state must decode to in-domain value indices, or
         // trace rendering would index past a domain table.
         let mut scratch = vec![0u16; model.num_vars()];
-        for id in 0..n {
-            arena.load(id as u32, &mut scratch);
-            for (i, &v) in scratch.iter().enumerate() {
-                if v as usize >= domain_sizes[i].max(1) {
+        for (id, &key) in data.keys.iter().enumerate() {
+            layout.unpack(key, &mut scratch);
+            for (i, (&v, var)) in scratch.iter().zip(&model.vars).enumerate() {
+                if v as usize >= var.domain.len().max(1) {
                     return Err(format!(
                         "node {id} holds out-of-domain value {v} for variable {i}"
                     ));
@@ -267,8 +238,8 @@ impl ReachGraph {
             }
         }
         Ok(ReachGraph {
-            num_vars: model.num_vars(),
-            arena,
+            layout,
+            keys: data.keys.clone(),
             parent_node: data.parent_node.clone(),
             parent_cmd: data.parent_cmd.clone(),
             succ_off: data.succ_off.clone(),
@@ -550,12 +521,39 @@ mod tests {
             "non-root orphan"
         );
 
-        if !data.keys.is_empty() {
-            let mut bad = data;
-            // An all-ones packed key decodes to out-of-domain values.
-            *bad.keys.last_mut().unwrap() = u64::MAX;
-            assert!(ReachGraph::from_data(&compiled, &bad).is_err());
+        let mut bad = data;
+        // An all-ones packed key decodes to out-of-domain values.
+        *bad.keys.last_mut().unwrap() = u64::MAX;
+        assert!(ReachGraph::from_data(&compiled, &bad).is_err());
+    }
+
+    /// A graph record whose packed flag is 0, or whose unpacked value
+    /// array is not empty, passes the store's checksum but is rejected
+    /// at load, like any corrupt record.
+    #[test]
+    fn unpacked_graph_records_are_rejected_at_load() {
+        use procheck_store::{frame, unframe, Kind};
+        let graph = explore(&toggle_model(), 1000).unwrap();
+        let bytes = graph.to_data().encode();
+        // `num_vars` (8 bytes), then the packed flag.
+        assert_eq!(bytes[8], 1, "the packed flag");
+        let mut flag_off = bytes.clone();
+        flag_off[8] = 0;
+        // The value array's length follows the flag and the keys.
+        let values_len = 8 + 1 + 8 + 8 * graph.node_count();
+        assert_eq!(bytes[values_len..values_len + 8], [0; 8]);
+        let mut with_values = bytes[..values_len].to_vec();
+        with_values.extend(1u64.to_le_bytes());
+        with_values.extend(0u16.to_le_bytes());
+        with_values.extend(&bytes[values_len + 8..]);
+        let key = Fingerprint::ZERO;
+        for payload in [flag_off, with_values] {
+            let stored = unframe(&frame(Kind::Graph, key, &payload), Kind::Graph, key)
+                .expect("checksum-valid record");
+            let err = ReachGraphData::decode(&stored).expect_err("unpacked states");
+            assert!(err.contains("not packed"), "{err}");
         }
+        assert!(ReachGraphData::decode(&bytes).is_ok());
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! sliced to the same threat configuration sees the *same* graph. A
 //! [`ReachGraph`] is that graph, fully explored once and kept:
 //!
-//! * a **packed state arena** — when the product of the declared domain
-//!   sizes fits 64 bits, each state is bit-packed into one `u64` key
-//!   (`PackLayout`); wider models fall back to the boxed value-vector
-//!   encoding the interner used before;
+//! * a **packed state arena** — each state is bit-packed into one `u64`
+//!   key (`PackLayout`), the engine's only state representation; a model
+//!   whose state needs more than 64 bits is rejected, with each
+//!   variable's width, where its layout is computed;
 //! * **CSR successor adjacency** — per node, the enabled commands and
 //!   their successor states, in command declaration order (plus the
 //!   deadlock stutter self-loop), so queries never re-evaluate guards;
@@ -25,7 +25,7 @@
 //! index; they never touch the interning table, which is dropped once
 //! construction finishes.
 
-use crate::checker::CheckStats;
+use crate::checker::{CheckError, CheckStats, CompiledModel};
 
 /// Per-variable value index (position in the declared domain).
 pub type Value = u16;
@@ -45,27 +45,61 @@ pub(crate) struct PackLayout {
     widths: Vec<u8>,
 }
 
+/// Bits a field of `d` values occupies: enough for index `d - 1`, none
+/// for a singleton domain.
+fn field_width(d: usize) -> u8 {
+    if d <= 1 {
+        0
+    } else {
+        (usize::BITS - (d - 1).leading_zeros()) as u8
+    }
+}
+
 impl PackLayout {
-    /// Computes the layout for the given domain sizes, or `None` when the
-    /// packed representation does not fit 64 bits.
-    pub(crate) fn for_domains(domain_sizes: &[usize]) -> Option<PackLayout> {
-        let mut shifts = Vec::with_capacity(domain_sizes.len());
-        let mut widths = Vec::with_capacity(domain_sizes.len());
-        let mut total: u32 = 0;
-        for &d in domain_sizes {
-            let width = if d <= 1 {
-                0u8
-            } else {
-                (usize::BITS - (d - 1).leading_zeros()) as u8
-            };
-            if total + width as u32 > 64 {
-                return None;
-            }
-            shifts.push(total as u8);
-            widths.push(width);
-            total += width as u32;
+    /// Computes `model`'s layout: one field per variable, in declaration
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::InvalidModel`] when a state needs more than the 64
+    /// bits of a packed key. Its one problem names the total and every
+    /// variable's width.
+    pub(crate) fn for_model(model: &CompiledModel) -> Result<PackLayout, CheckError> {
+        let sizes: Vec<usize> = model.vars.iter().map(|v| v.domain.len()).collect();
+        PackLayout::for_domains(&sizes).map_err(|total| {
+            let widths: Vec<String> = model
+                .vars
+                .iter()
+                .zip(&sizes)
+                .map(|(v, &d)| format!("{} {}", v.name.as_str(), field_width(d)))
+                .collect();
+            CheckError::InvalidModel(vec![format!(
+                "a state needs {total} bits, over the 64 of a packed key: {}",
+                widths.join(", ")
+            )])
+        })
+    }
+
+    /// Computes the layout for the given domain sizes, or the bits a
+    /// state needs when that is over 64.
+    fn for_domains(domain_sizes: &[usize]) -> Result<PackLayout, u32> {
+        let widths: Vec<u8> = domain_sizes.iter().map(|&d| field_width(d)).collect();
+        let total: u32 = widths.iter().map(|&w| u32::from(w)).sum();
+        if total > 64 {
+            return Err(total);
         }
-        Some(PackLayout { shifts, widths })
+        let mut shifts = Vec::with_capacity(widths.len());
+        let mut next = 0u8;
+        for &width in &widths {
+            shifts.push(next);
+            next += width;
+        }
+        Ok(PackLayout { shifts, widths })
+    }
+
+    /// Number of variables (fields, zero-width ones included).
+    pub(crate) fn num_vars(&self) -> usize {
+        self.widths.len()
     }
 
     /// Packs a state into its `u64` key.
@@ -107,9 +141,7 @@ impl PackLayout {
         }
     }
 
-    /// Reads variable `i`'s value index straight out of a packed key —
-    /// the packed-arena fast path's per-atom read, replacing a full
-    /// unpack into a scratch vector.
+    /// Reads variable `i`'s value index straight out of a packed key.
     #[inline]
     pub(crate) fn extract(&self, key: u64, i: usize) -> Value {
         let width = self.widths[i];
@@ -140,45 +172,6 @@ impl PackLayout {
     }
 }
 
-/// The state store behind a [`ReachGraph`]: packed `u64` keys when the
-/// domains fit, the wide value-vector encoding otherwise.
-#[derive(Debug)]
-pub(crate) enum StateArena {
-    /// One `u64` per state.
-    Packed { layout: PackLayout, keys: Vec<u64> },
-    /// Flat `num_vars`-stride value-index arena.
-    Wide { num_vars: usize, values: Vec<Value> },
-}
-
-impl StateArena {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            StateArena::Packed { keys, .. } => keys.len(),
-            StateArena::Wide { num_vars, values } => {
-                if *num_vars == 0 {
-                    // Zero-variable models have exactly one (empty) state
-                    // once anything is interned; the wide arena cannot
-                    // count it by stride.
-                    usize::from(!values.is_empty())
-                } else {
-                    values.len() / num_vars
-                }
-            }
-        }
-    }
-
-    /// Copies node `id`'s state into `out` (`out.len() == num_vars`).
-    pub(crate) fn load(&self, id: u32, out: &mut [Value]) {
-        match self {
-            StateArena::Packed { layout, keys } => layout.unpack(keys[id as usize], out),
-            StateArena::Wide { num_vars, values } => {
-                let start = id as usize * num_vars;
-                out.copy_from_slice(&values[start..start + num_vars]);
-            }
-        }
-    }
-}
-
 /// A fully-explored reachable state graph for one model.
 ///
 /// Built by [`crate::checker::build_reach_graph_budgeted`]; immutable
@@ -188,8 +181,10 @@ impl StateArena {
 /// exploration instead of re-running BFS.
 #[derive(Debug)]
 pub struct ReachGraph {
-    pub(crate) num_vars: usize,
-    pub(crate) arena: StateArena,
+    /// The layout every key is packed with.
+    pub(crate) layout: PackLayout,
+    /// Packed state key per node.
+    pub(crate) keys: Vec<u64>,
     /// BFS parent node per node ([`NO_PARENT`] for initial states).
     pub(crate) parent_node: Vec<u32>,
     /// Command index of the edge from the BFS parent.
@@ -213,7 +208,7 @@ pub struct ReachGraph {
 impl ReachGraph {
     /// Number of reachable states.
     pub fn node_count(&self) -> usize {
-        self.arena.len()
+        self.keys.len()
     }
 
     /// Number of successor edges (including deadlock stutters).
@@ -228,12 +223,7 @@ impl ReachGraph {
 
     /// Number of declared variables.
     pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// True when states are stored as packed `u64` keys.
-    pub fn is_packed(&self) -> bool {
-        matches!(self.arena, StateArena::Packed { .. })
+        self.layout.num_vars()
     }
 
     /// What exploring this graph cost (states interned, transitions
@@ -261,8 +251,8 @@ impl ReachGraph {
 
     /// Node `id`'s state as per-variable value indices (test/debug aid).
     pub fn state_of(&self, id: u32) -> Vec<u16> {
-        let mut out = vec![0u16; self.num_vars];
-        self.arena.load(id, &mut out);
+        let mut out = vec![0u16; self.num_vars()];
+        self.load_state(id, &mut out);
         out
     }
 
@@ -279,7 +269,7 @@ impl ReachGraph {
 
     /// Copies node `id`'s state (value indices) into `out`.
     pub(crate) fn load_state(&self, id: u32, out: &mut [Value]) {
-        self.arena.load(id, out);
+        self.layout.unpack(self.keys[id as usize], out);
     }
 }
 
@@ -307,9 +297,14 @@ mod tests {
     fn pack_layout_rejects_wide_products() {
         // 11 variables × 64-value domains = 66 bits: does not fit.
         let sizes = vec![64usize; 11];
-        assert!(PackLayout::for_domains(&sizes).is_none());
+        assert_eq!(PackLayout::for_domains(&sizes).err(), Some(66));
         // 10 × 6 bits = 60 bits: fits.
-        assert!(PackLayout::for_domains(&sizes[..10]).is_some());
+        assert!(PackLayout::for_domains(&sizes[..10]).is_ok());
+        // Exactly 64 bits fits; one more bit does not.
+        let mut sizes = vec![256usize; 8];
+        assert!(PackLayout::for_domains(&sizes).is_ok());
+        sizes.push(2);
+        assert_eq!(PackLayout::for_domains(&sizes).err(), Some(65));
     }
 
     #[test]
@@ -366,19 +361,5 @@ mod tests {
             s[i] = v;
         }
         assert_eq!(succ, layout.pack(&s));
-    }
-
-    #[test]
-    fn wide_arena_roundtrips() {
-        let arena = StateArena::Wide {
-            num_vars: 3,
-            values: vec![1, 2, 3, 4, 5, 6],
-        };
-        assert_eq!(arena.len(), 2);
-        let mut out = [0u16; 3];
-        arena.load(1, &mut out);
-        assert_eq!(out, [4, 5, 6]);
-        arena.load(0, &mut out);
-        assert_eq!(out, [1, 2, 3]);
     }
 }

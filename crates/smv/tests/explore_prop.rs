@@ -167,7 +167,7 @@ proptest! {
         let c = CompiledModel::new(&model).expect("generated models are valid");
         let graph = build(&c);
         let eager = ExplicitBackend { graph: &graph };
-        let lazy = LazyGraph::new(&c, 100_000);
+        let lazy = LazyGraph::new(&c, 100_000).expect("fits");
         let meter = BudgetMeter::unlimited();
         for query in &queries {
             let cp = c.compile_property(&property(&c, query)).expect("in-vocabulary");
@@ -183,7 +183,7 @@ proptest! {
             prop_assert_eq!(got, want, "{:?}", query);
             prop_assert_eq!(got_stats, want_stats, "{:?}", query);
         }
-        let complete = lazy.complete(&c, &meter).expect("fits");
+        let complete = lazy.complete(&meter).expect("fits");
         prop_assert!(lazy.extent().complete);
         prop_assert_eq!(lazy.extent().stats, graph.build_stats());
         prop_assert_eq!(image(&complete), image(&graph));
@@ -202,10 +202,10 @@ proptest! {
         let graph = build(&c);
         prop_assume!(graph.node_count() > 1);
         let limit = 1 + limit_seed % (graph.node_count() - 1);
-        let lazy = LazyGraph::new(&c, limit);
+        let lazy = LazyGraph::new(&c, limit).expect("fits");
         let meter = BudgetMeter::unlimited();
         prop_assert_eq!(
-            lazy.complete(&c, &meter).map(|_| ()),
+            lazy.complete(&meter).map(|_| ()),
             Err(CheckError::StateLimit(limit))
         );
         let prefix = lazy.extent().stats.states as usize;

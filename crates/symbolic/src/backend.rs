@@ -104,3 +104,56 @@ impl CheckBackend for BmcBackend {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use procheck_smv::checker::{build_reach_graph_budgeted, CheckStats, Property};
+    use procheck_smv::{Expr, GuardedCmd, Model};
+
+    /// The explicit engine rejects a model whose state needs 66 bits; the
+    /// bounded engine encodes each variable separately and still checks
+    /// it. A reachability goal and a violated invariant come back as
+    /// replay-validated traces, and an invariant that holds reaches the
+    /// bound.
+    #[test]
+    fn models_over_64_bits_are_checked_symbolically() {
+        let mut m = Model::new("wide");
+        let domain: Vec<String> = (0..64).map(|i| format!("v{i}")).collect();
+        let domain_refs: Vec<&str> = domain.iter().map(String::as_str).collect();
+        for i in 0..11 {
+            m.declare_var(&format!("x{i}"), &domain_refs, &["v0"]);
+        }
+        m.add_command(GuardedCmd::new("step", Expr::var_eq("x0", "v0")).set("x0", "v1"));
+        let c = CompiledModel::new(&m).expect("valid");
+        let meter = BudgetMeter::unlimited();
+        let explicit = build_reach_graph_budgeted(&c, 1000, &meter, &mut CheckStats::default(), 1);
+        assert!(matches!(explicit, Err(CheckError::InvalidModel(_))));
+
+        let backend = BmcBackend::new(4);
+        let ask = |p: &Property| {
+            let cp = c.compile_property(p).expect("valid property");
+            backend
+                .answer(
+                    &c,
+                    &cp,
+                    &c.exclusion_set(),
+                    1000,
+                    &meter,
+                    &mut QueryStats::default(),
+                )
+                .expect("replay-validated")
+        };
+        let reach = ask(&Property::reachable("moved", Expr::var_eq("x0", "v1")));
+        let BackendVerdict::Definite(Verdict::Reachable(ce)) = &reach else {
+            panic!("{reach:?}")
+        };
+        assert_eq!(ce.command_labels(), vec!["step"]);
+        assert_eq!(ce.final_value("x0"), Some("v1"));
+        assert_eq!(ce.steps[0].state.len(), 11, "every variable in every step");
+        let inv = ask(&Property::invariant("still", Expr::var_eq("x0", "v0")));
+        assert_eq!(inv, BackendVerdict::Definite(Verdict::Violated(ce.clone())));
+        let held = ask(&Property::invariant("fixed", Expr::var_eq("x1", "v0")));
+        assert_eq!(held, BackendVerdict::BoundReached(4));
+    }
+}

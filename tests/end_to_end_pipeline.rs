@@ -3,24 +3,67 @@
 //! For each implementation, the pipeline must flag exactly the attacks
 //! the paper's Table I marks for it — detected by the model checker on
 //! the automatically extracted models, and confirmed on the simulated
-//! testbed.
+//! testbed. The expected matrix is read from EXPERIMENTS.md's Table I,
+//! so the published table and this test cannot drift apart.
 
 use procheck::pipeline::{analyze_implementation, AnalysisConfig};
 use procheck::report::PropertyOutcome;
+use procheck_props::registry;
 use procheck_stack::quirks::Implementation;
 
-/// (attack, detecting property, fires on reference, on srs, on oai)
-const MATRIX: &[(&str, &str, bool, bool, bool)] = &[
-    ("P1", "S01", true, true, true),
-    ("P2", "PR07", true, true, true),
-    ("P3", "S19", true, true, true),
-    ("I1", "S06", false, true, true),
-    ("I2", "S12", false, false, true),
-    ("I3", "S14", false, true, false),
-    ("I4", "S13", false, true, false),
-    ("I5", "PR01", false, false, true),
-    ("I6", "S03", false, true, true),
-];
+/// EXPERIMENTS.md, whose Table I is the matrix these tests check.
+const EXPERIMENTS: &str = include_str!("../EXPERIMENTS.md");
+
+/// One row of Table I: the attack id, its detecting property, and
+/// whether it fires on the closed-source reference, srsLTE and OAI.
+struct Row {
+    attack: String,
+    property: String,
+    fires: [bool; 3],
+}
+
+/// The nine `P`/`I` rows of EXPERIMENTS.md's Table I, parsed from its
+/// Markdown: `| id | attack | property | closed | srsLTE | OAI | paper |`,
+/// where `●` marks a stack the attack succeeds on and `○` one it does
+/// not.
+fn matrix() -> Vec<Row> {
+    let table = EXPERIMENTS
+        .split("## Table I — attack matrix")
+        .nth(1)
+        .expect("EXPERIMENTS.md has a Table I section");
+    let rows: Vec<Row> = table
+        .lines()
+        .take_while(|line| !line.starts_with("## "))
+        .filter_map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            // A table row splits into an empty cell, seven cells and an
+            // empty cell.
+            let [_, id, _, property, closed, srs, oai, _, _] = cells[..] else {
+                return None;
+            };
+            let mut chars = id.chars();
+            let numbered =
+                matches!(chars.next(), Some('P' | 'I')) && chars.as_str().parse::<u32>().is_ok();
+            let dot = |cell: &str| match cell {
+                "●" => true,
+                "○" => false,
+                other => panic!("{id}: `{other}` is neither ● nor ○"),
+            };
+            numbered.then(|| Row {
+                attack: id.to_string(),
+                property: property.to_string(),
+                fires: [dot(closed), dot(srs), dot(oai)],
+            })
+        })
+        .collect();
+    assert_eq!(
+        rows.len(),
+        9,
+        "Table I lists P1–P3 and I1–I6: {:?}",
+        rows.iter().map(|r| &r.attack).collect::<Vec<_>>()
+    );
+    rows
+}
 
 fn flagged(outcome: &PropertyOutcome) -> bool {
     matches!(
@@ -32,7 +75,17 @@ fn flagged(outcome: &PropertyOutcome) -> bool {
 }
 
 fn run_matrix(implementation: Implementation, expected_col: usize) {
-    let ids: Vec<&'static str> = MATRIX.iter().map(|(_, p, _, _, _)| *p).collect();
+    let matrix = matrix();
+    let ids: Vec<&'static str> = matrix
+        .iter()
+        .map(|row| {
+            registry()
+                .into_iter()
+                .find(|p| p.id == row.property)
+                .unwrap_or_else(|| panic!("{}: no property {}", row.attack, row.property))
+                .id
+        })
+        .collect();
     let report = analyze_implementation(
         implementation,
         &AnalysisConfig {
@@ -40,19 +93,17 @@ fn run_matrix(implementation: Implementation, expected_col: usize) {
             ..AnalysisConfig::default()
         },
     );
-    for (attack, prop, on_ref, on_srs, on_oai) in MATRIX {
-        let expected = match expected_col {
-            0 => *on_ref,
-            1 => *on_srs,
-            _ => *on_oai,
-        };
+    for row in &matrix {
+        let expected = row.fires[expected_col];
         let r = report
-            .result(prop)
-            .unwrap_or_else(|| panic!("{prop} missing"));
+            .result(&row.property)
+            .unwrap_or_else(|| panic!("{} missing", row.property));
         assert_eq!(
             flagged(&r.outcome),
             expected,
-            "{attack}/{prop} on {}: outcome {} (expected flagged={expected})",
+            "{}/{} on {}: outcome {} (expected flagged={expected})",
+            row.attack,
+            row.property,
             implementation.name(),
             r.outcome.tag()
         );
