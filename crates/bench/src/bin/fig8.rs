@@ -7,9 +7,15 @@
 //! both stay well inside COTS-model-checker territory. Absolute times
 //! differ from the paper's i7-3750QCM laptop, but the ratio series is
 //! comparable.
+//!
+//! Each time is the median of `SAMPLES` checks after one warm-up, with
+//! its quartiles in brackets; the table prints as Markdown. A check
+//! that fails ends the run with status 1.
 
 use procheck::cegar::{cegar_check, CegarOutcome};
-use procheck_bench::{col, default_threads, parallel_map, Fig8Models};
+use procheck_bench::{
+    default_threads, or_exit, parallel_map, sample, timed_ms, Fig8Models, Spread, SAMPLES,
+};
 use procheck_props::{common_properties, Check};
 use procheck_smv::checker::CheckError;
 use procheck_smv::model::Model;
@@ -17,28 +23,29 @@ use procheck_smv::BudgetMeter;
 use procheck_telemetry::{json, Collector};
 use procheck_threat::StepSemantics;
 use std::path::Path;
-use std::time::Instant;
 
 const STATE_LIMIT: usize = 2_000_000;
-const RUNS: u32 = 5;
+
+fn spread_json(s: &Spread) -> String {
+    format!(
+        "{{\"median\": {:.3}, \"q1\": {:.3}, \"q3\": {:.3}}}",
+        s.median, s.q1, s.q3
+    )
+}
 
 fn main() {
     println!("preparing models (conformance run + extraction)…");
     let models = Fig8Models::prepare();
     println!(
-        "  ProChecker UE: {} transitions; LTEInspector UE: {} transitions\n",
+        "ProChecker UE: {} transitions; LTEInspector UE: {} transitions\n",
         models.extracted.ue.transition_count(),
         models.baseline_ue.transition_count()
     );
     println!(
-        "{} {} {} {} {}",
-        col("#", 3),
-        col("property", 42),
-        col("LTEInspector", 14),
-        col("ProChecker", 14),
-        col("ratio", 6)
+        "Milliseconds per check: median of {SAMPLES} after one warm-up, quartiles in brackets.\n"
     );
-    println!("{}", "-".repeat(84));
+    println!("| # | property | LTEInspector | ProChecker | ratio |");
+    println!("|---|---|---|---|---|");
     let mut ratios = Vec::new();
     let mut telemetry_rows: Vec<String> = Vec::new();
     let collector = Collector::enabled();
@@ -60,57 +67,55 @@ fn main() {
         let Check::Model(prop) = &p.check else {
             continue;
         };
-
+        let index = p
+            .table2_index
+            .expect("common properties carry a Table II index");
         let check = |model: &Model, collector: &Collector| -> Result<CegarOutcome, CheckError> {
             let meter = BudgetMeter::unlimited();
             cegar_check(model, prop, semantics, STATE_LIMIT, 24, &meter, collector)
         };
-        let time = |model: &Model| -> f64 {
-            let start = Instant::now();
-            for _ in 0..RUNS {
-                let _ = check(model, &Collector::disabled());
-            }
-            start.elapsed().as_secs_f64() * 1e3 / RUNS as f64
+        let row = |side: &str| format!("property {index} ({}) on {side}", p.title);
+        let time = |model: &Model, side: &str| {
+            Spread::of(&sample(|| {
+                let (outcome, ms) = timed_ms(|| check(model, &Collector::disabled()));
+                or_exit(outcome, &row(side));
+                ms
+            }))
         };
-        let lte_ms = time(lte_model);
-        let pro_ms = time(pro_model);
-        let ratio = pro_ms / lte_ms.max(1e-6);
+        let lte = time(lte_model, "LTEInspector");
+        let pro = time(pro_model, "ProChecker");
+        let ratio = pro.median / lte.median.max(1e-6);
         ratios.push(ratio);
         // One untimed traced run per model for the exploration numbers
         // (kept out of the timing loop so the measurement stays clean).
-        let pro = check(pro_model, &collector);
-        let lte = check(lte_model, &collector);
-        if let (Ok(pro), Ok(lte)) = (pro, lte) {
-            telemetry_rows.push(format!(
-                "    {{\"index\": {}, \"title\": {}, \"lte_ms\": {lte_ms:.3}, \
-                 \"pro_ms\": {pro_ms:.3}, \"ratio\": {ratio:.3}, \
-                 \"pro_states_explored\": {}, \"lte_states_explored\": {}, \
-                 \"pro_cegar_iterations\": {}, \"lte_cegar_iterations\": {}}}",
-                p.table2_index.unwrap(),
-                json::escape(p.title),
-                pro.explore.states,
-                lte.explore.states,
-                pro.iterations,
-                lte.iterations,
-            ));
-        }
+        let pro_run = or_exit(check(pro_model, &collector), &row("ProChecker"));
+        let lte_run = or_exit(check(lte_model, &collector), &row("LTEInspector"));
+        telemetry_rows.push(format!(
+            "    {{\"index\": {index}, \"title\": {}, \"lte_ms\": {}, \
+             \"pro_ms\": {}, \"ratio\": {ratio:.3}, \
+             \"pro_states_explored\": {}, \"lte_states_explored\": {}, \
+             \"pro_cegar_iterations\": {}, \"lte_cegar_iterations\": {}}}",
+            json::escape(p.title),
+            spread_json(&lte),
+            spread_json(&pro),
+            pro_run.explore.states,
+            lte_run.explore.states,
+            pro_run.iterations,
+            lte_run.iterations,
+        ));
         println!(
-            "{} {} {} {} {}",
-            col(&p.table2_index.unwrap().to_string(), 3),
-            col(p.title, 42),
-            col(&format!("{lte_ms:9.2} ms"), 14),
-            col(&format!("{pro_ms:9.2} ms"), 14),
-            col(&format!("{ratio:4.1}x"), 6)
+            "| {index} | {} | {lte} ms | {pro} ms | {ratio:.1}× |",
+            p.title
         );
     }
     let gmean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
-    println!("{}", "-".repeat(84));
     println!(
-        "geometric-mean slowdown of the extracted model: {gmean:.2}x \
-         (paper: \"only a fraction higher\")"
+        "\nGeometric mean of the ratios of the medians: **{gmean:.2}×** \
+         (paper: \"only a fraction higher\")."
     );
 
     let mut out = String::from("{\n  \"benchmark\": \"fig8 common properties\",\n");
+    out.push_str(&format!("  \"samples\": {SAMPLES},\n"));
     out.push_str(&format!("  \"geometric_mean_ratio\": {gmean:.3},\n"));
     out.push_str("  \"properties\": [\n");
     out.push_str(&telemetry_rows.join(",\n"));

@@ -9,7 +9,7 @@
 
 use procheck::pipeline::{analyze_implementation, ue_config_for, AnalysisConfig};
 use procheck::report::PropertyOutcome;
-use procheck::telemetry_report::TelemetryReport;
+use procheck::telemetry_report;
 use procheck_bench::{col, default_threads, dot, parallel_map};
 use procheck_stack::quirks::Implementation;
 use procheck_telemetry::Collector;
@@ -110,7 +110,7 @@ fn main() {
                 }
             }
         }
-        (found, TelemetryReport::from_run(&analysis, &collector))
+        (found, telemetry_report::to_json(&analysis, &collector))
     });
     let mut telemetry_runs = Vec::new();
     let mut detections: Vec<(Implementation, String, String)> = Vec::new();
@@ -236,16 +236,8 @@ fn main() {
     );
 
     // Per-implementation telemetry for the three pipeline runs above.
-    let mut json = String::from("{\n  \"runs\": [\n");
-    for (i, telemetry) in telemetry_runs.iter().enumerate() {
-        json.push_str(&telemetry.to_json());
-        if i + 1 < telemetry_runs.len() {
-            // to_json ends with "}\n"; splice the separator in.
-            json.truncate(json.len() - 1);
-            json.push_str(",\n");
-        }
-    }
-    json.push_str("  ]\n}\n");
+    let runs: Vec<&str> = telemetry_runs.iter().map(|run| run.trim_end()).collect();
+    let json = format!("{{\n  \"runs\": [\n{}\n  ]\n}}\n", runs.join(",\n"));
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_telemetry_table1.json");
     std::fs::write(&out, json).expect("write BENCH_telemetry_table1.json");
     println!("wrote {}", out.display());

@@ -1,9 +1,10 @@
 //! Wall-clock floors for the explicit engine and the persistent store.
 //!
-//! Each gate takes one warm-up sample and then `SAMPLES` samples, prints
-//! every sample, and fails when their median falls below the gate's
-//! floor. The tests are ignored in the default suite because they only
-//! mean something in an optimised build on an otherwise idle machine:
+//! Each gate takes one warm-up sample and then `SAMPLES` samples through
+//! `procheck_bench::sample`, prints every sample, and fails when their
+//! median falls below the gate's floor. The tests are ignored in the
+//! default suite because they only mean something in an optimised build
+//! on an otherwise idle machine:
 //!
 //! ```text
 //! cargo test --release -p procheck-bench --test timing_floors -- \
@@ -14,6 +15,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use procheck::pipeline::{analyze_extracted, extract_models, AnalysisConfig};
+use procheck_bench::{sample, Spread};
 use procheck_props::distinct_threat_configs;
 use procheck_smv::checker::{
     build_reach_graph_budgeted, CheckStats, CompiledModel, DEFAULT_STATE_LIMIT,
@@ -21,9 +23,6 @@ use procheck_smv::checker::{
 use procheck_smv::BudgetMeter;
 use procheck_stack::quirks::Implementation;
 use procheck_threat::build_threat_model;
-
-/// Samples per gate; the gate reads their median.
-const SAMPLES: usize = 5;
 
 /// Explorer throughput, in states per second of building the full
 /// graphs of the 17 distinct Reference threat configurations (294,770
@@ -57,34 +56,19 @@ fn hardware_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Runs `measure` once to warm up and then `SAMPLES` times, prints every
-/// sample, and fails when the median of any gate is below its floor.
-fn assert_median_floors<const N: usize>(
-    gates: [(&str, f64); N],
-    mut measure: impl FnMut() -> [f64; N],
-) {
+/// Takes one warm-up and then `SAMPLES` samples of `measure`, prints
+/// every sample, and fails when their median is below `floor`.
+fn assert_median_floor(name: &str, floor: f64, measure: impl FnMut() -> f64) {
     println!("available_parallelism = {}", hardware_threads());
-    let _ = measure();
-    let samples: Vec<[f64; N]> = (0..SAMPLES).map(|_| measure()).collect();
-    let mut below = Vec::new();
-    for (i, (name, floor)) in gates.into_iter().enumerate() {
-        let mut values: Vec<f64> = samples.iter().map(|s| s[i]).collect();
-        let shown: Vec<String> = values.iter().map(|v| format!("{v:.2}")).collect();
-        println!("{name}: samples {}", shown.join(", "));
-        values.sort_by(f64::total_cmp);
-        let median = values[SAMPLES / 2];
-        let verdict = if median >= floor {
-            "ok"
-        } else {
-            below.push(name);
-            "BELOW FLOOR"
-        };
-        println!("{name}: median {median:.2}, floor {floor:.2} -> {verdict}");
-    }
+    let samples = sample(measure);
+    let shown: Vec<String> = samples.iter().map(|v| format!("{v:.2}")).collect();
+    println!("{name}: samples {}", shown.join(", "));
+    let median = Spread::of(&samples).median;
+    let verdict = if median >= floor { "ok" } else { "BELOW FLOOR" };
+    println!("{name}: median {median:.2}, floor {floor:.2} -> {verdict}");
     assert!(
-        below.is_empty(),
-        "median below its floor: {}",
-        below.join(", ")
+        median >= floor,
+        "{name}: median {median:.2} below its floor {floor:.2}"
     );
 }
 
@@ -118,8 +102,8 @@ fn explored_states_per_sec(models: &[CompiledModel]) -> f64 {
 fn states_per_sec() {
     let models = reference_models();
     assert_eq!(models.len(), 17, "distinct Reference threat configurations");
-    assert_median_floors([("states_per_sec", STATES_PER_SEC_FLOOR)], || {
-        [explored_states_per_sec(&models)]
+    assert_median_floor("states_per_sec", STATES_PER_SEC_FLOOR, || {
+        explored_states_per_sec(&models)
     });
 }
 
@@ -139,7 +123,7 @@ fn warm_speedup_vs_cold() {
         let report = analyze_extracted(Implementation::Reference, &models, &cfg);
         (start.elapsed().as_secs_f64(), report)
     };
-    assert_median_floors([("warm_speedup_vs_cold", WARM_SPEEDUP_FLOOR)], || {
+    assert_median_floor("warm_speedup_vs_cold", WARM_SPEEDUP_FLOOR, || {
         // Every sample starts from an empty store.
         let _ = std::fs::remove_dir_all(&dir.0);
         let (cold_secs, _) = timed();
@@ -148,6 +132,6 @@ fn warm_speedup_vs_cold() {
             warm.store_stats.hits, warm.store_stats.lookups,
             "the warm run must replay every verdict"
         );
-        [cold_secs / warm_secs]
+        cold_secs / warm_secs
     });
 }

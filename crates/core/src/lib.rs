@@ -55,4 +55,3 @@ pub use pipeline::{
 };
 pub use report::{Finding, PropertyOutcome, PropertyResult};
 pub use store::RunStore;
-pub use telemetry_report::{PropertyTelemetry, StageTotals, TelemetryReport};

@@ -15,7 +15,7 @@ cargo run --release -p procheck-bench --bin table1
 echo "== Table II (common properties) =="
 cargo run --release -p procheck-bench --bin table2
 
-echo "== Fig 8 (RQ3 timing) =="
+echo "== Fig 8 (RQ3 timing, median of 5 samples per row) =="
 cargo run --release -p procheck-bench --bin fig8
 
 echo "== RQ2 (model comparison / Fig 7) =="
@@ -30,8 +30,8 @@ cargo run --release -p procheck-bench --bin attacks -- all
 echo "== implementation deviation view =="
 cargo run --release -p procheck-bench --bin model_diff
 
-echo "== criterion benches =="
-cargo bench -p procheck-bench
+echo "== ablations and extractor scaling (median of 5 samples per row) =="
+cargo run --release -p procheck-bench --bin ablations
 
 echo "== warm-run demonstration (persistent store: cold -> warm -> 1-transition mutation) =="
 cargo run --release -p procheck-bench --bin warm_run
