@@ -1,4 +1,5 @@
-//! Wall-clock floors for the explicit engine and the persistent store.
+//! Wall-clock floors for the explicit engine's exploration and queries,
+//! and for the persistent store.
 //!
 //! Each gate takes one warm-up sample and then `SAMPLES` samples through
 //! `procheck_bench::sample`, prints every sample, and fails when their
@@ -11,16 +12,19 @@
 //!     --ignored --test-threads=1 --nocapture
 //! ```
 
+use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 use procheck::pipeline::{analyze_extracted, extract_models, AnalysisConfig};
 use procheck_bench::{sample, Spread};
-use procheck_props::distinct_threat_configs;
+use procheck_props::{distinct_threat_configs, registry, Check};
 use procheck_smv::checker::{
-    build_reach_graph_budgeted, CheckStats, CompiledModel, DEFAULT_STATE_LIMIT,
+    build_reach_graph_budgeted, check_on_graph, CheckStats, CompiledModel, CompiledProperty,
+    Property, QueryStats, DEFAULT_STATE_LIMIT,
 };
-use procheck_smv::BudgetMeter;
+use procheck_smv::{BudgetMeter, ReachGraph};
 use procheck_stack::quirks::Implementation;
 use procheck_threat::build_threat_model;
 
@@ -36,6 +40,20 @@ use procheck_threat::build_threat_model;
 /// the per-command kernel the enable tables replaced, so a kernel
 /// revert still trips it.
 const STATES_PER_SEC_FLOOR: f64 = 2_040_000.0;
+
+/// Query-layer throughput, in queries answered per second: each of the
+/// Reference registry's 9 precedence and 9 response properties asked
+/// once, with no CEGAR mask, through `check_on_graph` on its threat
+/// configuration's full graph. The models are composed and compiled and
+/// the graphs built before the clock starts, so the rate is the
+/// queries' alone. On a 2-vCPU VM two sets of ten runs of this gate
+/// had medians of 4,930 and 5,530 queries/s (no run below 3,020),
+/// against 1,030 and 1,300 (no run above 1,360) for the product-only
+/// queries that early-exit graph searches and the first-fair-SCC
+/// response replaced, alternating with them. The floor is 0.49 of the
+/// lower median, the margin `states_per_sec` keeps, and over 1.7 times
+/// the fastest product-only run, so a revert trips it.
+const GRAPH_QUERIES_PER_SEC_FLOOR: f64 = 2_400.0;
 
 /// Cold over warm wall-clock of a store-backed Reference analysis: an
 /// unchanged warm run replays every verdict instead of exploring. An
@@ -104,6 +122,80 @@ fn states_per_sec() {
     assert_eq!(models.len(), 17, "distinct Reference threat configurations");
     assert_median_floor("states_per_sec", STATES_PER_SEC_FLOOR, || {
         explored_states_per_sec(&models)
+    });
+}
+
+/// A precedence or response property compiled against its threat
+/// configuration's model, with that model's full graph.
+type GraphQuery = (Arc<CompiledModel>, Arc<ReachGraph>, CompiledProperty);
+
+/// The Reference registry's precedence and response properties, in
+/// registry order, each with its configuration's full graph; a graph is
+/// built once and shared by every property of its configuration.
+fn reference_graph_queries() -> Vec<GraphQuery> {
+    let models = extract_models(Implementation::Reference, &AnalysisConfig::default());
+    let mut graphs = HashMap::new();
+    registry()
+        .iter()
+        .filter_map(|p| {
+            let Check::Model(property @ (Property::Precedence { .. } | Property::Response { .. })) =
+                &p.check
+            else {
+                return None;
+            };
+            let cfg = p.slice.threat_config();
+            let (model, graph) = graphs
+                .entry(cfg.clone())
+                .or_insert_with(|| {
+                    let model =
+                        CompiledModel::new(&build_threat_model(&models.ue, &models.mme, &cfg))
+                            .expect("registry models compile");
+                    let graph = build_reach_graph_budgeted(
+                        &model,
+                        DEFAULT_STATE_LIMIT,
+                        &BudgetMeter::unlimited(),
+                        &mut CheckStats::default(),
+                        1,
+                    )
+                    .expect("registry graphs fit the default limit");
+                    (Arc::new(model), Arc::new(graph))
+                })
+                .clone();
+            let property = model
+                .compile_property(property)
+                .expect("registry properties compile");
+            Some((model, graph, property))
+        })
+        .collect()
+}
+
+/// One `graph_queries_per_sec` sample: every query answered once,
+/// serially, over the time the answers took.
+fn graph_queries_answered_per_sec(queries: &[GraphQuery]) -> f64 {
+    let meter = BudgetMeter::unlimited();
+    let start = Instant::now();
+    for (model, graph, property) in queries {
+        check_on_graph(
+            model,
+            graph,
+            property,
+            &model.exclusion_set(),
+            DEFAULT_STATE_LIMIT,
+            &meter,
+            &mut QueryStats::default(),
+        )
+        .expect("registry queries fit the default limit");
+    }
+    queries.len() as f64 / start.elapsed().as_secs_f64()
+}
+
+#[test]
+#[ignore = "timing floor: run in release with --ignored --test-threads=1"]
+fn graph_queries_per_sec() {
+    let queries = reference_graph_queries();
+    assert_eq!(queries.len(), 18, "9 precedence and 9 response properties");
+    assert_median_floor("graph_queries_per_sec", GRAPH_QUERIES_PER_SEC_FLOOR, || {
+        graph_queries_answered_per_sec(&queries)
     });
 }
 

@@ -168,9 +168,8 @@ impl ThreatModelCache {
     /// `IMP^μ` for `cfg`), compiling it on first use. Every caller
     /// passing an equal `cfg` gets the same `Arc` — or the same cached
     /// validation [`CheckError`] when the one compile failed. Records
-    /// `compile.lookups`, `compile.builds`, a `compile` span per actual
-    /// compilation, and the high-water `ident.symbols_interned` gauge on
-    /// `collector`.
+    /// `compile.lookups`, `compile.builds` and a `compile` span per actual
+    /// compilation on `collector`.
     ///
     /// # Errors
     ///
@@ -191,12 +190,10 @@ impl ThreatModelCache {
             self.compile_builds.fetch_add(1, Ordering::Relaxed);
             collector.add("compile.builds", 1);
             let _span = collector.span("compile");
-            let compiled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 CompiledModel::new(model).map(Arc::new)
             }))
-            .unwrap_or_else(|p| Err(CheckError::Panic(panic_message(p))));
-            collector.record_max("ident.symbols_interned", procheck_ident::symbols_interned());
-            compiled
+            .unwrap_or_else(|p| Err(CheckError::Panic(panic_message(p))))
         });
         result.clone()
     }
@@ -441,8 +438,8 @@ pub(crate) mod tests {
     }
 
     /// The compiled-model layer shares one compilation per distinct
-    /// config, records the `compile` span and `ident.symbols_interned`
-    /// gauge once, and serves repeat lookups from cache.
+    /// config, records the `compile` span once, and serves repeat
+    /// lookups from cache.
     #[test]
     fn compiled_layer_shares_one_compilation() {
         let (ue, mme) = small_models();
@@ -462,10 +459,6 @@ pub(crate) mod tests {
         assert_eq!(cache.compile_stats().builds, 1);
         assert_eq!(collector.counter_value("compile.lookups"), 2);
         assert_eq!(collector.counter_value("compile.builds"), 1);
-        assert!(
-            collector.counter_value("ident.symbols_interned") > 0,
-            "intern-table gauge recorded at compile time"
-        );
         let spans = collector
             .events()
             .iter()

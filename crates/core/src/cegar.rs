@@ -79,8 +79,9 @@ pub struct CegarOutcome {
     /// charged once at the cache, not per property).
     pub explore: CheckStats,
     /// Graph-query totals summed over all iterations: cached nodes
-    /// re-used instead of re-explored, product-monitor states, and the
-    /// query BFS peak (`peak_queue` is a max across iterations).
+    /// re-used instead of re-explored, states a graph search or response
+    /// product interned, and the query BFS peak (`peak_queue` is a max
+    /// across iterations).
     pub query: QueryStats,
 }
 

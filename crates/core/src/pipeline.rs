@@ -1197,10 +1197,6 @@ pub fn analyze_extracted(
             work();
         });
     }
-    // End-of-run high-water mark of the process-global intern table —
-    // the `symbols_interned` total the telemetry report breaks out.
-    cfg.collector
-        .record_max("ident.symbols_interned", procheck_ident::symbols_interned());
     let hits = cache_hits_in_order(&props);
     let (mut results, cones): (Vec<PropertyResult>, Vec<CheckedCone>) = slots
         .into_iter()

@@ -1,13 +1,6 @@
 //! Analysis state is scoped to one run: two analyses running at once in
 //! one process return the same reports and record the same counters as
 //! each run alone.
-//!
-//! The one counter left out is the `ident.symbols_interned` gauge, a
-//! high-water mark over the process-wide, append-only symbol table
-//! (DESIGN.md §5d): a concurrent run of another stack interns that
-//! stack's names into the same table. For the same reason this test has
-//! a binary of its own, so the srsLTE names it interns cannot reach the
-//! gauge that other suites compare across runs.
 
 use std::collections::BTreeMap;
 use std::sync::Barrier;
@@ -19,8 +12,7 @@ use procheck_stack::quirks::Implementation;
 use procheck_telemetry::Collector;
 
 /// One analysis with its own enabled collector: every result field
-/// except the wall-clock `elapsed`, and every counter except the
-/// process-wide symbol gauge.
+/// except the wall-clock `elapsed`, and every counter.
 fn run(implementation: Implementation) -> (Vec<String>, BTreeMap<String, u64>) {
     let collector = Collector::enabled();
     let report = analyze_implementation(
@@ -44,9 +36,7 @@ fn run(implementation: Implementation) -> (Vec<String>, BTreeMap<String, u64>) {
             )
         })
         .collect();
-    let mut counters = collector.counters();
-    counters.remove("ident.symbols_interned");
-    (results, counters)
+    (results, collector.counters())
 }
 
 #[test]

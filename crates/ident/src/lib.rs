@@ -98,8 +98,8 @@ fn read_global() -> RwLockReadGuard<'static, SymTable> {
     global().read().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Number of distinct symbols in the process-global table — the
-/// `symbols_interned` telemetry total.
+/// Number of distinct symbols in the process-global table. It counts
+/// every run's symbols, so no per-run collector records it.
 pub fn symbols_interned() -> u64 {
     read_global().len() as u64
 }

@@ -56,10 +56,10 @@ pub trait CheckBackend {
     fn name(&self) -> &'static str;
 
     /// Answers `property` on `model` with the commands in `excluded`
-    /// removed (the CEGAR mask). `limit` bounds interned product
-    /// states for graph-backed engines; symbolic engines may ignore
-    /// it. `meter` charges the run-wide budget; `stats` absorbs the
-    /// query's work counters.
+    /// removed (the CEGAR mask). `limit` bounds the states a
+    /// graph-backed engine's search or response product interns before
+    /// it answers; symbolic engines may ignore it. `meter` charges the
+    /// run-wide budget; `stats` absorbs the query's work counters.
     ///
     /// # Errors
     ///

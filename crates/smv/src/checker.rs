@@ -12,21 +12,24 @@
 //!   packed explorer, so a [`crate::lazy::LazyGraph`] can run the same
 //!   search only as far as its queries need.
 //! * [`check_on_graph`] answers any [`Property`] as a *query* over that
-//!   graph: invariants and reachability are direct scans in BFS order;
-//!   precedence and response run a product BFS that carries the one-bit
-//!   obligation monitor over the cached adjacency (no guard re-evaluation,
-//!   no re-interning of model states). Response violations are reachable
+//!   graph, over the cached adjacency (no guard re-evaluation, no
+//!   re-interning of model states): invariants and reachability are
+//!   direct scans in BFS order; precedence is a breadth-first search of
+//!   the graph through the states where its prerequisite does not hold,
+//!   stopping at the first event it reaches; response runs a product BFS
+//!   that carries the one-bit obligation monitor and stops at the first
+//!   fair cycle of pending states. Response violations are reachable
 //!   cycles whose states all carry an undischarged obligation and which
 //!   satisfy every fairness constraint (`JUSTICE`-style, as in nuXmv).
 //!
 //! Queries also accept a set of *excluded command labels* so a CEGAR
 //! refinement can re-query the same cached graph instead of re-exploring
-//! a filtered copy of the model: excluded edges are skipped during the
-//! product BFS, and a node whose outgoing commands are all excluded
-//! receives the same stutter self-loop a fresh exploration of the
-//! filtered model would give it. [`check_bounded`] composes the two
-//! phases for one-shot callers and behaves exactly like the historical
-//! single-pass checker.
+//! a filtered copy of the model: an invariant or goal under a mask is a
+//! graph search too, excluded edges are skipped by the search or product
+//! BFS, and a node whose outgoing commands are all excluded receives the
+//! same stutter self-loop a fresh exploration of the filtered model would
+//! give it. [`check_bounded`] composes the two phases for one-shot
+//! callers and behaves exactly like the historical single-pass checker.
 
 use crate::budget::{BudgetExceeded, BudgetMeter, PROBE_STRIDE};
 use crate::expr::Expr;
@@ -223,16 +226,18 @@ impl CheckStats {
 /// graph, property, and exclusion set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueryStats {
-    /// Cached graph nodes consulted instead of being re-explored
-    /// (scanned states plus product-monitor visits).
+    /// Cached graph nodes consulted instead of being re-explored: the
+    /// nodes a scan read, or the states a graph search or the response
+    /// product interned.
     pub nodes_reused: u64,
-    /// Product-monitor states interned by the query (0 for direct
-    /// scans; these are the states a non-cached checker would have
-    /// explored from scratch).
+    /// States a graph search (precedence, or an invariant or goal under
+    /// a CEGAR mask) or the response product interned before it
+    /// answered; 0 for direct scans.
     pub product_states: u64,
-    /// Edges traversed while re-querying the graph.
+    /// Edges a graph search or the response product traversed.
     pub transitions: u64,
-    /// High-water mark of the query's product BFS frontier.
+    /// High-water mark of a graph search's or the response product's
+    /// BFS frontier.
     pub peak_queue: u64,
 }
 
@@ -1254,18 +1259,202 @@ impl PackedExplorer {
 // Evaluate phase: property queries over a cached graph
 // ---------------------------------------------------------------------------
 
-/// The product of a cached graph with the one-bit obligation monitor.
-/// Ephemeral: built per query, in the same BFS order a direct product
-/// exploration of the (possibly command-filtered) model would use, so
-/// verdicts and counterexample traces are bit-identical to the
-/// single-pass checker's.
+/// Whether a query's CEGAR mask removes the edge fired by `cmd`. The
+/// deadlock stutter is never masked.
+fn masked(excluded: Option<&CmdIdSet>, cmd: u32) -> bool {
+    cmd != STUTTER_CMD && excluded.is_some_and(|mask| mask.contains(CmdId::new(cmd as usize)))
+}
+
+/// What a query that interned `nodes` states cost.
+fn query_stats(nodes: usize, transitions: u64, peak_queue: u64) -> QueryStats {
+    QueryStats {
+        nodes_reused: nodes as u64,
+        product_states: nodes as u64,
+        transitions,
+        peak_queue,
+    }
+}
+
+/// [`GraphSearch::index`] entry of a graph node not seen yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// [`GraphSearch::index`] entry of a graph node seen and not allowed.
+const BLOCKED: u32 = u32::MAX - 1;
+
+/// The nodes one [`search_graph`] has interned, with their BFS parents.
+struct GraphSearch {
+    /// Graph node → search id, or [`UNSEEN`] / [`BLOCKED`].
+    index: Vec<u32>,
+    /// Search id → graph node, in intern (BFS) order.
+    nodes: Vec<u32>,
+    parent_node: Vec<u32>,
+    parent_cmd: Vec<u32>,
+}
+
+impl GraphSearch {
+    /// Interns graph node `gid` unless it is interned already or
+    /// `allowed` rejects its key; true when it is fresh and `target`
+    /// matches it.
+    fn visit(
+        &mut self,
+        g: &ReachGraph,
+        gid: u32,
+        parent: (u32, u32),
+        allowed: &impl Fn(u64) -> bool,
+        target: &impl Fn(u64) -> bool,
+    ) -> bool {
+        let slot = &mut self.index[gid as usize];
+        if *slot != UNSEEN {
+            return false;
+        }
+        let key = g.keys[gid as usize];
+        if !allowed(key) {
+            *slot = BLOCKED;
+            return false;
+        }
+        *slot = self.nodes.len() as u32;
+        self.nodes.push(gid);
+        self.parent_node.push(parent.0);
+        self.parent_cmd.push(parent.1);
+        target(key)
+    }
+}
+
+/// Breadth-first search of the graph's own adjacency with the commands
+/// in `excluded` removed, through `allowed` nodes only, that stops at the
+/// first node it interns whose key satisfies `target` and returns that
+/// node's BFS path.
+///
+/// The search interns the initial nodes in id order and expands each
+/// node's unmasked edges in CSR order. With every node allowed, as for
+/// masked invariants and goals, it interns the command-filtered model's
+/// nodes in the order, and with the parents, a fresh exploration of
+/// that model would, so its first target is the one that exploration
+/// reaches first. A node whose every command is masked stutters back to
+/// itself, as the filtered model would. A precedence allows the nodes
+/// where its prerequisite does not hold: the product's "prerequisite
+/// seen" flag never turns off, so a flag-off product node only ever has
+/// a flag-off parent, and the flag-off half of the product is this
+/// search, node for node.
+///
+/// `stats` counts the nodes the search interned, on every path. The
+/// state limit is tested before each pop and the budget probed every
+/// [`PROBE_STRIDE`] pops, so a target interned before either trips is
+/// an answer.
+///
+/// # Errors
+///
+/// [`CheckError::StateLimit`] past `limit` interned nodes;
+/// [`CheckError::Budget`] when the meter trips.
+#[allow(clippy::too_many_arguments)]
+fn search_graph(
+    c: &CompiledModel,
+    g: &ReachGraph,
+    excluded: Option<&CmdIdSet>,
+    allowed: impl Fn(u64) -> bool,
+    target: impl Fn(u64) -> bool,
+    limit: usize,
+    meter: &BudgetMeter,
+    stats: &mut QueryStats,
+) -> Result<Option<Counterexample>, CheckError> {
+    let mut s = GraphSearch {
+        index: vec![UNSEEN; g.node_count()],
+        nodes: Vec::new(),
+        parent_node: Vec::new(),
+        parent_cmd: Vec::new(),
+    };
+    let mut hit = (0..g.init_count())
+        .any(|gid| s.visit(g, gid, (NO_PARENT, NO_PARENT), &allowed, &target))
+        .then(|| s.nodes.len() as u32 - 1);
+    let mut peak_queue = s.nodes.len() as u64;
+    let mut transitions = 0u64;
+    let budgeted = meter.is_limited();
+    let mut charged = 0usize;
+    let mut next = 0usize;
+    while hit.is_none() && next < s.nodes.len() {
+        if s.nodes.len() > limit {
+            stats.absorb(query_stats(s.nodes.len(), transitions, peak_queue));
+            return Err(CheckError::StateLimit(limit));
+        }
+        if budgeted && next.is_multiple_of(PROBE_STRIDE) {
+            let fresh = (s.nodes.len() - charged) as u64;
+            charged = s.nodes.len();
+            if let Err(e) = meter.charge_and_probe(fresh) {
+                stats.absorb(query_stats(s.nodes.len(), transitions, peak_queue));
+                return Err(CheckError::Budget(e));
+            }
+        }
+        let pid = next as u32;
+        next += 1;
+        let gid = s.nodes[pid as usize];
+        let mut any = false;
+        for (cmd, succ) in g.successors(gid) {
+            if masked(excluded, cmd) {
+                continue;
+            }
+            any = true;
+            transitions += 1;
+            if s.visit(g, succ, (pid, cmd), &allowed, &target) {
+                hit = Some(s.nodes.len() as u32 - 1);
+                break;
+            }
+        }
+        if !any {
+            // Every outgoing command is excluded: the filtered model
+            // stutters back to this node, which is interned already.
+            transitions += 1;
+        }
+        peak_queue = peak_queue.max((s.nodes.len() - next) as u64);
+    }
+    if budgeted {
+        // Tail charge: keep the shared run total accurate without
+        // failing work that already completed.
+        let _ = meter.charge_and_probe((s.nodes.len() - charged) as u64);
+    }
+    stats.absorb(query_stats(s.nodes.len(), transitions, peak_queue));
+    Ok(hit.map(|id| Counterexample {
+        steps: rebuild_path(
+            c,
+            |id, out| g.load_state(s.nodes[id as usize], out),
+            &s.parent_node,
+            &s.parent_cmd,
+            id,
+        ),
+        lasso_start: None,
+    }))
+}
+
+/// The product of a cached graph with a response property's obligation
+/// monitor. Ephemeral: built per query, in the same BFS order a direct
+/// product exploration of the (possibly command-filtered) model would
+/// use, so lasso traces are bit-identical to the single-pass checker's.
 struct ProductGraph {
-    /// Interned (graph node, monitor flag) pairs, in BFS order.
+    /// Interned (graph node, obligation pending) pairs, in BFS order.
     nodes: Vec<(u32, bool)>,
-    /// BFS parent (product id, command index); `None` for roots.
-    parent: Vec<Option<(u32, u32)>>,
-    /// Adjacency (filled only when `record_edges`).
-    edges: Vec<Vec<(u32, u32)>>,
+    /// BFS parent product id, [`NO_PARENT`] for roots.
+    parent_node: Vec<u32>,
+    /// Command index of the edge from the BFS parent.
+    parent_cmd: Vec<u32>,
+    /// Node `pid`'s edges are `edges[edge_off[pid]..edge_off[pid + 1]]`.
+    edge_off: Vec<u32>,
+    /// `(command index, product id)` edges out of pending nodes, the only
+    /// ones a fair cycle uses, in pop order.
+    edges: Vec<(u32, u32)>,
+}
+
+impl ProductGraph {
+    /// The edges out of `pid`: all of them if its obligation is pending,
+    /// none otherwise.
+    fn out(&self, pid: u32) -> &[(u32, u32)] {
+        let lo = self.edge_off[pid as usize] as usize;
+        let hi = self.edge_off[pid as usize + 1] as usize;
+        &self.edges[lo..hi]
+    }
+
+    /// Whether `pid` carries an undischarged obligation.
+    fn pending(&self, pid: u32) -> bool {
+        self.nodes[pid as usize].1
+    }
 }
 
 /// Interns `(gid, flag)`. `index` is dense over the pairs: entry
@@ -1275,8 +1464,7 @@ fn product_intern(
     index: &mut [u32],
     gid: u32,
     flag: bool,
-    parent: Option<(u32, u32)>,
-    record_edges: bool,
+    parent: (u32, u32),
 ) -> u32 {
     let slot = &mut index[2 * gid as usize + usize::from(flag)];
     if *slot != u32::MAX {
@@ -1285,42 +1473,49 @@ fn product_intern(
     let id = pg.nodes.len() as u32;
     *slot = id;
     pg.nodes.push((gid, flag));
-    pg.parent.push(parent);
-    if record_edges {
-        pg.edges.push(Vec::new());
-    }
+    pg.parent_node.push(parent.0);
+    pg.parent_cmd.push(parent.1);
     id
 }
 
-/// BFS over the cached adjacency, carrying the monitor flag. `excluded`
-/// masks command ids a CEGAR refinement has removed; a node whose
-/// outgoing commands are all masked gets the stutter self-loop the
-/// filtered model would have.
-#[allow(clippy::too_many_arguments)]
+/// BFS over the cached adjacency carrying the response monitor, whose
+/// obligation is pending in a state that triggers without responding and
+/// stays pending until a state responds: pending' = (pending ∨
+/// trigger(s')) ∧ ¬response(s'). `trigger` and `response` are the
+/// predicates' values per graph node. `excluded` masks command ids a
+/// CEGAR refinement has removed; a node whose outgoing commands are all
+/// masked gets the stutter self-loop the filtered model would have.
 fn product_bfs(
     g: &ReachGraph,
     excluded: Option<&CmdIdSet>,
-    init_flag: impl Fn(u32) -> bool,
-    step_flag: impl Fn(bool, u32) -> bool,
-    record_edges: bool,
+    trigger: &[bool],
+    response: &[bool],
     limit: usize,
     meter: &BudgetMeter,
     stats: &mut QueryStats,
 ) -> Result<ProductGraph, CheckError> {
+    let step =
+        |pending: bool, gid: u32| (pending || trigger[gid as usize]) && !response[gid as usize];
     let cap = g.node_count().max(1);
     let mut pg = ProductGraph {
         nodes: Vec::with_capacity(cap),
-        parent: Vec::with_capacity(cap),
+        parent_node: Vec::with_capacity(cap),
+        parent_cmd: Vec::with_capacity(cap),
+        edge_off: Vec::with_capacity(cap + 1),
         edges: Vec::new(),
     };
-    if record_edges {
-        pg.edges.reserve(cap);
-    }
+    pg.edge_off.push(0);
     let mut index = vec![u32::MAX; 2 * g.node_count()];
     let mut transitions = 0u64;
 
     for gid in 0..g.init_count() {
-        product_intern(&mut pg, &mut index, gid, init_flag(gid), None, record_edges);
+        product_intern(
+            &mut pg,
+            &mut index,
+            gid,
+            step(false, gid),
+            (NO_PARENT, NO_PARENT),
+        );
     }
     let mut peak_queue = pg.nodes.len() as u64;
     let budgeted = meter.is_limited();
@@ -1328,52 +1523,30 @@ fn product_bfs(
     let mut next = 0usize;
     while next < pg.nodes.len() {
         if pg.nodes.len() > limit {
-            stats.absorb(QueryStats {
-                nodes_reused: pg.nodes.len() as u64,
-                product_states: pg.nodes.len() as u64,
-                transitions,
-                peak_queue,
-            });
+            stats.absorb(query_stats(pg.nodes.len(), transitions, peak_queue));
             return Err(CheckError::StateLimit(limit));
         }
         if budgeted && next.is_multiple_of(PROBE_STRIDE) {
             let fresh = (pg.nodes.len() - charged) as u64;
             charged = pg.nodes.len();
             if let Err(e) = meter.charge_and_probe(fresh) {
-                stats.absorb(QueryStats {
-                    nodes_reused: pg.nodes.len() as u64,
-                    product_states: pg.nodes.len() as u64,
-                    transitions,
-                    peak_queue,
-                });
+                stats.absorb(query_stats(pg.nodes.len(), transitions, peak_queue));
                 return Err(CheckError::Budget(e));
             }
         }
         let pid = next as u32;
         next += 1;
-        let (gid, flag) = pg.nodes[pid as usize];
+        let (gid, pending) = pg.nodes[pid as usize];
         let mut any = false;
         for (cmd, succ) in g.successors(gid) {
-            if cmd != STUTTER_CMD {
-                if let Some(mask) = excluded {
-                    if mask.contains(CmdId::new(cmd as usize)) {
-                        continue;
-                    }
-                }
+            if masked(excluded, cmd) {
+                continue;
             }
             any = true;
             transitions += 1;
-            let new_flag = step_flag(flag, succ);
-            let sid = product_intern(
-                &mut pg,
-                &mut index,
-                succ,
-                new_flag,
-                Some((pid, cmd)),
-                record_edges,
-            );
-            if record_edges {
-                pg.edges[pid as usize].push((cmd, sid));
+            let sid = product_intern(&mut pg, &mut index, succ, step(pending, succ), (pid, cmd));
+            if pending {
+                pg.edges.push((cmd, sid));
             }
         }
         if !any {
@@ -1381,19 +1554,18 @@ fn product_bfs(
             // deadlocks here and stutters, exactly as a fresh exploration
             // of the command-filtered model would.
             transitions += 1;
-            let new_flag = step_flag(flag, gid);
             let sid = product_intern(
                 &mut pg,
                 &mut index,
                 gid,
-                new_flag,
-                Some((pid, STUTTER_CMD)),
-                record_edges,
+                step(pending, gid),
+                (pid, STUTTER_CMD),
             );
-            if record_edges {
-                pg.edges[pid as usize].push((STUTTER_CMD, sid));
+            if pending {
+                pg.edges.push((STUTTER_CMD, sid));
             }
         }
+        pg.edge_off.push(pg.edges.len() as u32);
         peak_queue = peak_queue.max((pg.nodes.len() - next) as u64);
     }
     if budgeted {
@@ -1401,12 +1573,7 @@ fn product_bfs(
         // failing work that already completed.
         let _ = meter.charge_and_probe((pg.nodes.len() - charged) as u64);
     }
-    stats.absorb(QueryStats {
-        nodes_reused: pg.nodes.len() as u64,
-        product_states: pg.nodes.len() as u64,
-        transitions,
-        peak_queue,
-    });
+    stats.absorb(query_stats(pg.nodes.len(), transitions, peak_queue));
     Ok(pg)
 }
 
@@ -1467,33 +1634,6 @@ fn rebuild_path(
     rev
 }
 
-/// Rebuilds the path to a product node from the product BFS parents.
-fn rebuild_product_path(
-    c: &CompiledModel,
-    g: &ReachGraph,
-    pg: &ProductGraph,
-    target: u32,
-) -> Vec<TraceStep> {
-    let mut cur: State = vec![0; g.num_vars()];
-    let mut rev = Vec::new();
-    let mut id = Some(target);
-    while let Some(pid) = id {
-        let (gid, _) = pg.nodes[pid as usize];
-        g.load_state(gid, &mut cur);
-        let label = match pg.parent[pid as usize] {
-            Some((_, cmd)) => c.label_of(cmd).to_string(),
-            None => "init".to_string(),
-        };
-        rev.push(TraceStep {
-            label,
-            state: c.assignment(&cur),
-        });
-        id = pg.parent[pid as usize].map(|(p, _)| p);
-    }
-    rev.reverse();
-    rev
-}
-
 /// Scans graph nodes in BFS (id) order for the first state where `e`
 /// evaluates to `bad`; the trace comes straight from the graph's parent
 /// pointers.
@@ -1512,24 +1652,6 @@ fn scan_graph(
     })
 }
 
-/// Scans product nodes in BFS order for the first node matching `bad`.
-fn scan_product(
-    c: &CompiledModel,
-    g: &ReachGraph,
-    pg: &ProductGraph,
-    bad: impl Fn(u32, bool) -> bool,
-) -> Option<Counterexample> {
-    for (pid, &(gid, flag)) in pg.nodes.iter().enumerate() {
-        if bad(gid, flag) {
-            return Some(Counterexample {
-                steps: rebuild_product_path(c, g, pg, pid as u32),
-                lasso_start: None,
-            });
-        }
-    }
-    None
-}
-
 /// Answers a compiled property as a query over a cached graph.
 ///
 /// `excluded` is the [`CmdId`] bitset mask of commands removed by CEGAR
@@ -1537,15 +1659,22 @@ fn scan_product(
 /// deleted from the model and the state space re-explored (same
 /// verdicts, same traces), but touches only the cached adjacency and
 /// never resolves a name. `model` must be the compiled form of the model
-/// the graph was built from. Product-monitor states interned by the
-/// query are charged against `meter`, so a CEGAR re-query can exhaust
-/// the run's budget just like a graph build can.
+/// the graph was built from.
+///
+/// Unmasked invariants and goals scan the graph in id order. Precedence,
+/// and invariants and goals under a mask, search the graph's adjacency
+/// breadth-first and stop at their first match. Response builds the
+/// product with its obligation monitor and stops at the first fair cycle
+/// of pending states. The states a search or product interns are
+/// charged against `meter`, so a CEGAR re-query can exhaust the run's
+/// budget just like a graph build can.
 ///
 /// # Errors
 ///
 /// Returns [`CheckError::InvalidModel`] on a model/graph shape mismatch;
-/// [`CheckError::StateLimit`] if the product BFS exceeds `limit` states;
-/// [`CheckError::Budget`] when the meter trips.
+/// [`CheckError::StateLimit`] if a search or product BFS exceeds `limit`
+/// states before it answers; [`CheckError::Budget`] when the meter
+/// trips.
 #[allow(clippy::too_many_arguments)]
 pub fn check_on_graph(
     c: &CompiledModel,
@@ -1568,85 +1697,51 @@ pub fn check_on_graph(
     } else {
         Some(excluded)
     };
+    // The first node, in the filtered model's BFS order, that matches
+    // `e == hit`. No refinement: every graph node is reachable, so that
+    // is a straight scan in id order.
+    let first = |e: &CExpr, hit: bool, stats: &mut QueryStats| match excluded_cmds {
+        None => Ok(scan_graph(c, g, stats, e, hit)),
+        Some(mask) => {
+            let e = lower_guard(e, &g.layout);
+            search_graph(
+                c,
+                g,
+                Some(mask),
+                |_| true,
+                |key| e.eval(key) == hit,
+                limit,
+                meter,
+                stats,
+            )
+        }
+    };
     match &property.kind {
         CProp::Invariant { holds } => {
-            match excluded_cmds {
-                // No refinement: every graph node is reachable, so the
-                // invariant is a straight scan in BFS order.
-                None => Ok(match scan_graph(c, g, stats, holds, false) {
-                    Some(ce) => Verdict::Violated(ce),
-                    None => Verdict::Holds,
-                }),
-                Some(mask) => {
-                    let holds_at = eval_nodes(g, holds);
-                    let pg = product_bfs(
-                        g,
-                        Some(mask),
-                        |_| false,
-                        |_, _| false,
-                        false,
-                        limit,
-                        meter,
-                        stats,
-                    )?;
-                    Ok(
-                        match scan_product(c, g, &pg, |gid, _| !holds_at[gid as usize]) {
-                            Some(ce) => Verdict::Violated(ce),
-                            None => Verdict::Holds,
-                        },
-                    )
-                }
-            }
+            Ok(first(holds, false, stats)?.map_or(Verdict::Holds, Verdict::Violated))
         }
-        CProp::Reachable { goal } => match excluded_cmds {
-            None => Ok(match scan_graph(c, g, stats, goal, true) {
-                Some(ce) => Verdict::Reachable(ce),
-                None => Verdict::Unreachable,
-            }),
-            Some(mask) => {
-                let goal_at = eval_nodes(g, goal);
-                let pg = product_bfs(
-                    g,
-                    Some(mask),
-                    |_| false,
-                    |_, _| false,
-                    false,
-                    limit,
-                    meter,
-                    stats,
-                )?;
-                Ok(
-                    match scan_product(c, g, &pg, |gid, _| goal_at[gid as usize]) {
-                        Some(ce) => Verdict::Reachable(ce),
-                        None => Verdict::Unreachable,
-                    },
-                )
-            }
-        },
+        CProp::Reachable { goal } => {
+            Ok(first(goal, true, stats)?.map_or(Verdict::Unreachable, Verdict::Reachable))
+        }
         CProp::Precedence {
             event,
             requires_before,
         } => {
-            // Flag = "prerequisite has occurred". Violation: event in a
-            // state where the (updated) flag is still false.
-            let event_at = eval_nodes(g, event);
-            let before_at = eval_nodes(g, requires_before);
-            let pg = product_bfs(
+            // Violation: the event in a state reached without the
+            // prerequisite holding in it or any state before it.
+            let event = lower_guard(event, &g.layout);
+            let before = lower_guard(requires_before, &g.layout);
+            let violation = search_graph(
+                c,
                 g,
                 excluded_cmds,
-                |gid| before_at[gid as usize],
-                |f, gid| f || before_at[gid as usize],
-                false,
+                |key| !before.eval(key),
+                |key| event.eval(key),
                 limit,
                 meter,
                 stats,
             )?;
-            Ok(
-                match scan_product(c, g, &pg, |gid, flag| !flag && event_at[gid as usize]) {
-                    Some(ce) => Verdict::Violated(ce),
-                    None => Verdict::Holds,
-                },
-            )
+            Ok(violation.map_or(Verdict::Holds, Verdict::Violated))
         }
         CProp::Response { trigger, response } => {
             check_response_on_graph(c, g, trigger, response, excluded_cmds, limit, meter, stats)
@@ -1665,50 +1760,46 @@ fn check_response_on_graph(
     meter: &BudgetMeter,
     stats: &mut QueryStats,
 ) -> Result<Verdict, CheckError> {
-    // Obligation monitor: pending' = (pending ∨ trigger(s')) ∧ ¬response(s').
-    let trig_at = eval_nodes(g, trigger);
-    let resp_at = eval_nodes(g, response);
     let pg = product_bfs(
         g,
         excluded,
-        |gid| trig_at[gid as usize] && !resp_at[gid as usize],
-        |f, gid| (f || trig_at[gid as usize]) && !resp_at[gid as usize],
-        true,
+        &eval_nodes(g, trigger),
+        &eval_nodes(g, response),
         limit,
         meter,
         stats,
     )?;
-
-    // Restrict to pending nodes and find a fair cycle among them.
-    let pending: Vec<bool> = pg.nodes.iter().map(|&(_, f)| f).collect();
-    let sccs = tarjan_sccs(&pg, &pending);
     // Fairness constraints were compiled with the model — evaluating
     // them here touches no string table.
     let fairness: Vec<Vec<bool>> = c.fairness.iter().map(|f| eval_nodes(g, f)).collect();
-    for scc in &sccs {
-        if !scc_has_cycle(&pg, scc, &pending) {
-            continue;
-        }
-        // Every fairness constraint must be satisfiable inside the SCC.
-        let fair_ok = fairness.iter().all(|f_at| {
-            scc.iter()
-                .any(|&pid| f_at[pg.nodes[pid as usize].0 as usize])
-        });
-        if !fair_ok {
-            continue;
-        }
-        let entry = scc[0];
-        let prefix = rebuild_product_path(c, g, &pg, entry);
-        let cycle = build_fair_cycle(c, g, &pg, scc, entry, &fairness);
-        let lasso_start = prefix.len() - 1;
-        let mut steps = prefix;
-        steps.extend(cycle);
-        return Ok(Verdict::Violated(Counterexample {
-            steps,
-            lasso_start: Some(lasso_start),
-        }));
-    }
-    Ok(Verdict::Holds)
+    // A fair cycle of pending nodes: a cyclic SCC in which every
+    // fairness constraint holds on some member.
+    let fair = |scc: &[u32]| {
+        scc_has_cycle(&pg, scc)
+            && fairness.iter().all(|f_at| {
+                scc.iter()
+                    .any(|&pid| f_at[pg.nodes[pid as usize].0 as usize])
+            })
+    };
+    let Some(scc) = first_pending_scc(&pg, fair) else {
+        return Ok(Verdict::Holds);
+    };
+    let entry = scc[0];
+    let prefix = rebuild_path(
+        c,
+        |pid, out| g.load_state(pg.nodes[pid as usize].0, out),
+        &pg.parent_node,
+        &pg.parent_cmd,
+        entry,
+    );
+    let cycle = build_fair_cycle(c, g, &pg, &scc, entry, &fairness);
+    let lasso_start = prefix.len() - 1;
+    let mut steps = prefix;
+    steps.extend(cycle);
+    Ok(Verdict::Violated(Counterexample {
+        steps,
+        lasso_start: Some(lasso_start),
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -1760,24 +1851,24 @@ pub fn check_bounded(
 // Cycle machinery on the product graph
 // ---------------------------------------------------------------------------
 
-/// Tarjan SCC over the subgraph induced by `mask` (iterative).
-fn tarjan_sccs(g: &ProductGraph, mask: &[bool]) -> Vec<Vec<u32>> {
-    let n = g.nodes.len();
+/// Tarjan SCC over the pending nodes (iterative), started from each
+/// pending node in id order: the first SCC it emits that `accept`
+/// passes, or `None` once every SCC has failed it.
+fn first_pending_scc(pg: &ProductGraph, accept: impl Fn(&[u32]) -> bool) -> Option<Vec<u32>> {
+    let n = pg.nodes.len();
     let mut index = vec![u32::MAX; n];
     let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<u32> = Vec::new();
     let mut next_index = 0u32;
-    let mut sccs = Vec::new();
 
-    #[derive(Clone)]
     struct Frame {
         node: u32,
         edge: usize,
     }
 
     for start in 0..n as u32 {
-        if !mask[start as usize] || index[start as usize] != u32::MAX {
+        if !pg.pending(start) || index[start as usize] != u32::MAX {
             continue;
         }
         let mut call: Vec<Frame> = vec![Frame {
@@ -1792,11 +1883,11 @@ fn tarjan_sccs(g: &ProductGraph, mask: &[bool]) -> Vec<Vec<u32>> {
 
         while let Some(frame) = call.last_mut() {
             let u = frame.node;
-            let edges = &g.edges[u as usize];
+            let edges = pg.out(u);
             if frame.edge < edges.len() {
                 let (_, v) = edges[frame.edge];
                 frame.edge += 1;
-                if !mask[v as usize] {
+                if !pg.pending(v) {
                     continue;
                 }
                 if index[v as usize] == u32::MAX {
@@ -1825,22 +1916,24 @@ fn tarjan_sccs(g: &ProductGraph, mask: &[bool]) -> Vec<Vec<u32>> {
                             break;
                         }
                     }
-                    sccs.push(scc);
+                    if accept(&scc) {
+                        return Some(scc);
+                    }
                 }
             }
         }
     }
-    sccs
+    None
 }
 
-fn scc_has_cycle(g: &ProductGraph, scc: &[u32], mask: &[bool]) -> bool {
+/// Whether an SCC of pending nodes holds a cycle: more than one member,
+/// or a self-loop.
+fn scc_has_cycle(pg: &ProductGraph, scc: &[u32]) -> bool {
     if scc.len() > 1 {
         return true;
     }
     let u = scc[0];
-    g.edges[u as usize]
-        .iter()
-        .any(|&(_, v)| v == u && mask[u as usize])
+    pg.out(u).iter().any(|&(_, v)| v == u)
 }
 
 /// Builds a cycle within the SCC starting and ending at `entry`, visiting
@@ -1867,7 +1960,7 @@ fn build_fair_cycle(
         // Note: `from` itself only counts if it has a self-edge path; we
         // look for the first satisfying node reached by ≥1 edge.
         'outer: while let Some(u) = queue.pop_front() {
-            for &(cmd, v) in &pg.edges[u as usize] {
+            for &(cmd, v) in pg.out(u) {
                 if !members.contains(&v) {
                     continue;
                 }
@@ -2771,6 +2864,419 @@ pub(crate) mod tests {
             let spread = buckets(&|k| packed.hash_one(k));
             assert_eq!(fx, 1, "bits {shift}..: FxHasher ignores high fields");
             assert!(spread >= 4000, "bits {shift}..: only {spread} of 4096");
+        }
+    }
+
+    // --- the queries against the product path they replaced ------------
+
+    /// The product of a graph with the one-bit monitor, one edge list per
+    /// node: the product-only query path, kept as the reference the graph
+    /// searches and the early-exit response are tested against.
+    struct RefProduct {
+        nodes: Vec<(u32, bool)>,
+        parent: Vec<Option<(u32, u32)>>,
+        edges: Vec<Vec<(u32, u32)>>,
+    }
+
+    /// The whole product BFS, every edge recorded, under `excluded`.
+    fn ref_product(
+        g: &ReachGraph,
+        excluded: Option<&CmdIdSet>,
+        init_flag: impl Fn(u32) -> bool,
+        step_flag: impl Fn(bool, u32) -> bool,
+    ) -> RefProduct {
+        let mut pg = RefProduct {
+            nodes: Vec::new(),
+            parent: Vec::new(),
+            edges: Vec::new(),
+        };
+        let mut index = vec![u32::MAX; 2 * g.node_count()];
+        let mut intern = |pg: &mut RefProduct, gid: u32, flag: bool, parent| {
+            let slot = &mut index[2 * gid as usize + usize::from(flag)];
+            if *slot == u32::MAX {
+                *slot = pg.nodes.len() as u32;
+                pg.nodes.push((gid, flag));
+                pg.parent.push(parent);
+                pg.edges.push(Vec::new());
+            }
+            *slot
+        };
+        for gid in 0..g.init_count() {
+            intern(&mut pg, gid, init_flag(gid), None);
+        }
+        let mut next = 0;
+        while next < pg.nodes.len() {
+            let pid = next as u32;
+            next += 1;
+            let (gid, flag) = pg.nodes[pid as usize];
+            let mut any = false;
+            for (cmd, succ) in g.successors(gid) {
+                if cmd != STUTTER_CMD
+                    && excluded.is_some_and(|m| m.contains(CmdId::new(cmd as usize)))
+                {
+                    continue;
+                }
+                any = true;
+                let sid = intern(&mut pg, succ, step_flag(flag, succ), Some((pid, cmd)));
+                pg.edges[pid as usize].push((cmd, sid));
+            }
+            if !any {
+                let sid = intern(&mut pg, gid, step_flag(flag, gid), Some((pid, STUTTER_CMD)));
+                pg.edges[pid as usize].push((STUTTER_CMD, sid));
+            }
+        }
+        pg
+    }
+
+    /// The path to a product node from the product BFS parents.
+    fn ref_path(c: &CompiledModel, g: &ReachGraph, pg: &RefProduct, target: u32) -> Vec<TraceStep> {
+        let mut rev = Vec::new();
+        let mut id = Some(target);
+        while let Some(pid) = id {
+            let label = match pg.parent[pid as usize] {
+                Some((_, cmd)) => c.label_of(cmd).to_string(),
+                None => "init".to_string(),
+            };
+            rev.push(TraceStep {
+                label,
+                state: c.assignment(&g.state_of(pg.nodes[pid as usize].0)),
+            });
+            id = pg.parent[pid as usize].map(|(p, _)| p);
+        }
+        rev.reverse();
+        rev
+    }
+
+    /// The first product node, in id order, matching `bad`.
+    fn ref_scan(
+        c: &CompiledModel,
+        g: &ReachGraph,
+        pg: &RefProduct,
+        bad: impl Fn(u32, bool) -> bool,
+    ) -> Option<Counterexample> {
+        let pid = pg.nodes.iter().position(|&(gid, flag)| bad(gid, flag))?;
+        Some(Counterexample {
+            steps: ref_path(c, g, pg, pid as u32),
+            lasso_start: None,
+        })
+    }
+
+    /// Every SCC of the subgraph induced by `mask`, in Tarjan's emission
+    /// order.
+    fn ref_sccs(pg: &RefProduct, mask: &[bool]) -> Vec<Vec<u32>> {
+        let n = pg.nodes.len();
+        let mut index = vec![u32::MAX; n];
+        let mut low = vec![0u32; n];
+        let mut on_stack = vec![false; n];
+        let mut stack = Vec::new();
+        let mut next_index = 0u32;
+        let mut sccs = Vec::new();
+        for start in 0..n as u32 {
+            if !mask[start as usize] || index[start as usize] != u32::MAX {
+                continue;
+            }
+            let mut call = vec![(start, 0usize)];
+            index[start as usize] = next_index;
+            low[start as usize] = next_index;
+            next_index += 1;
+            stack.push(start);
+            on_stack[start as usize] = true;
+            while let Some(frame) = call.last_mut() {
+                let u = frame.0;
+                let edges = &pg.edges[u as usize];
+                if frame.1 < edges.len() {
+                    let (_, v) = edges[frame.1];
+                    frame.1 += 1;
+                    if !mask[v as usize] {
+                        continue;
+                    }
+                    if index[v as usize] == u32::MAX {
+                        index[v as usize] = next_index;
+                        low[v as usize] = next_index;
+                        next_index += 1;
+                        stack.push(v);
+                        on_stack[v as usize] = true;
+                        call.push((v, 0));
+                    } else if on_stack[v as usize] {
+                        low[u as usize] = low[u as usize].min(index[v as usize]);
+                    }
+                } else {
+                    call.pop();
+                    if let Some(&(p, _)) = call.last() {
+                        low[p as usize] = low[p as usize].min(low[u as usize]);
+                    }
+                    if low[u as usize] == index[u as usize] {
+                        let mut scc = Vec::new();
+                        loop {
+                            let w = stack.pop().expect("tarjan stack underflow");
+                            on_stack[w as usize] = false;
+                            scc.push(w);
+                            if w == u {
+                                break;
+                            }
+                        }
+                        sccs.push(scc);
+                    }
+                }
+            }
+        }
+        sccs
+    }
+
+    /// A cycle in `scc` from and back to `entry` through a witness of
+    /// every fairness constraint.
+    fn ref_fair_cycle(
+        c: &CompiledModel,
+        g: &ReachGraph,
+        pg: &RefProduct,
+        scc: &[u32],
+        entry: u32,
+        fairness: &[Vec<bool>],
+    ) -> Vec<TraceStep> {
+        let members: std::collections::HashSet<u32> = scc.iter().copied().collect();
+        let fair_at = |f_at: &[bool], pid: u32| f_at[pg.nodes[pid as usize].0 as usize];
+        let bfs = |from: u32, pred: &dyn Fn(u32) -> bool| -> Vec<(u32, u32)> {
+            let mut prev: HashMap<u32, (u32, u32)> = HashMap::new();
+            let mut queue = VecDeque::from([from]);
+            let mut found = None;
+            'outer: while let Some(u) = queue.pop_front() {
+                for &(cmd, v) in &pg.edges[u as usize] {
+                    if members.contains(&v) && !prev.contains_key(&v) {
+                        prev.insert(v, (u, cmd));
+                        if pred(v) {
+                            found = Some(v);
+                            break 'outer;
+                        }
+                        queue.push_back(v);
+                    }
+                }
+            }
+            let Some(mut cur) = found else {
+                return Vec::new();
+            };
+            let mut rev = Vec::new();
+            loop {
+                let (p, cmd) = prev[&cur];
+                rev.push((cmd, cur));
+                if p == from || rev.len() > pg.nodes.len() {
+                    break;
+                }
+                cur = p;
+            }
+            rev.reverse();
+            rev
+        };
+        let mut pos = entry;
+        let mut segments = Vec::new();
+        for f_at in fairness {
+            if fair_at(f_at, pos) {
+                continue;
+            }
+            let seg = bfs(pos, &|pid| fair_at(f_at, pid));
+            if let Some(&(_, last)) = seg.last() {
+                pos = last;
+            }
+            segments.extend(seg);
+        }
+        if pos != entry || segments.is_empty() {
+            segments.extend(bfs(pos, &|pid| pid == entry));
+        }
+        segments
+            .into_iter()
+            .map(|(cmd, pid)| TraceStep {
+                label: c.label_of(cmd).to_string(),
+                state: c.assignment(&g.state_of(pg.nodes[pid as usize].0)),
+            })
+            .collect()
+    }
+
+    /// A query answered the product-only way: unmasked invariants and
+    /// goals scan the graph; everything else builds the whole product,
+    /// scans it or computes every SCC, and takes the first cyclic fair
+    /// one.
+    fn reference_check(
+        c: &CompiledModel,
+        g: &ReachGraph,
+        p: &CompiledProperty,
+        excluded: &CmdIdSet,
+    ) -> Verdict {
+        let mask = (!excluded.is_empty()).then_some(excluded);
+        match (&p.kind, mask) {
+            (CProp::Invariant { holds }, None) => {
+                scan_graph(c, g, &mut QueryStats::default(), holds, false)
+                    .map_or(Verdict::Holds, Verdict::Violated)
+            }
+            (CProp::Reachable { goal }, None) => {
+                scan_graph(c, g, &mut QueryStats::default(), goal, true)
+                    .map_or(Verdict::Unreachable, Verdict::Reachable)
+            }
+            (CProp::Invariant { holds }, Some(_)) => {
+                let holds_at = eval_nodes(g, holds);
+                let pg = ref_product(g, mask, |_| false, |_, _| false);
+                ref_scan(c, g, &pg, |gid, _| !holds_at[gid as usize])
+                    .map_or(Verdict::Holds, Verdict::Violated)
+            }
+            (CProp::Reachable { goal }, Some(_)) => {
+                let goal_at = eval_nodes(g, goal);
+                let pg = ref_product(g, mask, |_| false, |_, _| false);
+                ref_scan(c, g, &pg, |gid, _| goal_at[gid as usize])
+                    .map_or(Verdict::Unreachable, Verdict::Reachable)
+            }
+            (
+                CProp::Precedence {
+                    event,
+                    requires_before,
+                },
+                _,
+            ) => {
+                let event_at = eval_nodes(g, event);
+                let before_at = eval_nodes(g, requires_before);
+                let pg = ref_product(
+                    g,
+                    mask,
+                    |gid| before_at[gid as usize],
+                    |f, gid| f || before_at[gid as usize],
+                );
+                ref_scan(c, g, &pg, |gid, flag| !flag && event_at[gid as usize])
+                    .map_or(Verdict::Holds, Verdict::Violated)
+            }
+            (CProp::Response { trigger, response }, _) => {
+                let trig_at = eval_nodes(g, trigger);
+                let resp_at = eval_nodes(g, response);
+                let pg = ref_product(
+                    g,
+                    mask,
+                    |gid| trig_at[gid as usize] && !resp_at[gid as usize],
+                    |f, gid| (f || trig_at[gid as usize]) && !resp_at[gid as usize],
+                );
+                let pending: Vec<bool> = pg.nodes.iter().map(|&(_, f)| f).collect();
+                let fairness: Vec<Vec<bool>> =
+                    c.fairness.iter().map(|f| eval_nodes(g, f)).collect();
+                for scc in ref_sccs(&pg, &pending) {
+                    let u = scc[0];
+                    let cyclic = scc.len() > 1
+                        || pg.edges[u as usize]
+                            .iter()
+                            .any(|&(_, v)| v == u && pending[u as usize]);
+                    let fair = fairness.iter().all(|f_at| {
+                        scc.iter()
+                            .any(|&pid| f_at[pg.nodes[pid as usize].0 as usize])
+                    });
+                    if !cyclic || !fair {
+                        continue;
+                    }
+                    let prefix = ref_path(c, g, &pg, u);
+                    let lasso_start = prefix.len() - 1;
+                    let mut steps = prefix;
+                    steps.extend(ref_fair_cycle(c, g, &pg, &scc, u, &fairness));
+                    return Verdict::Violated(Counterexample {
+                        steps,
+                        lasso_start: Some(lasso_start),
+                    });
+                }
+                Verdict::Holds
+            }
+        }
+    }
+
+    /// A random small model in the shape of the explorer property tests
+    /// (2–4 variables over three values, 1–11 one-atom guarded commands),
+    /// with a quarter of the variables starting in either of two values,
+    /// and 0–2 fairness constraints.
+    fn random_model(rng: &mut rand::rngs::StdRng) -> Model {
+        use rand::Rng;
+        const DOMAIN: [&str; 3] = ["v0", "v1", "v2"];
+        let vars = rng.gen_range(2usize..5);
+        let atom = |rng: &mut rand::rngs::StdRng| {
+            Expr::var_eq(
+                format!("x{}", rng.gen_range(0..vars)),
+                DOMAIN[rng.gen_range(0usize..3)],
+            )
+        };
+        let mut m = Model::new("random");
+        for i in 0..vars {
+            let init: &[&str] = if rng.gen_bool(0.25) {
+                &DOMAIN[..2]
+            } else {
+                &DOMAIN[..1]
+            };
+            m.declare_var(&format!("x{i}"), &DOMAIN, init);
+        }
+        for i in 0..rng.gen_range(1usize..12) {
+            let guard = atom(rng);
+            let (var, value) = (rng.gen_range(0..vars), rng.gen_range(0usize..3));
+            m.add_command(
+                GuardedCmd::new(format!("c{i}"), guard).set(format!("x{var}"), DOMAIN[value]),
+            );
+        }
+        for _ in 0..rng.gen_range(0usize..3) {
+            let fair = atom(rng);
+            m.add_fairness(fair);
+        }
+        m
+    }
+
+    /// Random properties of every kind, on random models with random
+    /// fairness constraints and random exclusion masks: each query's
+    /// verdict, trace included, equals the product-only reference's.
+    /// Precedence and response must each both hold and be violated
+    /// somewhere, so the comparison cannot pass vacuously.
+    #[test]
+    fn queries_match_the_product_reference_on_random_models() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_9e75);
+        // (holds, violated) per kind: invariant, goal, precedence, response.
+        let mut seen = [[0u32; 2]; 4];
+        for case in 0..320 {
+            let m = random_model(&mut rng);
+            let c = CompiledModel::new(&m).expect("generated models are valid");
+            let g = build_reach_graph_budgeted(
+                &c,
+                100_000,
+                &BudgetMeter::unlimited(),
+                &mut CheckStats::default(),
+                1,
+            )
+            .expect("81 states at most");
+            let mut mask = c.exclusion_set();
+            if rng.gen_bool(0.5) {
+                for i in 0..c.command_count() {
+                    if rng.gen_bool(0.3) {
+                        mask.insert(CmdId::new(i));
+                    }
+                }
+            }
+            let vars = c.num_vars();
+            let mut atom = || {
+                Expr::var_eq(
+                    format!("x{}", rng.gen_range(0..vars)),
+                    ["v0", "v1", "v2"][rng.gen_range(0usize..3)],
+                )
+            };
+            for _ in 0..2 {
+                let (a, b) = (atom(), atom());
+                let props = [
+                    Property::invariant("inv", Expr::not(Expr::or([a.clone(), b.clone()]))),
+                    Property::reachable("goal", Expr::or([a.clone(), b.clone()])),
+                    Property::precedence("prec", a.clone(), b.clone()),
+                    Property::response("resp", a, b),
+                ];
+                for (kind, p) in props.iter().enumerate() {
+                    let cp = c.compile_property(p).expect("in vocabulary");
+                    let want = reference_check(&c, &g, &cp, &mask);
+                    let got = query(&c, &g, &cp, &mask, &mut QueryStats::default())
+                        .expect("far below the limit");
+                    assert_eq!(got, want, "case {case}, {p:?}, mask {mask:?}, model {m:?}");
+                    let holds = matches!(want, Verdict::Holds | Verdict::Unreachable);
+                    seen[kind][usize::from(!holds)] += 1;
+                }
+            }
+        }
+        for (kind, [holds, violated]) in ["precedence", "response"].iter().zip(&seen[2..]) {
+            assert!(
+                *holds > 0 && *violated > 0,
+                "{kind}: {holds} holding and {violated} violated cases"
+            );
         }
     }
 }

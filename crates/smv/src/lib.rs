@@ -11,10 +11,11 @@
 //! * [`expr`] — the boolean expression language over those variables;
 //! * [`checker`] — an explicit-state engine split into an explore phase
 //!   (one interned-state BFS per model, producing a cached
-//!   [`reach::ReachGraph`]) and an evaluate phase (invariants,
-//!   reachability, precedence, and product-monitor + SCC response
-//!   checks under optional fairness constraints, all answered as
-//!   queries over that graph);
+//!   [`reach::ReachGraph`]) and an evaluate phase (scans for invariants
+//!   and reachability, early-exit searches of the graph for precedence
+//!   and CEGAR re-checks, and product-monitor + SCC response checks
+//!   under optional fairness constraints, all answered as queries over
+//!   that graph);
 //! * [`reach`] — the cached reachable-state graph itself: packed state
 //!   arena, CSR successor adjacency, BFS parent pointers;
 //! * [`lazy`] — the same graph explored on demand: an invariant or

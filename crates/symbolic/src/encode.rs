@@ -22,7 +22,8 @@
 //!
 //! The CEGAR exclusion mask is honoured structurally: excluded commands
 //! get no selector and do not appear in the stutter's guard-negation
-//! list, which reproduces `product_bfs`'s masked semantics exactly.
+//! list, which reproduces the masked semantics of the explicit engine's
+//! graph searches and response product exactly.
 //!
 //! # Property schemas (violation = satisfying assignment)
 //!
