@@ -606,6 +606,227 @@ mod tests {
         assert_eq!(collector.counter_value("smv.states_explored"), 0);
     }
 
+    /// `st` starts at `a`. Two forged (crypto-infeasible) commands lead
+    /// to `b` under different labels, so reaching `b` takes two
+    /// refinements to rule out; a plaintext injection (feasible) leads to
+    /// `c`; nothing leads to `d`.
+    fn exits_model() -> Model {
+        use procheck_smv::GuardedCmd;
+        let mut m = Model::new("exits");
+        m.declare_var("st", &["a", "b", "c", "d"], &["a"]);
+        for (label, to) in [
+            (FORGE_0, "b"),
+            ("adv:forge:emm_information:-:-#1", "b"),
+            (INJECT, "c"),
+        ] {
+            m.add_command(GuardedCmd::new(label, Expr::var_eq("st", "a")).set("st", to));
+        }
+        m
+    }
+
+    const FORGE_0: &str = "adv:forge:emm_information:-:-#0";
+    const INJECT: &str = "adv:inject_plain:attach_reject:-:-#2";
+
+    /// A backend that answers from a script, one entry per call, and
+    /// counts one reused node per call.
+    struct Scripted(std::cell::RefCell<Vec<Result<BackendVerdict, CheckError>>>);
+
+    impl CheckBackend for Scripted {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+
+        fn answer(
+            &self,
+            _: &CompiledModel,
+            _: &procheck_smv::CompiledProperty,
+            _: &procheck_ident::CmdIdSet,
+            _: usize,
+            _: &BudgetMeter,
+            stats: &mut QueryStats,
+        ) -> Result<BackendVerdict, CheckError> {
+            stats.nodes_reused += 1;
+            self.0.borrow_mut().remove(0)
+        }
+    }
+
+    /// Every exit of the loop: the outcome (verdict kind with the trace's
+    /// labels, iterations, refinements, CPV traffic, query stats) or the
+    /// error, and the counters flushed on the collector.
+    #[test]
+    fn every_exit_flushes_the_same_counters() {
+        use procheck_smv::trace::TraceStep;
+        let model = exits_model();
+        let compiled = CompiledModel::new(&model).expect("valid");
+        let meter = BudgetMeter::unlimited();
+        let graph =
+            build_reach_graph_budgeted(&compiled, 1000, &meter, &mut CheckStats::default(), 1)
+                .expect("four states at most");
+        let explicit = ExplicitBackend { graph: &graph };
+        let sem = StepSemantics::new(ThreatConfig::lte());
+        let forged = || {
+            let step = |label: &str| TraceStep {
+                label: label.to_string(),
+                state: Default::default(),
+            };
+            Ok(BackendVerdict::Definite(Verdict::Violated(
+                Counterexample {
+                    steps: vec![step("init"), step(FORGE_0)],
+                    lasso_start: None,
+                },
+            )))
+        };
+        let scripted = |second| Scripted(std::cell::RefCell::new(vec![forged(), second]));
+        let bound = scripted(Ok(BackendVerdict::BoundReached(7)));
+        let failing = scripted(Err(CheckError::StateLimit(5)));
+        let not_b = Property::invariant("not_b", Expr::var_ne("st", "b"));
+        let cases: [(&str, &dyn CheckBackend, Property, usize); 8] = [
+            ("verified", &explicit, not_b.clone(), 16),
+            (
+                "goal unreachable",
+                &explicit,
+                Property::reachable("d", Expr::var_eq("st", "d")),
+                16,
+            ),
+            (
+                "attack",
+                &explicit,
+                Property::invariant("not_c", Expr::var_ne("st", "c")),
+                16,
+            ),
+            (
+                "goal reachable",
+                &explicit,
+                Property::reachable("c", Expr::var_eq("st", "c")),
+                16,
+            ),
+            ("bound reached", &bound, not_b.clone(), 16),
+            ("inconclusive", &explicit, not_b.clone(), 2),
+            (
+                "vocabulary error",
+                &explicit,
+                Property::invariant("ghost", Expr::var_eq("ghost", "a")),
+                16,
+            ),
+            ("backend error", &failing, not_b, 16),
+        ];
+        let counters = [
+            "cegar.runs",
+            "cegar.iterations",
+            "cegar.refinements",
+            "cpv.queries",
+            "cpv.steps",
+            "smv.checks",
+            "graph_cache.nodes_reused",
+            "smv.peak_queue",
+        ];
+        let outcome = |verdict: &str, iterations, refined: &[&str], cpv, query| {
+            Ok((
+                verdict.to_string(),
+                iterations,
+                refined.iter().map(|l| l.to_string()).collect::<Vec<_>>(),
+                cpv,
+                query,
+            ))
+        };
+        let query = |nodes_reused, product_states, transitions, peak_queue| QueryStats {
+            nodes_reused,
+            product_states,
+            transitions,
+            peak_queue,
+        };
+        let forges = [FORGE_0, "adv:forge:emm_information:-:-#1"];
+        let expected = [
+            (
+                outcome("Verified", 3, &forges, (2, 2), query(6, 4, 3, 1)),
+                [1, 3, 2, 2, 2, 3, 6, 1],
+            ),
+            (
+                outcome("GoalUnreachable", 1, &[], (0, 0), query(3, 0, 0, 0)),
+                [1, 1, 0, 0, 0, 1, 3, 0],
+            ),
+            (
+                outcome("Attack: init, INJECT", 1, &[], (1, 1), query(3, 0, 0, 0)),
+                [1, 1, 0, 1, 1, 1, 3, 0],
+            ),
+            (
+                outcome(
+                    "GoalReachable: init, INJECT",
+                    1,
+                    &[],
+                    (1, 1),
+                    query(3, 0, 0, 0),
+                ),
+                [1, 1, 0, 1, 1, 1, 3, 0],
+            ),
+            (
+                outcome(
+                    "BoundReached(7)",
+                    2,
+                    &forges[..1],
+                    (1, 1),
+                    query(2, 0, 0, 0),
+                ),
+                [1, 2, 1, 1, 1, 2, 2, 0],
+            ),
+            (
+                outcome("Inconclusive", 2, &forges, (2, 2), query(4, 2, 1, 1)),
+                [1, 2, 2, 2, 2, 2, 4, 1],
+            ),
+            (
+                Err(CheckError::InvalidModel(vec![
+                    "`property` references undeclared `ghost`".to_string(),
+                ])),
+                [1, 1, 0, 0, 0, 1, 0, 0],
+            ),
+            (Err(CheckError::StateLimit(5)), [1, 2, 1, 1, 1, 2, 2, 0]),
+        ];
+        for ((name, backend, p, max_iterations), (want, want_counters)) in
+            cases.into_iter().zip(expected)
+        {
+            let collector = Collector::enabled();
+            let got = cegar_check_backend_budgeted(
+                &compiled,
+                backend,
+                &p,
+                &sem,
+                1000,
+                max_iterations,
+                &meter,
+                &collector,
+            )
+            .map(|o| {
+                assert_eq!(o.explore, CheckStats::default(), "{name}");
+                let verdict = match &o.verdict {
+                    FinalVerdict::Attack(ce) => format!("Attack: {}", labels(ce)),
+                    FinalVerdict::GoalReachable(ce) => format!("GoalReachable: {}", labels(ce)),
+                    v => format!("{v:?}"),
+                };
+                let refined: Vec<String> = o
+                    .refinements
+                    .iter()
+                    .map(|r| r.excluded_command.clone())
+                    .collect();
+                (
+                    verdict,
+                    o.iterations,
+                    refined,
+                    (o.cpv_queries, o.cpv_steps),
+                    o.query,
+                )
+            });
+            assert_eq!(got, want, "{name}");
+            let flushed = counters.map(|c| collector.counter_value(c));
+            assert_eq!(flushed, want_counters, "{name}: {counters:?}");
+        }
+    }
+
+    /// A trace's step labels, with [`INJECT`] abbreviated.
+    fn labels(ce: &Counterexample) -> String {
+        let all: Vec<&str> = ce.steps.iter().map(|s| s.label.as_str()).collect();
+        all.join(", ").replace(INJECT, "INJECT")
+    }
+
     #[test]
     fn holds_without_refinement_when_forge_disabled() {
         let (ue, mme) = mini_models();

@@ -2662,6 +2662,131 @@ pub(crate) mod tests {
         );
     }
 
+    /// Where each breadth-first search stops, on the 4096-state lattice:
+    /// the explorer, a lazy graph resumed under two meters, two graph
+    /// searches (an invariant under a CEGAR mask, and a precedence) and
+    /// the response product. Each trips a run-wide state cap and a state
+    /// limit mid-search with the exact error and partial stats, and a
+    /// capped meter that never trips is charged exactly the states the
+    /// search interned.
+    #[test]
+    fn bfs_stops_pin_errors_and_partial_stats() {
+        use crate::budget::Budget;
+        use crate::lazy::LazyGraph;
+        use crate::CheckBackend;
+        let m = lattice();
+        let c = CompiledModel::new(&m).expect("valid");
+        let capped = |n: u64| Budget::unlimited().with_total_states(n).start();
+        let unlimited = BudgetMeter::unlimited();
+        let cap = |limit| CheckError::Budget(BudgetExceeded::TotalStates { limit });
+        let check = |states, transitions, peak_queue| CheckStats {
+            states,
+            transitions,
+            peak_queue,
+        };
+
+        let explore = |limit: usize, meter: &BudgetMeter| {
+            let mut stats = CheckStats::default();
+            let built = build_reach_graph_budgeted(&c, limit, meter, &mut stats, 1);
+            (built.map(|g| g.node_count()), stats)
+        };
+        assert_eq!(
+            explore(1_000_000, &capped(2000)),
+            (Err(cap(2000)), check(2972, 15060, 988))
+        );
+        assert_eq!(
+            explore(1500, &unlimited),
+            (Err(CheckError::StateLimit(1500)), check(1502, 5920, 811))
+        );
+        let meter = capped(1_000_000);
+        assert_eq!(
+            explore(1_000_000, &meter),
+            (Ok(4096), check(4096, 24577, 988))
+        );
+        assert_eq!(meter.total_charged(), 4096);
+
+        // A lazy graph keeps its charged-states watermark across calls
+        // made under different meters: the scan's meter pays for the
+        // prefix it interned, the completing meter for the rest.
+        let lazy = LazyGraph::new(&c, 1_000_000).expect("fits");
+        let (first, rest) = (capped(1_000_000), capped(1_000_000));
+        let p = c
+            .compile_property(&Property::invariant("b0", Expr::var_eq("b0", "0")))
+            .expect("valid");
+        let mut q = QueryStats::default();
+        lazy.answer(&c, &p, &c.exclusion_set(), 1_000_000, &first, &mut q)
+            .expect("violated by the first successor");
+        lazy.complete(&rest).expect("fits");
+        assert_eq!((first.total_charged(), rest.total_charged()), (13, 4083));
+
+        let g = graph(&m, 1_000_000, &mut CheckStats::default()).expect("fits");
+        let all_set = |n: usize| Expr::and((0..n).map(|i| Expr::var_eq(format!("b{i}"), "1")));
+        let mut no_set11 = c.exclusion_set();
+        for id in c.commands_labeled(Sym::intern("set11")) {
+            no_set11.insert(id);
+        }
+        let ask = |p: &Property, mask: &CmdIdSet, limit: usize, meter: &BudgetMeter| {
+            let cp = c.compile_property(p).expect("valid");
+            let mut q = QueryStats::default();
+            let verdict = check_on_graph(&c, &g, &cp, mask, limit, meter, &mut q);
+            (verdict.map(|v| v.trace().map(|ce| ce.steps.len())), q)
+        };
+        let query = |states, transitions, peak_queue| QueryStats {
+            nodes_reused: states,
+            product_states: states,
+            transitions,
+            peak_queue,
+        };
+        // (query, mask, state cap, its partial stats, state limit, its
+        // partial stats, the trace length and full stats of an answer)
+        let cases = [
+            (
+                Property::invariant("not_b0_to_b10", Expr::not(all_set(11))),
+                &no_set11,
+                1000,
+                query(1486, 7018, 526),
+                1200,
+                query(1201, 4924, 526),
+                (Some(12), query(2048, 11254, 526)),
+            ),
+            (
+                Property::precedence("all_set", all_set(12), Expr::False),
+                &c.exclusion_set(),
+                2000,
+                query(2972, 15060, 988),
+                1500,
+                query(1502, 5920, 811),
+                (Some(13), query(4096, 24565, 988)),
+            ),
+            (
+                Property::response("b0_set", Expr::var_eq("b0", "1"), Expr::False),
+                &c.exclusion_set(),
+                2000,
+                query(2972, 15060, 988),
+                1500,
+                query(1502, 5920, 811),
+                (Some(14), query(4096, 24577, 988)),
+            ),
+        ];
+        for (p, mask, total, at_cap, limit, at_limit, answer) in cases {
+            let name = p.name().to_string();
+            assert_eq!(
+                ask(&p, mask, 1_000_000, &capped(total)),
+                (Err(cap(total)), at_cap),
+                "{name} at the state cap"
+            );
+            assert_eq!(
+                ask(&p, mask, limit, &unlimited),
+                (Err(CheckError::StateLimit(limit)), at_limit),
+                "{name} at the state limit"
+            );
+            let meter = capped(1_000_000);
+            let (verdict, stats) = ask(&p, mask, 1_000_000, &meter);
+            assert_eq!((verdict.expect(&name), stats), answer, "{name}");
+            assert_eq!(meter.total_charged(), stats.product_states, "{name}");
+        }
+    }
+
     // --- the packed kernel against direct guard evaluation --------------
 
     /// Values `v0..v{n}` as owned names.
