@@ -1,6 +1,6 @@
-// ---------------------------------------------------------------------------
-// Compilation
-// ---------------------------------------------------------------------------
+//! Compilation: a model, and each property asked of it, with every
+//! variable, value and command name resolved to a dense index once, so
+//! exploration and queries never hash a string.
 
 use super::{CheckError, Property};
 use crate::expr::Expr;

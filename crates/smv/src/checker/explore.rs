@@ -1,6 +1,7 @@
-// ---------------------------------------------------------------------------
-// Explore phase: building the reachable graph
-// ---------------------------------------------------------------------------
+//! The explore phase: the packed explorer that builds a model's
+//! reachability graph, and the [`Pacer`] through which every
+//! breadth-first search of the engine decides when to stop or charge
+//! the budget.
 
 use super::compile::{State, Value};
 use super::query::rebuild_path;
@@ -415,6 +416,67 @@ impl PackedFrontier {
     }
 }
 
+/// When a breadth-first search stops or charges the budget. Before each
+/// pop the state limit is tested, and every [`PROBE_STRIDE`] pops the
+/// meter is charged for the states interned since the last probe and
+/// probed; a tail charge that never fails settles the rest once the
+/// search ends or pauses. The explorer, the graph search and the
+/// response product all pop through one, so a search trips at the same
+/// pop with the same partial stats whichever loop it is.
+///
+/// Whether to probe depends on the meter each call passes, not on the
+/// pacer: a lazy graph's successive queries may pass different meters.
+/// The charged-states watermark persists, so a resumed search charges
+/// each state once.
+pub(super) struct Pacer {
+    limit: usize,
+    /// Interned states already charged to a meter.
+    charged: usize,
+}
+
+impl Pacer {
+    pub(super) fn new(limit: usize) -> Self {
+        Pacer { limit, charged: 0 }
+    }
+
+    /// The checks before popping the node at queue position `next`, with
+    /// `interned` states interned.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::StateLimit`] past the limit; [`CheckError::Budget`]
+    /// when the meter trips.
+    #[inline]
+    pub(super) fn before_pop(
+        &mut self,
+        next: usize,
+        interned: usize,
+        meter: &BudgetMeter,
+    ) -> Result<(), CheckError> {
+        if interned > self.limit {
+            return Err(CheckError::StateLimit(self.limit));
+        }
+        if next.is_multiple_of(PROBE_STRIDE) && meter.is_limited() {
+            let fresh = (interned - self.charged) as u64;
+            self.charged = interned;
+            meter.charge_and_probe(fresh).map_err(CheckError::Budget)?;
+        }
+        Ok(())
+    }
+
+    /// Charges the interned states the meter has not seen yet, without
+    /// failing: work that completed (or paused) is never failed
+    /// retroactively, but the next probe sharing the meter sees an
+    /// accurate run total.
+    #[inline]
+    pub(super) fn charge_tail(&mut self, interned: usize, meter: &BudgetMeter) {
+        if meter.is_limited() {
+            let _ = meter.charge_and_probe((interned - self.charged) as u64);
+            self.charged = interned;
+        }
+    }
+}
+
 /// The packed explorer: one serial BFS over packed `u64` keys, expanding
 /// successors straight from the raw key. The enabled commands come from
 /// the per-field [`EnableTables`] and updates apply as precomputed
@@ -436,15 +498,13 @@ pub(crate) struct PackedExplorer {
     /// Scratch enabled-command word for the node being expanded.
     word: Vec<u64>,
     frontier: PackedFrontier,
-    limit: usize,
+    pacer: Pacer,
     init_count: u32,
     succ_off: Vec<u32>,
     succ_cmd: Vec<u32>,
     succ_node: Vec<u32>,
     transitions: u64,
     peak_queue: u64,
-    /// Interned states already charged to the budget meter.
-    charged: usize,
     /// The next node to pop: nodes below it are expanded, nodes from it
     /// on are the frontier (pop order equals intern order, so the queue
     /// is implicit and each node's CSR offsets seal as it is popped).
@@ -478,14 +538,13 @@ impl PackedExplorer {
             kernel,
             word,
             frontier,
-            limit,
+            pacer: Pacer::new(limit),
             init_count,
             succ_off,
             succ_cmd: Vec::new(),
             succ_node: Vec::new(),
             transitions: 0,
             peak_queue: u64::from(init_count),
-            charged: 0,
             next: 0,
             level_end: 0,
             levels: 0,
@@ -507,7 +566,6 @@ impl PackedExplorer {
         meter: &BudgetMeter,
         found: impl Fn(u64) -> bool,
     ) -> Result<Option<u32>, CheckError> {
-        let budgeted = meter.is_limited();
         let f = &mut self.frontier;
         while self.next < f.keys.len() {
             if self.next == self.level_end {
@@ -515,14 +573,7 @@ impl PackedExplorer {
                 self.levels += 1;
                 self.peak_level = self.peak_level.max((self.level_end - self.next) as u64);
             }
-            if f.keys.len() > self.limit {
-                return Err(CheckError::StateLimit(self.limit));
-            }
-            if budgeted && self.next.is_multiple_of(PROBE_STRIDE) {
-                let fresh = (f.keys.len() - self.charged) as u64;
-                self.charged = f.keys.len();
-                meter.charge_and_probe(fresh).map_err(CheckError::Budget)?;
-            }
+            self.pacer.before_pop(self.next, f.keys.len(), meter)?;
             let id = self.next as u32;
             self.next += 1;
             let key = f.keys[id as usize];
@@ -549,15 +600,10 @@ impl PackedExplorer {
         Ok(None)
     }
 
-    /// Charges the interned states the meter has not seen yet, without
-    /// failing: work that completed (or paused) is never failed
-    /// retroactively, but the next probe sharing the meter sees an
-    /// accurate run total.
+    /// Charges the states interned so far that `meter` has not seen,
+    /// without failing ([`Pacer::charge_tail`]).
     pub(crate) fn charge_tail(&mut self, meter: &BudgetMeter) {
-        if meter.is_limited() {
-            let _ = meter.charge_and_probe((self.len() - self.charged) as u64);
-            self.charged = self.len();
-        }
+        self.pacer.charge_tail(self.frontier.keys.len(), meter);
     }
 
     /// Interned states so far.

@@ -1,22 +1,17 @@
-// ---------------------------------------------------------------------------
-// Evaluate phase: property queries over a cached graph
-// ---------------------------------------------------------------------------
+//! The evaluate phase: properties answered as queries over a cached
+//! graph — scans in id order, early-exit searches of the graph's
+//! adjacency, and the response product with its first fair cycle.
 
 use super::compile::{State, Value};
+use super::explore::Pacer;
 use super::{
     lower_guard, CExpr, CProp, CheckError, CompiledModel, CompiledProperty, QueryStats, Verdict,
 };
-use crate::budget::{BudgetMeter, PROBE_STRIDE};
+use crate::budget::BudgetMeter;
 use crate::reach::{ReachGraph, NO_PARENT, STUTTER_CMD};
 use crate::trace::{Counterexample, TraceStep};
 use procheck_ident::{CmdId, CmdIdSet};
 use std::collections::{HashMap, VecDeque};
-
-/// Whether a query's CEGAR mask removes the edge fired by `cmd`. The
-/// deadlock stutter is never masked.
-fn masked(excluded: Option<&CmdIdSet>, cmd: u32) -> bool {
-    cmd != STUTTER_CMD && excluded.is_some_and(|mask| mask.contains(CmdId::new(cmd as usize)))
-}
 
 /// What a query that interned `nodes` states cost.
 fn query_stats(nodes: usize, transitions: u64, peak_queue: u64) -> QueryStats {
@@ -28,13 +23,25 @@ fn query_stats(nodes: usize, transitions: u64, peak_queue: u64) -> QueryStats {
     }
 }
 
+/// One property query over a cached graph: the compiled model, its
+/// graph, the CEGAR mask (`None` when it is empty), and the state limit
+/// and budget meter that pace every search the query runs.
+struct Query<'a> {
+    c: &'a CompiledModel,
+    g: &'a ReachGraph,
+    excluded: Option<&'a CmdIdSet>,
+    limit: usize,
+    meter: &'a BudgetMeter,
+}
+
 /// [`GraphSearch::index`] entry of a graph node not seen yet.
 const UNSEEN: u32 = u32::MAX;
 
 /// [`GraphSearch::index`] entry of a graph node seen and not allowed.
 const BLOCKED: u32 = u32::MAX - 1;
 
-/// The nodes one [`search_graph`] has interned, with their BFS parents.
+/// The nodes one [`Query::search_graph`] has interned, with their BFS
+/// parents, and what the search has cost.
 struct GraphSearch {
     /// Graph node → search id, or [`UNSEEN`] / [`BLOCKED`].
     index: Vec<u32>,
@@ -42,6 +49,8 @@ struct GraphSearch {
     nodes: Vec<u32>,
     parent_node: Vec<u32>,
     parent_cmd: Vec<u32>,
+    transitions: u64,
+    peak_queue: u64,
 }
 
 impl GraphSearch {
@@ -71,110 +80,47 @@ impl GraphSearch {
         self.parent_cmd.push(parent.1);
         target(key)
     }
-}
 
-/// Breadth-first search of the graph's own adjacency with the commands
-/// in `excluded` removed, through `allowed` nodes only, that stops at the
-/// first node it interns whose key satisfies `target` and returns that
-/// node's BFS path.
-///
-/// The search interns the initial nodes in id order and expands each
-/// node's unmasked edges in CSR order. With every node allowed, as for
-/// masked invariants and goals, it interns the command-filtered model's
-/// nodes in the order, and with the parents, a fresh exploration of
-/// that model would, so its first target is the one that exploration
-/// reaches first. A node whose every command is masked stutters back to
-/// itself, as the filtered model would. A precedence allows the nodes
-/// where its prerequisite does not hold: the product's "prerequisite
-/// seen" flag never turns off, so a flag-off product node only ever has
-/// a flag-off parent, and the flag-off half of the product is this
-/// search, node for node.
-///
-/// `stats` counts the nodes the search interned, on every path. The
-/// state limit is tested before each pop and the budget probed every
-/// [`PROBE_STRIDE`] pops, so a target interned before either trips is
-/// an answer.
-///
-/// # Errors
-///
-/// [`CheckError::StateLimit`] past `limit` interned nodes;
-/// [`CheckError::Budget`] when the meter trips.
-#[allow(clippy::too_many_arguments)]
-fn search_graph(
-    c: &CompiledModel,
-    g: &ReachGraph,
-    excluded: Option<&CmdIdSet>,
-    allowed: impl Fn(u64) -> bool,
-    target: impl Fn(u64) -> bool,
-    limit: usize,
-    meter: &BudgetMeter,
-    stats: &mut QueryStats,
-) -> Result<Option<Counterexample>, CheckError> {
-    let mut s = GraphSearch {
-        index: vec![UNSEEN; g.node_count()],
-        nodes: Vec::new(),
-        parent_node: Vec::new(),
-        parent_cmd: Vec::new(),
-    };
-    let mut hit = (0..g.init_count())
-        .any(|gid| s.visit(g, gid, (NO_PARENT, NO_PARENT), &allowed, &target))
-        .then(|| s.nodes.len() as u32 - 1);
-    let mut peak_queue = s.nodes.len() as u64;
-    let mut transitions = 0u64;
-    let budgeted = meter.is_limited();
-    let mut charged = 0usize;
-    let mut next = 0usize;
-    while hit.is_none() && next < s.nodes.len() {
-        if s.nodes.len() > limit {
-            stats.absorb(query_stats(s.nodes.len(), transitions, peak_queue));
-            return Err(CheckError::StateLimit(limit));
-        }
-        if budgeted && next.is_multiple_of(PROBE_STRIDE) {
-            let fresh = (s.nodes.len() - charged) as u64;
-            charged = s.nodes.len();
-            if let Err(e) = meter.charge_and_probe(fresh) {
-                stats.absorb(query_stats(s.nodes.len(), transitions, peak_queue));
-                return Err(CheckError::Budget(e));
+    /// Runs the search to its first target (its search id) or to its
+    /// end (`None`).
+    fn run(
+        &mut self,
+        q: &Query<'_>,
+        allowed: &impl Fn(u64) -> bool,
+        target: &impl Fn(u64) -> bool,
+    ) -> Result<Option<u32>, CheckError> {
+        let g = q.g;
+        let mut hit = (0..g.init_count())
+            .any(|gid| self.visit(g, gid, (NO_PARENT, NO_PARENT), allowed, target))
+            .then(|| self.nodes.len() as u32 - 1);
+        self.peak_queue = self.nodes.len() as u64;
+        let mut pacer = Pacer::new(q.limit);
+        let mut next = 0usize;
+        while hit.is_none() && next < self.nodes.len() {
+            pacer.before_pop(next, self.nodes.len(), q.meter)?;
+            let pid = next as u32;
+            next += 1;
+            let gid = self.nodes[pid as usize];
+            let mut fired = 0u64;
+            for (cmd, succ) in g.successors(gid) {
+                if q.masked(cmd) {
+                    continue;
+                }
+                fired += 1;
+                if self.visit(g, succ, (pid, cmd), allowed, target) {
+                    hit = Some(self.nodes.len() as u32 - 1);
+                    break;
+                }
             }
+            // A node whose every outgoing command is excluded stutters
+            // back to itself in the filtered model: one more edge, to a
+            // node interned already.
+            self.transitions += fired.max(1);
+            self.peak_queue = self.peak_queue.max((self.nodes.len() - next) as u64);
         }
-        let pid = next as u32;
-        next += 1;
-        let gid = s.nodes[pid as usize];
-        let mut any = false;
-        for (cmd, succ) in g.successors(gid) {
-            if masked(excluded, cmd) {
-                continue;
-            }
-            any = true;
-            transitions += 1;
-            if s.visit(g, succ, (pid, cmd), &allowed, &target) {
-                hit = Some(s.nodes.len() as u32 - 1);
-                break;
-            }
-        }
-        if !any {
-            // Every outgoing command is excluded: the filtered model
-            // stutters back to this node, which is interned already.
-            transitions += 1;
-        }
-        peak_queue = peak_queue.max((s.nodes.len() - next) as u64);
+        pacer.charge_tail(self.nodes.len(), q.meter);
+        Ok(hit)
     }
-    if budgeted {
-        // Tail charge: keep the shared run total accurate without
-        // failing work that already completed.
-        let _ = meter.charge_and_probe((s.nodes.len() - charged) as u64);
-    }
-    stats.absorb(query_stats(s.nodes.len(), transitions, peak_queue));
-    Ok(hit.map(|id| Counterexample {
-        steps: rebuild_path(
-            c,
-            |id, out| g.load_state(s.nodes[id as usize], out),
-            &s.parent_node,
-            &s.parent_cmd,
-            id,
-        ),
-        lasso_start: None,
-    }))
 }
 
 /// The product of a cached graph with a response property's obligation
@@ -193,6 +139,8 @@ struct ProductGraph {
     /// `(command index, product id)` edges out of pending nodes, the only
     /// ones a fair cycle uses, in pop order.
     edges: Vec<(u32, u32)>,
+    transitions: u64,
+    peak_queue: u64,
 }
 
 impl ProductGraph {
@@ -208,126 +156,203 @@ impl ProductGraph {
     fn pending(&self, pid: u32) -> bool {
         self.nodes[pid as usize].1
     }
-}
 
-/// Interns `(gid, flag)`. `index` is dense over the pairs: entry
-/// `2 * gid + flag` holds the product id, `u32::MAX` while unseen.
-fn product_intern(
-    pg: &mut ProductGraph,
-    index: &mut [u32],
-    gid: u32,
-    flag: bool,
-    parent: (u32, u32),
-) -> u32 {
-    let slot = &mut index[2 * gid as usize + usize::from(flag)];
-    if *slot != u32::MAX {
-        return *slot;
+    /// Interns `(gid, flag)`. `index` is dense over the pairs: entry
+    /// `2 * gid + flag` holds the product id, `u32::MAX` while unseen.
+    fn intern(&mut self, index: &mut [u32], gid: u32, flag: bool, parent: (u32, u32)) -> u32 {
+        let slot = &mut index[2 * gid as usize + usize::from(flag)];
+        if *slot != u32::MAX {
+            return *slot;
+        }
+        let id = self.nodes.len() as u32;
+        *slot = id;
+        self.nodes.push((gid, flag));
+        self.parent_node.push(parent.0);
+        self.parent_cmd.push(parent.1);
+        id
     }
-    let id = pg.nodes.len() as u32;
-    *slot = id;
-    pg.nodes.push((gid, flag));
-    pg.parent_node.push(parent.0);
-    pg.parent_cmd.push(parent.1);
-    id
+
+    /// Runs the product BFS to its end; `step(pending, gid)` is the
+    /// obligation on entering graph node `gid`.
+    fn run(&mut self, q: &Query<'_>, step: impl Fn(bool, u32) -> bool) -> Result<(), CheckError> {
+        let g = q.g;
+        let mut index = vec![u32::MAX; 2 * g.node_count()];
+        for gid in 0..g.init_count() {
+            self.intern(&mut index, gid, step(false, gid), (NO_PARENT, NO_PARENT));
+        }
+        self.peak_queue = self.nodes.len() as u64;
+        let mut pacer = Pacer::new(q.limit);
+        let mut next = 0usize;
+        while next < self.nodes.len() {
+            pacer.before_pop(next, self.nodes.len(), q.meter)?;
+            let pid = next as u32;
+            next += 1;
+            let (gid, pending) = self.nodes[pid as usize];
+            let mut fired = 0u64;
+            for (cmd, succ) in g.successors(gid) {
+                if q.masked(cmd) {
+                    continue;
+                }
+                fired += 1;
+                let sid = self.intern(&mut index, succ, step(pending, succ), (pid, cmd));
+                if pending {
+                    self.edges.push((cmd, sid));
+                }
+            }
+            if fired == 0 {
+                // Every outgoing command is excluded: the refined model
+                // deadlocks here and stutters, exactly as a fresh
+                // exploration of the command-filtered model would.
+                let sid = self.intern(&mut index, gid, step(pending, gid), (pid, STUTTER_CMD));
+                if pending {
+                    self.edges.push((STUTTER_CMD, sid));
+                }
+            }
+            self.transitions += fired.max(1);
+            self.edge_off.push(self.edges.len() as u32);
+            self.peak_queue = self.peak_queue.max((self.nodes.len() - next) as u64);
+        }
+        pacer.charge_tail(self.nodes.len(), q.meter);
+        Ok(())
+    }
 }
 
-/// BFS over the cached adjacency carrying the response monitor, whose
-/// obligation is pending in a state that triggers without responding and
-/// stays pending until a state responds: pending' = (pending ∨
-/// trigger(s')) ∧ ¬response(s'). `trigger` and `response` are the
-/// predicates' values per graph node. `excluded` masks command ids a
-/// CEGAR refinement has removed; a node whose outgoing commands are all
-/// masked gets the stutter self-loop the filtered model would have.
-fn product_bfs(
-    g: &ReachGraph,
-    excluded: Option<&CmdIdSet>,
-    trigger: &[bool],
-    response: &[bool],
-    limit: usize,
-    meter: &BudgetMeter,
-    stats: &mut QueryStats,
-) -> Result<ProductGraph, CheckError> {
-    let step =
-        |pending: bool, gid: u32| (pending || trigger[gid as usize]) && !response[gid as usize];
-    let cap = g.node_count().max(1);
-    let mut pg = ProductGraph {
-        nodes: Vec::with_capacity(cap),
-        parent_node: Vec::with_capacity(cap),
-        parent_cmd: Vec::with_capacity(cap),
-        edge_off: Vec::with_capacity(cap + 1),
-        edges: Vec::new(),
-    };
-    pg.edge_off.push(0);
-    let mut index = vec![u32::MAX; 2 * g.node_count()];
-    let mut transitions = 0u64;
+impl Query<'_> {
+    /// Whether the CEGAR mask removes the edge fired by `cmd`. The
+    /// deadlock stutter is never masked.
+    fn masked(&self, cmd: u32) -> bool {
+        cmd != STUTTER_CMD
+            && self
+                .excluded
+                .is_some_and(|mask| mask.contains(CmdId::new(cmd as usize)))
+    }
 
-    for gid in 0..g.init_count() {
-        product_intern(
-            &mut pg,
-            &mut index,
-            gid,
-            step(false, gid),
-            (NO_PARENT, NO_PARENT),
+    /// Breadth-first search of the graph's own adjacency with the masked
+    /// commands removed, through `allowed` nodes only, that stops at the
+    /// first node it interns whose key satisfies `target` and returns
+    /// that node's BFS path.
+    ///
+    /// The search interns the initial nodes in id order and expands each
+    /// node's unmasked edges in CSR order. With every node allowed, as for
+    /// masked invariants and goals, it interns the command-filtered model's
+    /// nodes in the order, and with the parents, a fresh exploration of
+    /// that model would, so its first target is the one that exploration
+    /// reaches first. A node whose every command is masked stutters back to
+    /// itself, as the filtered model would. A precedence allows the nodes
+    /// where its prerequisite does not hold: the product's "prerequisite
+    /// seen" flag never turns off, so a flag-off product node only ever has
+    /// a flag-off parent, and the flag-off half of the product is this
+    /// search, node for node.
+    ///
+    /// `stats` counts the nodes the search interned, on every path. The
+    /// search is paced like the explorer ([`Pacer`]), so a target
+    /// interned before the state limit or the budget trips is an answer.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::StateLimit`] past the limit;
+    /// [`CheckError::Budget`] when the meter trips.
+    fn search_graph(
+        &self,
+        allowed: impl Fn(u64) -> bool,
+        target: impl Fn(u64) -> bool,
+        stats: &mut QueryStats,
+    ) -> Result<Option<Counterexample>, CheckError> {
+        let mut s = GraphSearch {
+            index: vec![UNSEEN; self.g.node_count()],
+            nodes: Vec::new(),
+            parent_node: Vec::new(),
+            parent_cmd: Vec::new(),
+            transitions: 0,
+            peak_queue: 0,
+        };
+        let hit = s.run(self, &allowed, &target);
+        stats.absorb(query_stats(s.nodes.len(), s.transitions, s.peak_queue));
+        Ok(hit?.map(|id| Counterexample {
+            steps: rebuild_path(
+                self.c,
+                |id, out| self.g.load_state(s.nodes[id as usize], out),
+                &s.parent_node,
+                &s.parent_cmd,
+                id,
+            ),
+            lasso_start: None,
+        }))
+    }
+
+    /// BFS over the cached adjacency carrying the response monitor, whose
+    /// obligation is pending in a state that triggers without responding
+    /// and stays pending until a state responds: pending' = (pending ∨
+    /// trigger(s')) ∧ ¬response(s'). `trigger` and `response` are the
+    /// predicates' values per graph node. A node whose outgoing commands
+    /// are all masked gets the stutter self-loop the filtered model would
+    /// have.
+    fn product_bfs(
+        &self,
+        trigger: &[bool],
+        response: &[bool],
+        stats: &mut QueryStats,
+    ) -> Result<ProductGraph, CheckError> {
+        let cap = self.g.node_count().max(1);
+        let mut pg = ProductGraph {
+            nodes: Vec::with_capacity(cap),
+            parent_node: Vec::with_capacity(cap),
+            parent_cmd: Vec::with_capacity(cap),
+            edge_off: Vec::with_capacity(cap + 1),
+            edges: Vec::new(),
+            transitions: 0,
+            peak_queue: 0,
+        };
+        pg.edge_off.push(0);
+        let explored = pg.run(self, |pending, gid| {
+            (pending || trigger[gid as usize]) && !response[gid as usize]
+        });
+        stats.absorb(query_stats(pg.nodes.len(), pg.transitions, pg.peak_queue));
+        explored.map(|()| pg)
+    }
+
+    /// A response query: the product BFS, then the first fair cycle of
+    /// pending states, returned as a lasso.
+    fn response(
+        &self,
+        trigger: &CExpr,
+        response: &CExpr,
+        stats: &mut QueryStats,
+    ) -> Result<Verdict, CheckError> {
+        let (c, g) = (self.c, self.g);
+        let pg = self.product_bfs(&eval_nodes(g, trigger), &eval_nodes(g, response), stats)?;
+        // Fairness constraints were compiled with the model — evaluating
+        // them here touches no string table.
+        let fairness: Vec<Vec<bool>> = c.fairness.iter().map(|f| eval_nodes(g, f)).collect();
+        // A fair cycle of pending nodes: a cyclic SCC in which every
+        // fairness constraint holds on some member.
+        let fair = |scc: &[u32]| {
+            scc_has_cycle(&pg, scc)
+                && fairness.iter().all(|f_at| {
+                    scc.iter()
+                        .any(|&pid| f_at[pg.nodes[pid as usize].0 as usize])
+                })
+        };
+        let Some(scc) = first_pending_scc(&pg, fair) else {
+            return Ok(Verdict::Holds);
+        };
+        let entry = scc[0];
+        let prefix = rebuild_path(
+            c,
+            |pid, out| g.load_state(pg.nodes[pid as usize].0, out),
+            &pg.parent_node,
+            &pg.parent_cmd,
+            entry,
         );
+        let cycle = build_fair_cycle(c, g, &pg, &scc, entry, &fairness);
+        let lasso_start = prefix.len() - 1;
+        let mut steps = prefix;
+        steps.extend(cycle);
+        Ok(Verdict::Violated(Counterexample {
+            steps,
+            lasso_start: Some(lasso_start),
+        }))
     }
-    let mut peak_queue = pg.nodes.len() as u64;
-    let budgeted = meter.is_limited();
-    let mut charged = 0usize;
-    let mut next = 0usize;
-    while next < pg.nodes.len() {
-        if pg.nodes.len() > limit {
-            stats.absorb(query_stats(pg.nodes.len(), transitions, peak_queue));
-            return Err(CheckError::StateLimit(limit));
-        }
-        if budgeted && next.is_multiple_of(PROBE_STRIDE) {
-            let fresh = (pg.nodes.len() - charged) as u64;
-            charged = pg.nodes.len();
-            if let Err(e) = meter.charge_and_probe(fresh) {
-                stats.absorb(query_stats(pg.nodes.len(), transitions, peak_queue));
-                return Err(CheckError::Budget(e));
-            }
-        }
-        let pid = next as u32;
-        next += 1;
-        let (gid, pending) = pg.nodes[pid as usize];
-        let mut any = false;
-        for (cmd, succ) in g.successors(gid) {
-            if masked(excluded, cmd) {
-                continue;
-            }
-            any = true;
-            transitions += 1;
-            let sid = product_intern(&mut pg, &mut index, succ, step(pending, succ), (pid, cmd));
-            if pending {
-                pg.edges.push((cmd, sid));
-            }
-        }
-        if !any {
-            // Every outgoing command is excluded: the refined model
-            // deadlocks here and stutters, exactly as a fresh exploration
-            // of the command-filtered model would.
-            transitions += 1;
-            let sid = product_intern(
-                &mut pg,
-                &mut index,
-                gid,
-                step(pending, gid),
-                (pid, STUTTER_CMD),
-            );
-            if pending {
-                pg.edges.push((STUTTER_CMD, sid));
-            }
-        }
-        pg.edge_off.push(pg.edges.len() as u32);
-        peak_queue = peak_queue.max((pg.nodes.len() - next) as u64);
-    }
-    if budgeted {
-        // Tail charge: keep the shared run total accurate without
-        // failing work that already completed.
-        let _ = meter.charge_and_probe((pg.nodes.len() - charged) as u64);
-    }
-    stats.absorb(query_stats(pg.nodes.len(), transitions, peak_queue));
-    Ok(pg)
 }
 
 /// A compiled expression's value in every graph node, in id order: the
@@ -428,7 +453,6 @@ pub(super) fn scan_graph(
 /// [`CheckError::StateLimit`] if a search or product BFS exceeds `limit`
 /// states before it answers; [`CheckError::Budget`] when the meter
 /// trips.
-#[allow(clippy::too_many_arguments)]
 pub fn check_on_graph(
     c: &CompiledModel,
     g: &ReachGraph,
@@ -445,28 +469,21 @@ pub fn check_on_graph(
             c.num_vars()
         )]));
     }
-    let excluded_cmds: Option<&CmdIdSet> = if excluded.is_empty() {
-        None
-    } else {
-        Some(excluded)
+    let q = Query {
+        c,
+        g,
+        excluded: (!excluded.is_empty()).then_some(excluded),
+        limit,
+        meter,
     };
     // The first node, in the filtered model's BFS order, that matches
     // `e == hit`. No refinement: every graph node is reachable, so that
     // is a straight scan in id order.
-    let first = |e: &CExpr, hit: bool, stats: &mut QueryStats| match excluded_cmds {
+    let first = |e: &CExpr, hit: bool, stats: &mut QueryStats| match q.excluded {
         None => Ok(scan_graph(c, g, stats, e, hit)),
-        Some(mask) => {
+        Some(_) => {
             let e = lower_guard(e, &g.layout);
-            search_graph(
-                c,
-                g,
-                Some(mask),
-                |_| true,
-                |key| e.eval(key) == hit,
-                limit,
-                meter,
-                stats,
-            )
+            q.search_graph(|_| true, |key| e.eval(key) == hit, stats)
         }
     };
     match &property.kind {
@@ -484,75 +501,12 @@ pub fn check_on_graph(
             // prerequisite holding in it or any state before it.
             let event = lower_guard(event, &g.layout);
             let before = lower_guard(requires_before, &g.layout);
-            let violation = search_graph(
-                c,
-                g,
-                excluded_cmds,
-                |key| !before.eval(key),
-                |key| event.eval(key),
-                limit,
-                meter,
-                stats,
-            )?;
+            let violation =
+                q.search_graph(|key| !before.eval(key), |key| event.eval(key), stats)?;
             Ok(violation.map_or(Verdict::Holds, Verdict::Violated))
         }
-        CProp::Response { trigger, response } => {
-            check_response_on_graph(c, g, trigger, response, excluded_cmds, limit, meter, stats)
-        }
+        CProp::Response { trigger, response } => q.response(trigger, response, stats),
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_response_on_graph(
-    c: &CompiledModel,
-    g: &ReachGraph,
-    trigger: &CExpr,
-    response: &CExpr,
-    excluded: Option<&CmdIdSet>,
-    limit: usize,
-    meter: &BudgetMeter,
-    stats: &mut QueryStats,
-) -> Result<Verdict, CheckError> {
-    let pg = product_bfs(
-        g,
-        excluded,
-        &eval_nodes(g, trigger),
-        &eval_nodes(g, response),
-        limit,
-        meter,
-        stats,
-    )?;
-    // Fairness constraints were compiled with the model — evaluating
-    // them here touches no string table.
-    let fairness: Vec<Vec<bool>> = c.fairness.iter().map(|f| eval_nodes(g, f)).collect();
-    // A fair cycle of pending nodes: a cyclic SCC in which every
-    // fairness constraint holds on some member.
-    let fair = |scc: &[u32]| {
-        scc_has_cycle(&pg, scc)
-            && fairness.iter().all(|f_at| {
-                scc.iter()
-                    .any(|&pid| f_at[pg.nodes[pid as usize].0 as usize])
-            })
-    };
-    let Some(scc) = first_pending_scc(&pg, fair) else {
-        return Ok(Verdict::Holds);
-    };
-    let entry = scc[0];
-    let prefix = rebuild_path(
-        c,
-        |pid, out| g.load_state(pg.nodes[pid as usize].0, out),
-        &pg.parent_node,
-        &pg.parent_cmd,
-        entry,
-    );
-    let cycle = build_fair_cycle(c, g, &pg, &scc, entry, &fairness);
-    let lasso_start = prefix.len() - 1;
-    let mut steps = prefix;
-    steps.extend(cycle);
-    Ok(Verdict::Violated(Counterexample {
-        steps,
-        lasso_start: Some(lasso_start),
-    }))
 }
 
 // ---------------------------------------------------------------------------
