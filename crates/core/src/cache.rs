@@ -286,13 +286,7 @@ impl ThreatModelCache {
                 .cloned()
         }?;
         let extent = graph.extent();
-        collector.add("smv.states_explored", extent.stats.states);
-        collector.add("smv.transitions", extent.stats.transitions);
-        collector.record_max("smv.peak_queue", extent.stats.peak_queue);
-        collector.add("explore.levels", u64::from(extent.levels));
-        collector.record_max("explore.peak_level", extent.peak_level);
-        collector.add("explore.partial_graphs", u64::from(!extent.complete));
-        collector.record_span("graph.build", extent.elapsed);
+        record_extent(&extent, collector);
         if let Some(sig) = cone {
             collector.add("reduction.sliced_graphs", 1);
             collector.add("reduction.cone_vars", sig.var_count() as u64);
@@ -325,6 +319,20 @@ impl ThreatModelCache {
             builds: self.graph_builds.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Records what a graph explored on `collector`: `smv.states_explored`,
+/// `smv.transitions`, `smv.peak_queue`, `explore.levels`,
+/// `explore.peak_level`, `explore.partial_graphs` (1 for a graph whose
+/// BFS never ended) and a `graph.build` span timing the exploration.
+pub(crate) fn record_extent(extent: &GraphExtent, collector: &Collector) {
+    collector.add("smv.states_explored", extent.stats.states);
+    collector.add("smv.transitions", extent.stats.transitions);
+    collector.record_max("smv.peak_queue", extent.stats.peak_queue);
+    collector.add("explore.levels", u64::from(extent.levels));
+    collector.record_max("explore.peak_level", extent.peak_level);
+    collector.add("explore.partial_graphs", u64::from(!extent.complete));
+    collector.record_span("graph.build", extent.elapsed);
 }
 
 #[cfg(test)]

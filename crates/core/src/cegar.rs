@@ -15,16 +15,14 @@
 //! finite command set, so the loop runs at most `|commands|` iterations
 //! (bounded further by `max_iterations`).
 
+use crate::cache::record_extent;
 use procheck_cpv::term::Term;
 use procheck_ident::Sym;
 use procheck_smv::budget::BudgetMeter;
-use procheck_smv::checker::{
-    build_reach_graph_budgeted, CheckError, CheckStats, CompiledModel, Property, QueryStats,
-    Verdict,
-};
+use procheck_smv::checker::{CheckError, CheckStats, CompiledModel, Property, QueryStats, Verdict};
 use procheck_smv::model::Model;
 use procheck_smv::trace::Counterexample;
-use procheck_smv::{BackendVerdict, CheckBackend, ExplicitBackend};
+use procheck_smv::{BackendVerdict, CheckBackend, LazyGraph};
 use procheck_telemetry::Collector;
 use procheck_threat::StepSemantics;
 use serde::Serialize;
@@ -72,11 +70,11 @@ pub struct CegarOutcome {
     pub cpv_queries: usize,
     /// Adversarial steps the CPV checked across all queries.
     pub cpv_steps: usize,
-    /// Exploration charged to this call: the one reachability-graph
-    /// build when the loop explored privately ([`cegar_check`]), or zero
-    /// when the backend answers from elsewhere
-    /// ([`cegar_check_backend_budgeted`] — a shared graph's build is
-    /// charged once at the cache, not per property).
+    /// Exploration charged to this call: how far the private graph of
+    /// [`cegar_check`] was explored, or zero when the backend answers
+    /// from elsewhere ([`cegar_check_backend_budgeted`] — a shared
+    /// graph's exploration is charged once at the cache, not per
+    /// property).
     pub explore: CheckStats,
     /// Graph-query totals summed over all iterations: cached nodes
     /// re-used instead of re-explored, states a graph search or response
@@ -95,13 +93,15 @@ impl CegarOutcome {
 }
 
 /// Runs the model-checker ⇄ CPV loop for one property on a model it
-/// compiles and explores *privately*: one fresh [`ReachGraph`] is
-/// re-queried across refinement iterations. The graph build and every
-/// refinement query charge `meter`.
+/// compiles and explores *privately*: one fresh [`LazyGraph`] is
+/// re-queried across refinement iterations and explored only as far as
+/// they need, exactly as the pipeline's shared graph slots are. Every
+/// query charges `meter`.
 ///
 /// Records per-loop telemetry on `collector`: `cegar.runs`,
 /// `cegar.iterations`, `cegar.refinements`, `cpv.queries`, `cpv.steps`,
-/// the checker's `smv.*` counters for the one graph build, and
+/// the checker's `smv.*` and `explore.*` counters and the `graph.build`
+/// span for what the private graph explored, and
 /// `graph_cache.nodes_reused` for the per-iteration graph queries.
 /// Counter totals depend only on the model and property, never on
 /// scheduling, so parallel callers summing into one collector stay
@@ -109,10 +109,7 @@ impl CegarOutcome {
 ///
 /// Callers checking many properties against one threat configuration
 /// should share the graph through the pipeline's cache and call
-/// [`cegar_check_backend_budgeted`] with its
-/// [`LazyGraph`](procheck_smv::LazyGraph) instead.
-///
-/// [`ReachGraph`]: procheck_smv::reach::ReachGraph
+/// [`cegar_check_backend_budgeted`] with its [`LazyGraph`] instead.
 ///
 /// # Errors
 ///
@@ -128,62 +125,50 @@ pub fn cegar_check(
     meter: &BudgetMeter,
     collector: &Collector,
 ) -> Result<CegarOutcome, CheckError> {
-    // Flush the loop's counter families even when we fail before it
-    // starts, so pre-loop errors stay visible in telemetry.
-    let abort = |e: CheckError| {
-        collector.add("cegar.runs", 1);
-        collector.add("cegar.iterations", 1);
-        collector.add("cegar.refinements", 0);
-        collector.add("cpv.queries", 0);
-        collector.add("cpv.steps", 0);
-        collector.add("smv.checks", 1);
-        Err(e)
-    };
-    // An invalid model, then bad property vocabulary, are rejected
-    // before paying for exploration (same errors, same precedence as the
-    // historical per-iteration model checks).
+    // An invalid model, then bad property vocabulary, then a state too
+    // wide to pack are rejected before anything is explored (same errors,
+    // same precedence as the historical per-iteration model checks).
     let compiled = {
         let _span = collector.span("compile");
-        match CompiledModel::new(model) {
-            Ok(c) => c,
-            Err(e) => return abort(e),
+        CompiledModel::new(model)
+    };
+    let prepared = compiled.and_then(|compiled| {
+        compiled.compile_property(property)?;
+        let graph = LazyGraph::new(&compiled, state_limit)?;
+        Ok((compiled, graph))
+    });
+    let (compiled, graph) = match prepared {
+        Ok(prepared) => prepared,
+        Err(e) => {
+            record_loop(collector, 1, 0, 0, 0, &QueryStats::default());
+            return Err(e);
         }
     };
-    if let Err(e) = compiled.compile_property(property) {
-        return abort(e);
-    }
-    let mut build = CheckStats::default();
-    let built = {
-        let _span = collector.span("graph.build");
-        build_reach_graph_budgeted(&compiled, state_limit, meter, &mut build, 1)
-    };
-    collector.add("smv.states_explored", build.states);
-    collector.add("smv.transitions", build.transitions);
-    collector.record_max("smv.peak_queue", build.peak_queue);
-    let graph = match built {
-        Ok(g) => g,
-        Err(e) => return abort(e),
-    };
-    let mut outcome = cegar_check_backend_budgeted(
+    let outcome = cegar_check_backend_budgeted(
         &compiled,
-        &ExplicitBackend { graph: &graph },
+        &graph,
         property,
         semantics,
         state_limit,
         max_iterations,
         meter,
         collector,
-    )?;
-    // The build was ours, so this call is charged for it.
-    outcome.explore = build;
-    Ok(outcome)
+    );
+    // The graph was ours, so this call is charged for what it explored.
+    let extent = graph.extent();
+    record_extent(&extent, collector);
+    outcome.map(|outcome| CegarOutcome {
+        explore: extent.stats,
+        ..outcome
+    })
 }
 
 /// The CEGAR loop over an arbitrary [`CheckBackend`]: asks `backend`
 /// about `property` on `model`, validates each counterexample with the
 /// CPV, and widens the exclusion mask per refinement.
 ///
-/// With an [`ExplicitBackend`] over an already-explored graph, or the
+/// With an [`ExplicitBackend`](procheck_smv::ExplicitBackend) over an
+/// already-explored graph, or the
 /// per-`ThreatConfig` cache's [`LazyGraph`](procheck_smv::LazyGraph),
 /// refinements never rebuild or re-explore anything: excluding an
 /// adversary command only
@@ -215,7 +200,7 @@ pub fn cegar_check(
 /// [`CheckError::Budget`] and [`CheckError::BackendDivergence`] for
 /// counterexamples that fail replay validation. Every exit path flushes
 /// the loop's counters.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)] // `benchmark/src/ledger.rs` calls it with these eight
 pub fn cegar_check_backend_budgeted(
     model: &CompiledModel,
     backend: &dyn CheckBackend,
@@ -226,131 +211,77 @@ pub fn cegar_check_backend_budgeted(
     meter: &BudgetMeter,
     collector: &Collector,
 ) -> Result<CegarOutcome, CheckError> {
-    let mut excluded = model.exclusion_set();
     let mut refinements = Vec::new();
     let mut query = QueryStats::default();
-    let mut cpv_queries = 0usize;
-    let mut cpv_steps = 0usize;
-    // One closure so every exit path (including errors) flushes the
-    // same counter set.
-    let record = |iterations: usize,
-                  refinements: usize,
-                  cpv_queries: usize,
-                  cpv_steps: usize,
-                  query: &QueryStats| {
-        collector.add("cegar.runs", 1);
-        collector.add("cegar.iterations", iterations as u64);
-        collector.add("cegar.refinements", refinements as u64);
-        collector.add("cpv.queries", cpv_queries as u64);
-        collector.add("cpv.steps", cpv_steps as u64);
-        collector.add("smv.checks", iterations as u64);
-        collector.add("graph_cache.nodes_reused", query.nodes_reused);
-        collector.record_max("smv.peak_queue", query.peak_queue);
-    };
-    // Compile once; every refinement iteration re-queries the compiled
-    // form with a wider mask — no per-iteration name resolution.
-    let compiled_property = match model.compile_property(property) {
-        Ok(p) => p,
-        Err(e) => {
-            record(1, 0, 0, 0, &query);
-            return Err(e);
-        }
-    };
-    for iteration in 1..=max_iterations.max(1) {
-        let verdict = match backend.answer(
-            model,
-            &compiled_property,
-            &excluded,
-            state_limit,
-            meter,
-            &mut query,
-        ) {
-            Ok(BackendVerdict::Definite(v)) => v,
-            Ok(BackendVerdict::BoundReached(k)) => {
-                record(iteration, refinements.len(), cpv_queries, cpv_steps, &query);
-                return Ok(CegarOutcome {
-                    verdict: FinalVerdict::BoundReached(k),
-                    iterations: iteration,
-                    refinements,
-                    cpv_queries,
-                    cpv_steps,
-                    explore: CheckStats::default(),
-                    query,
-                });
-            }
-            Err(e) => {
-                record(iteration, refinements.len(), cpv_queries, cpv_steps, &query);
-                return Err(e);
-            }
+    let (mut cpv_queries, mut cpv_steps) = (0, 0);
+    // Model-checker invocations: 1 when the property is rejected before
+    // the first, `max_iterations` when the bound runs out.
+    let mut iterations = 1;
+    let verdict = 'settle: {
+        // Compile once; every refinement iteration re-queries the compiled
+        // form with a wider mask — no per-iteration name resolution.
+        let compiled_property = match model.compile_property(property) {
+            Ok(p) => p,
+            Err(e) => break 'settle Err(e),
         };
-        let trace = match verdict {
-            Verdict::Holds => {
-                record(iteration, refinements.len(), cpv_queries, cpv_steps, &query);
-                return Ok(CegarOutcome {
-                    verdict: FinalVerdict::Verified,
-                    iterations: iteration,
-                    refinements,
-                    cpv_queries,
-                    cpv_steps,
-                    explore: CheckStats::default(),
-                    query,
-                });
-            }
-            Verdict::Unreachable => {
-                record(iteration, refinements.len(), cpv_queries, cpv_steps, &query);
-                return Ok(CegarOutcome {
-                    verdict: FinalVerdict::GoalUnreachable,
-                    iterations: iteration,
-                    refinements,
-                    cpv_queries,
-                    cpv_steps,
-                    explore: CheckStats::default(),
-                    query,
-                });
-            }
-            Verdict::Violated(ce) | Verdict::Reachable(ce) => ce,
-        };
-        let labels: Vec<&str> = trace.command_labels();
-        let validation = semantics.validate_trace(&labels);
-        cpv_queries += 1;
-        cpv_steps += validation.adversarial_steps;
-        if validation.feasible {
-            let verdict = match check_kind(property) {
-                Kind::Reachability => FinalVerdict::GoalReachable(trace),
-                Kind::Other => FinalVerdict::Attack(trace),
+        let mut excluded = model.exclusion_set();
+        for iteration in 1..=max_iterations.max(1) {
+            iterations = iteration;
+            let answer = backend.answer(
+                model,
+                &compiled_property,
+                &excluded,
+                state_limit,
+                meter,
+                &mut query,
+            );
+            let trace = match answer {
+                Ok(BackendVerdict::Definite(Verdict::Holds)) => {
+                    break 'settle Ok(FinalVerdict::Verified)
+                }
+                Ok(BackendVerdict::Definite(Verdict::Unreachable)) => {
+                    break 'settle Ok(FinalVerdict::GoalUnreachable)
+                }
+                Ok(BackendVerdict::Definite(Verdict::Violated(ce) | Verdict::Reachable(ce))) => ce,
+                Ok(BackendVerdict::BoundReached(k)) => {
+                    break 'settle Ok(FinalVerdict::BoundReached(k))
+                }
+                Err(e) => break 'settle Err(e),
             };
-            record(iteration, refinements.len(), cpv_queries, cpv_steps, &query);
-            return Ok(CegarOutcome {
-                verdict,
-                iterations: iteration,
-                refinements,
-                cpv_queries,
-                cpv_steps,
-                explore: CheckStats::default(),
-                query,
+            let validation = semantics.validate_trace(&trace.command_labels());
+            cpv_queries += 1;
+            cpv_steps += validation.adversarial_steps;
+            if validation.feasible {
+                break 'settle Ok(match property {
+                    Property::Reachable { .. } => FinalVerdict::GoalReachable(trace),
+                    _ => FinalVerdict::Attack(trace),
+                });
+            }
+            let (_, label, required) = validation
+                .first_infeasible
+                .expect("infeasible validation names a step");
+            for id in model.commands_labeled(Sym::intern(&label)) {
+                excluded.insert(id);
+            }
+            refinements.push(Refinement {
+                excluded_command: label,
+                underivable: required,
             });
         }
-        let (_, label, required) = validation
-            .first_infeasible
-            .expect("infeasible validation names a step");
-        for id in model.commands_labeled(Sym::intern(&label)) {
-            excluded.insert(id);
-        }
-        refinements.push(Refinement {
-            excluded_command: label,
-            underivable: required,
-        });
-    }
-    record(
-        max_iterations,
+        iterations = max_iterations;
+        Ok(FinalVerdict::Inconclusive)
+    };
+    record_loop(
+        collector,
+        iterations,
         refinements.len(),
         cpv_queries,
         cpv_steps,
         &query,
     );
     Ok(CegarOutcome {
-        verdict: FinalVerdict::Inconclusive,
-        iterations: max_iterations,
+        verdict: verdict?,
+        iterations,
         refinements,
         cpv_queries,
         cpv_steps,
@@ -359,23 +290,35 @@ pub fn cegar_check_backend_budgeted(
     })
 }
 
-enum Kind {
-    Reachability,
-    Other,
-}
-
-fn check_kind(p: &Property) -> Kind {
-    match p {
-        Property::Reachable { .. } => Kind::Reachability,
-        _ => Kind::Other,
-    }
+/// Records one run of the loop on `collector`: `cegar.runs`,
+/// `cegar.iterations`, `cegar.refinements`, `cpv.queries`, `cpv.steps`,
+/// `smv.checks` (one per iteration), and the query totals as
+/// `graph_cache.nodes_reused` and `smv.peak_queue`.
+fn record_loop(
+    collector: &Collector,
+    iterations: usize,
+    refinements: usize,
+    cpv_queries: usize,
+    cpv_steps: usize,
+    query: &QueryStats,
+) {
+    collector.add("cegar.runs", 1);
+    collector.add("cegar.iterations", iterations as u64);
+    collector.add("cegar.refinements", refinements as u64);
+    collector.add("cpv.queries", cpv_queries as u64);
+    collector.add("cpv.steps", cpv_steps as u64);
+    collector.add("smv.checks", iterations as u64);
+    collector.add("graph_cache.nodes_reused", query.nodes_reused);
+    collector.record_max("smv.peak_queue", query.peak_queue);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use procheck_fsm::{Fsm, Transition};
+    use procheck_smv::checker::build_reach_graph_budgeted;
     use procheck_smv::expr::Expr;
+    use procheck_smv::ExplicitBackend;
     use procheck_threat::{build_threat_model, ThreatConfig};
 
     /// [`cegar_check`] serial and unbudgeted, without telemetry.
@@ -503,10 +446,11 @@ mod tests {
     /// The shared-graph loop must be indistinguishable from the
     /// private-exploration loop: same verdicts, traces, refinement
     /// sequences, CPV traffic, and query work — only the exploration
-    /// charge moves to wherever the graph was built.
+    /// charge moves to wherever the graph was built. The private loop is
+    /// charged what its lazy graph explored, never more than the full
+    /// graph.
     #[test]
     fn on_graph_loop_matches_private_loop() {
-        use procheck_smv::checker::build_reach_graph_budgeted;
         let (ue, mme) = mini_models();
         for p in [
             Property::invariant("no_stale", Expr::var_ne("last_auth_sqn", "stale")),
@@ -543,7 +487,27 @@ mod tests {
                 CheckStats::default(),
                 "shared-graph runs are not charged for exploration"
             );
-            assert_eq!(private.explore, graph.build_stats());
+            let lazy = LazyGraph::new(&compiled, 1_000_000).unwrap();
+            let on_lazy = cegar_check_backend_budgeted(
+                &compiled,
+                &lazy,
+                &p,
+                &sem,
+                1_000_000,
+                16,
+                &meter,
+                &Collector::disabled(),
+            )
+            .unwrap();
+            assert_eq!(
+                private,
+                CegarOutcome {
+                    explore: private.explore,
+                    ..on_lazy
+                }
+            );
+            assert_eq!(private.explore, lazy.extent().stats);
+            assert!(private.explore.states <= graph.build_stats().states);
         }
     }
 
@@ -584,7 +548,6 @@ mod tests {
     /// explored, and the loop's counters still flush.
     #[test]
     fn models_over_64_bits_are_rejected_with_the_explorers_error() {
-        use procheck_smv::checker::build_reach_graph_budgeted;
         let wide = crate::cache::tests::too_wide();
         let p = Property::reachable("moved", Expr::var_eq("x0", "v1"));
         let collector = Collector::enabled();

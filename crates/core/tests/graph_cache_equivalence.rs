@@ -3,19 +3,22 @@
 //! cone) at most once, only as far as its properties need, and answers
 //! properties as queries over the shared graph, returns the verdicts,
 //! counterexample traces and CEGAR outcomes of the reference check —
-//! `cegar_check` on a privately composed, eagerly and privately
+//! the CEGAR loop on a privately composed, eagerly and privately
 //! explored, unsliced graph per property — on all three stacks, at any
 //! thread count. Only the exploration *accounting* may differ (that is
 //! the point of the cache).
 
-use procheck::cegar::{cegar_check, FinalVerdict};
+use procheck::cegar::{cegar_check_backend_budgeted, FinalVerdict};
 use procheck::pipeline::{
     analyze_implementation, extract_models, AnalysisConfig, AnalysisReport, BackendKind,
 };
 use procheck::report::PropertyOutcome;
 use procheck_props::{registry, Check};
 use procheck_smv::budget::BudgetMeter;
-use procheck_smv::checker::{CheckError, Property};
+use procheck_smv::checker::{
+    build_reach_graph_budgeted, CheckError, CheckStats, CompiledModel, Property,
+};
+use procheck_smv::ExplicitBackend;
 use procheck_stack::quirks::Implementation;
 use procheck_telemetry::Collector;
 use procheck_threat::{build_threat_model, StepSemantics};
@@ -78,10 +81,10 @@ struct Reference {
 }
 
 /// The reference check of every model property of `implementation`, in
-/// registry order: its threat model composed and explored privately,
-/// eagerly and unsliced, and handed to `cegar_check`. The outcome is
-/// mapped the way the pipeline reports it. Computed once per stack and
-/// test binary.
+/// registry order: its threat model composed privately, explored to the
+/// end with `build_reach_graph_budgeted`, unsliced, and handed to the
+/// CEGAR loop over an `ExplicitBackend`. The outcome is mapped the way
+/// the pipeline reports it. Computed once per stack and test binary.
 fn reference(implementation: Implementation) -> &'static [Reference] {
     static REFERENCE: [OnceLock<Vec<Reference>>; 3] =
         [OnceLock::new(), OnceLock::new(), OnceLock::new()];
@@ -101,18 +104,33 @@ fn reference(implementation: Implementation) -> &'static [Reference] {
                 };
                 let threat_cfg = prop.slice.threat_config();
                 let model = build_threat_model(&models.ue, &models.mme, &threat_cfg);
-                let checked = cegar_check(
-                    &model,
-                    p,
-                    &StepSemantics::new(threat_cfg),
-                    cfg.state_limit,
-                    cfg.max_cegar_iterations,
-                    &meter,
-                    &Collector::disabled(),
-                );
-                let states = checked.as_ref().map_or(0, |o| o.explore.states);
+                // An invalid model, then bad property vocabulary, are
+                // rejected before anything is explored.
+                let checked = CompiledModel::new(&model).and_then(|compiled| {
+                    compiled.compile_property(p)?;
+                    let mut build = CheckStats::default();
+                    let graph = build_reach_graph_budgeted(
+                        &compiled,
+                        cfg.state_limit,
+                        &meter,
+                        &mut build,
+                        1,
+                    )?;
+                    let outcome = cegar_check_backend_budgeted(
+                        &compiled,
+                        &ExplicitBackend { graph: &graph },
+                        p,
+                        &StepSemantics::new(threat_cfg),
+                        cfg.state_limit,
+                        cfg.max_cegar_iterations,
+                        &meter,
+                        &Collector::disabled(),
+                    )?;
+                    Ok((outcome, build.states))
+                });
+                let states = checked.as_ref().map_or(0, |(_, states)| *states);
                 let (outcome, iterations, refinements, cpv) = match checked {
-                    Ok(o) => {
+                    Ok((o, _)) => {
                         let outcome = match o.verdict {
                             FinalVerdict::Verified => PropertyOutcome::Verified,
                             FinalVerdict::Attack(ce) => PropertyOutcome::Attack(ce),
