@@ -4,15 +4,14 @@
 //! and many of the 60+ registry properties share a slice: building the
 //! composed `IMP^μ` fresh per property repeats the same FSM × adversary
 //! composition dozens of times per run. This cache builds each distinct
-//! configuration exactly once and hands out shared `Arc<Model>`s, safe
-//! to use from the parallel property-checking pool.
-//!
-//! Between composition and exploration sits the compiled-model layer
-//! ([`ThreatModelCache::compile`]): each distinct
-//! configuration's model is lowered once to the checker's id-space
-//! [`CompiledModel`] (interned variable/value/command tables), and every
-//! property query and CEGAR iteration for that configuration reuses the
-//! one compiled form instead of re-resolving names.
+//! configuration exactly once and hands out a shared
+//! `Arc<CompiledModel>`, safe to use from the parallel property-checking
+//! pool ([`ThreatModelCache::compiled`]). The one build composes the
+//! model and lowers it to the checker's id-space [`CompiledModel`]
+//! (interned variable/value/command tables), and every property query
+//! and CEGAR iteration for that configuration reuses the one compiled
+//! form instead of re-resolving names. Nothing reads the composed model
+//! again, so it is dropped once compiled.
 //!
 //! The same sharing applies one layer up: *exploring* a composed model
 //! costs far more than composing it, and every property keyed to the
@@ -36,66 +35,109 @@
 //! a by-product of checking, and only the verdicts answered from it
 //! outlive the run (the pipeline hands them to the persistent store).
 //!
-//! Locking: the map mutex is held only to fetch/insert a per-key slot;
-//! the (expensive) composition runs under the slot's `OnceLock`, and a
-//! graph's exploration under the graph's own lock, so work on
-//! *different* configurations proceeds in parallel while two threads
-//! asking for the *same* one result in one build and one waiter.
+//! Locking: a map's mutex is held only to fetch/insert a per-key slot;
+//! the (expensive) build runs under the slot's `OnceLock`, and a graph's
+//! exploration under the graph's own lock, so work on *different*
+//! configurations proceeds in parallel while two threads asking for the
+//! *same* one result in one build and one waiter.
 //!
-//! Fault isolation: every build closure (compose, compile, graph-slot
-//! creation) runs under `catch_unwind`, and a graph catches panics in its
-//! own exploration. A panic poisons only that configuration's slot — it
-//! is cached as [`CheckError::Panic`], exactly like the existing error
-//! caching, so every property sharing the configuration sees the same
-//! degraded error while the other configurations' builds and all
-//! sibling properties proceed untouched. A model whose state needs more
-//! than 64 bits fails its graph-slot creation the same way: the
-//! explorer's width error is cached on the slot.
+//! Fault isolation: every build (composing and compiling a model,
+//! creating a graph slot) runs under `catch_unwind`, and a graph catches
+//! panics in its own exploration. A panic poisons only that
+//! configuration's slot — it is cached as [`CheckError::Panic`], exactly
+//! like a cached validation error, so every property sharing the
+//! configuration sees the same degraded error while the other
+//! configurations' builds and all sibling properties proceed untouched.
+//! A model whose state needs more than 64 bits fails its graph-slot
+//! creation the same way: the explorer's width error is cached on the
+//! slot.
 
 use procheck_fsm::Fsm;
 use procheck_smv::budget::panic_message;
 use procheck_smv::checker::{CheckError, CompiledModel};
 use procheck_smv::coi::ConeSig;
-use procheck_smv::model::Model;
 use procheck_smv::{GraphExtent, LazyGraph};
 use procheck_telemetry::Collector;
 use procheck_threat::{build_threat_model, ThreatConfig};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// A configuration's graph, explored on demand by the properties that
-/// query it, or the error its creation died with: an isolated panic, or
-/// a state wider than 64 bits.
-type GraphSlot = OnceLock<Result<Arc<LazyGraph>, CheckError>>;
+/// A value built once, or the error its one build died with.
+type Slot<V> = OnceLock<Result<V, CheckError>>;
 
-/// A memoized model compilation: the id-space [`CompiledModel`] every
-/// query and CEGAR iteration for the configuration shares, or the
-/// validation error the one compile died with.
-type CompiledSlot = OnceLock<Result<Arc<CompiledModel>, CheckError>>;
+/// A get-or-build map: one [`Slot`] per key, built by the key's first
+/// lookup, plus the map's own lookup and build counts.
+#[derive(Debug)]
+struct Slots<K, V> {
+    map: Mutex<HashMap<K, Arc<Slot<V>>>>,
+    lookups: AtomicUsize,
+    builds: AtomicUsize,
+}
 
-/// A memoized threat-model composition: the shared `IMP^μ`, or the
-/// isolated panic the one build died with.
-type ComposeSlot = OnceLock<Result<Arc<Model>, CheckError>>;
+impl<K, V> Default for Slots<K, V> {
+    fn default() -> Self {
+        Slots {
+            map: Mutex::default(),
+            lookups: AtomicUsize::new(0),
+            builds: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Slots<K, V> {
+    /// The slot of `key`, built by `build` if this is its first lookup,
+    /// and whether this lookup built it. A panic in `build` is cached as
+    /// [`CheckError::Panic`].
+    fn get_or_build(
+        &self,
+        key: &K,
+        build: impl FnOnce() -> Result<V, CheckError>,
+    ) -> (Result<V, CheckError>, bool) {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        let slot = {
+            let mut map = self.map.lock().expect("cache map lock");
+            Arc::clone(map.entry(key.clone()).or_default())
+        };
+        let mut built_now = false;
+        let result = slot.get_or_init(|| {
+            built_now = true;
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(build))
+                .unwrap_or_else(|p| Err(CheckError::Panic(panic_message(p))))
+        });
+        (result.clone(), built_now)
+    }
+
+    /// The value of `key`, if its build has happened and succeeded. Not
+    /// a lookup: the counts stay as they are.
+    fn peek(&self, key: &K) -> Option<V> {
+        let map = self.map.lock().expect("cache map lock");
+        map.get(key)?.get()?.as_ref().ok().cloned()
+    }
+
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            lookups: self.lookups.load(Ordering::Relaxed),
+            builds: self.builds.load(Ordering::Relaxed),
+        }
+    }
+}
 
 /// A graph slot's key: the threat configuration, plus the cone of
 /// influence for a sliced graph (`None` for the full composition).
 type GraphKey = (ThreatConfig, Option<ConeSig>);
 
-/// Per-run cache of composed threat models, their compiled (id-space)
-/// forms, and their lazily explored reachability graphs, keyed by the full
-/// [`ThreatConfig`].
+/// Per-run cache of compiled threat models and their lazily explored
+/// reachability graphs, keyed by the full [`ThreatConfig`].
 #[derive(Debug, Default)]
 pub struct ThreatModelCache {
-    slots: Mutex<HashMap<ThreatConfig, Arc<ComposeSlot>>>,
-    builds: AtomicUsize,
-    lookups: AtomicUsize,
-    compiled_slots: Mutex<HashMap<ThreatConfig, Arc<CompiledSlot>>>,
-    compile_builds: AtomicUsize,
-    compile_lookups: AtomicUsize,
-    graph_slots: Mutex<HashMap<GraphKey, Arc<GraphSlot>>>,
-    graph_builds: AtomicUsize,
-    graph_lookups: AtomicUsize,
+    /// Per configuration: its composed `IMP^μ`, compiled.
+    models: Slots<ThreatConfig, Arc<CompiledModel>>,
+    /// Per configuration and cone: its graph, explored on demand by the
+    /// properties that query it.
+    graphs: Slots<GraphKey, Arc<LazyGraph>>,
 }
 
 /// Snapshot of a cache's hit/miss accounting.
@@ -103,12 +145,12 @@ pub struct ThreatModelCache {
 pub struct CacheStats {
     /// Total lookups.
     pub lookups: usize,
-    /// Lookups that composed a new model (cache misses).
+    /// Lookups that built a new entry (cache misses).
     pub builds: usize,
 }
 
 impl CacheStats {
-    /// Lookups served from an already-composed model.
+    /// Lookups served from an already-built entry.
     pub fn hits(&self) -> usize {
         self.lookups - self.builds
     }
@@ -128,74 +170,37 @@ impl ThreatModelCache {
         ThreatModelCache::default()
     }
 
-    /// Returns the composed `IMP^μ` for `cfg`, building it on first use.
-    /// Every caller passing an equal `cfg` gets the same `Arc`. Records
-    /// `compose.lookups`, `compose.builds`, and a `compose.build` span
-    /// per actual composition on `collector`.
+    /// Returns the compiled `IMP^μ` for `cfg`, composing and compiling it
+    /// on first use. Every caller passing an equal `cfg` gets the same
+    /// `Arc`, or the same cached error. Records `compose.lookups`, and
+    /// per actual build `compose.builds`, a `compose.build` span and a
+    /// `compile` span, on `collector`.
     ///
     /// # Errors
     ///
     /// Returns the (cached) [`CheckError::Panic`] when the one build for
-    /// this configuration panicked — only that slot is poisoned.
-    pub fn compose(
+    /// this configuration panicked — only that slot is poisoned — or the
+    /// (cached) validation [`CheckError`] of the composed model.
+    pub fn compiled(
         &self,
         ue: &Fsm,
         mme: &Fsm,
         cfg: &ThreatConfig,
         collector: &Collector,
-    ) -> Result<Arc<Model>, CheckError> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+    ) -> Result<Arc<CompiledModel>, CheckError> {
         collector.add("compose.lookups", 1);
-        let slot = {
-            let mut map = self.slots.lock().expect("cache map lock");
-            Arc::clone(map.entry(cfg.clone()).or_default())
-        };
-        slot.get_or_init(|| {
-            self.builds.fetch_add(1, Ordering::Relaxed);
+        let (compiled, _) = self.models.get_or_build(cfg, || {
             collector.add("compose.builds", 1);
-            let _span = collector.span("compose.build");
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let model = {
+                let _span = collector.span("compose.build");
                 #[cfg(feature = "fault-inject")]
                 procheck_faults::inject(procheck_faults::FaultSite::ThreatCompose, None);
-                Arc::new(build_threat_model(ue, mme, cfg))
-            }))
-            .map_err(|p| CheckError::Panic(panic_message(p)))
-        })
-        .clone()
-    }
-
-    /// Returns the compiled (id-space) form of `model` (the composed
-    /// `IMP^μ` for `cfg`), compiling it on first use. Every caller
-    /// passing an equal `cfg` gets the same `Arc` — or the same cached
-    /// validation [`CheckError`] when the one compile failed. Records
-    /// `compile.lookups`, `compile.builds` and a `compile` span per actual
-    /// compilation on `collector`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the (cached) [`CheckError`] from model validation.
-    pub fn compile(
-        &self,
-        model: &Model,
-        cfg: &ThreatConfig,
-        collector: &Collector,
-    ) -> Result<Arc<CompiledModel>, CheckError> {
-        self.compile_lookups.fetch_add(1, Ordering::Relaxed);
-        collector.add("compile.lookups", 1);
-        let slot = {
-            let mut map = self.compiled_slots.lock().expect("compile cache map lock");
-            Arc::clone(map.entry(cfg.clone()).or_default())
-        };
-        let result = slot.get_or_init(|| {
-            self.compile_builds.fetch_add(1, Ordering::Relaxed);
-            collector.add("compile.builds", 1);
+                build_threat_model(ue, mme, cfg)
+            };
             let _span = collector.span("compile");
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                CompiledModel::new(model).map(Arc::new)
-            }))
-            .unwrap_or_else(|p| Err(CheckError::Panic(panic_message(p))))
+            CompiledModel::new(&model).map(Arc::new)
         });
-        result.clone()
+        compiled
     }
 
     /// Returns the reachability graph of `model` — the compiled `IMP^μ`
@@ -224,41 +229,26 @@ impl ThreatModelCache {
         state_limit: usize,
         collector: &Collector,
     ) -> Result<Arc<LazyGraph>, CheckError> {
-        let slot = {
-            let mut map = self.graph_slots.lock().expect("graph cache map lock");
-            Arc::clone(map.entry((cfg.clone(), cone.cloned())).or_default())
-        };
-        self.graph_lookups.fetch_add(1, Ordering::Relaxed);
         collector.add("graph_cache.lookups", 1);
-        let mut built_now = false;
-        let result = slot.get_or_init(|| {
-            built_now = true;
-            self.graph_builds.fetch_add(1, Ordering::Relaxed);
+        let (graph, built_now) = self.graphs.get_or_build(&(cfg.clone(), cone.cloned()), || {
             collector.add("graph_cache.builds", 1);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                #[cfg(feature = "fault-inject")]
-                procheck_faults::inject(procheck_faults::FaultSite::GraphBuild, None);
-                LazyGraph::new(model, state_limit).map(Arc::new)
-            }))
-            .unwrap_or_else(|p| Err(CheckError::Panic(panic_message(p))))
+            #[cfg(feature = "fault-inject")]
+            procheck_faults::inject(procheck_faults::FaultSite::GraphBuild, None);
+            LazyGraph::new(model, state_limit).map(Arc::new)
         });
         if !built_now {
             collector.add("graph_cache.hits", 1);
         }
-        result.clone()
+        graph
     }
 
-    /// The compiled model for `cfg`, if its one compilation has happened
-    /// and succeeded — a read-only peek that does *not* count as a cache
+    /// The compiled model for `cfg`, if its one build has happened and
+    /// succeeded — a read-only peek that does *not* count as a cache
     /// lookup, so the pipeline's post-pool FSM-delta pass can lower a
     /// delta to the configuration's commands without perturbing the
     /// hit/miss accounting.
     pub fn peek_compiled(&self, cfg: &ThreatConfig) -> Option<Arc<CompiledModel>> {
-        let map = self.compiled_slots.lock().expect("compile cache map lock");
-        map.get(cfg)
-            .and_then(|slot| slot.get())
-            .and_then(|r| r.as_ref().ok())
-            .cloned()
+        self.models.peek(cfg)
     }
 
     /// Records the work graph slot `(cfg, cone)` has done on `collector`
@@ -267,24 +257,15 @@ impl ThreatModelCache {
     /// the extent is then the largest demand any property made, so the
     /// counters are the same at any thread count.
     ///
-    /// Records `smv.states_explored`, `smv.transitions`, `smv.peak_queue`,
-    /// `explore.levels`, `explore.peak_level`, `explore.partial_graphs`
-    /// (1 for a slot the run never completed) and a `graph.build` span
-    /// timing the slot's exploration — plus the `reduction.*` cone
-    /// counters for a sliced slot.
+    /// Records the extent's counters and span ([`record_extent`]), plus
+    /// the `reduction.*` cone counters for a sliced slot.
     pub fn record_graph_extent(
         &self,
         cfg: &ThreatConfig,
         cone: Option<&ConeSig>,
         collector: &Collector,
     ) -> Option<GraphExtent> {
-        let graph = {
-            let map = self.graph_slots.lock().expect("graph cache map lock");
-            map.get(&(cfg.clone(), cone.cloned()))
-                .and_then(|slot| slot.get())
-                .and_then(|r| r.as_ref().ok())
-                .cloned()
-        }?;
+        let graph = self.graphs.peek(&(cfg.clone(), cone.cloned()))?;
         let extent = graph.extent();
         record_extent(&extent, collector);
         if let Some(sig) = cone {
@@ -296,28 +277,15 @@ impl ThreatModelCache {
         Some(extent)
     }
 
-    /// Hit/miss accounting for the composed-model layer.
+    /// Hit/miss accounting for the compiled-model layer: one build per
+    /// distinct configuration composes and compiles it.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            builds: self.builds.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Hit/miss accounting for the compiled-model layer.
-    pub fn compile_stats(&self) -> CacheStats {
-        CacheStats {
-            lookups: self.compile_lookups.load(Ordering::Relaxed),
-            builds: self.compile_builds.load(Ordering::Relaxed),
-        }
+        self.models.stats()
     }
 
     /// Hit/miss accounting for the reachability-graph layer.
     pub fn graph_stats(&self) -> CacheStats {
-        CacheStats {
-            lookups: self.graph_lookups.load(Ordering::Relaxed),
-            builds: self.graph_builds.load(Ordering::Relaxed),
-        }
+        self.graphs.stats()
     }
 }
 
@@ -339,6 +307,7 @@ pub(crate) fn record_extent(extent: &GraphExtent, collector: &Collector) {
 pub(crate) mod tests {
     use super::*;
     use procheck_props::registry;
+    use procheck_smv::model::Model;
     use procheck_smv::BudgetMeter;
     use procheck_stack::UeConfig;
 
@@ -380,10 +349,10 @@ pub(crate) mod tests {
         for p in registry() {
             let cfg = p.slice.threat_config();
             let a = cache
-                .compose(&ue, &mme, &cfg, &Collector::disabled())
+                .compiled(&ue, &mme, &cfg, &Collector::disabled())
                 .expect("compose");
             let b = cache
-                .compose(&ue, &mme, &cfg, &Collector::disabled())
+                .compiled(&ue, &mme, &cfg, &Collector::disabled())
                 .expect("compose");
             assert!(Arc::ptr_eq(&a, &b), "{}: repeat lookup must share", p.id);
             if let Some((prev_cfg, prev_model)) = &shared {
@@ -415,8 +384,7 @@ pub(crate) mod tests {
         let cache = ThreatModelCache::new();
         let collector = Collector::enabled();
         let cfg = registry()[0].slice.threat_config();
-        let model = cache.compose(&ue, &mme, &cfg, &collector).expect("compose");
-        let compiled = cache.compile(&model, &cfg, &collector).unwrap();
+        let compiled = cache.compiled(&ue, &mme, &cfg, &collector).unwrap();
         let mut graphs = Vec::new();
         for _ in 0..3 {
             graphs.push(full_graph(&cache, &compiled, &cfg, 1_000_000, &collector));
@@ -445,8 +413,8 @@ pub(crate) mod tests {
         assert_eq!(collector.counter_value("explore.partial_graphs"), 0);
     }
 
-    /// The compiled-model layer shares one compilation per distinct
-    /// config, records the `compile` span once, and serves repeat
+    /// One build per distinct config composes and compiles it, records
+    /// one `compose.build` and one `compile` span, and serves repeat
     /// lookups from cache.
     #[test]
     fn compiled_layer_shares_one_compilation() {
@@ -454,27 +422,26 @@ pub(crate) mod tests {
         let cache = ThreatModelCache::new();
         let collector = Collector::enabled();
         let cfg = registry()[0].slice.threat_config();
-        let model = cache
-            .compose(&ue, &mme, &cfg, &Collector::disabled())
-            .expect("compose");
-        let a = cache.compile(&model, &cfg, &collector).unwrap();
-        let b = cache.compile(&model, &cfg, &collector).unwrap();
+        let a = cache.compiled(&ue, &mme, &cfg, &collector).unwrap();
+        let b = cache.compiled(&ue, &mme, &cfg, &collector).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "repeat lookup must share");
+        let model = build_threat_model(&ue, &mme, &cfg);
         assert_eq!(a.command_count(), model.commands().len());
-        let stats = cache.compile_stats();
+        let stats = cache.stats();
         assert_eq!(stats.lookups, 2);
         assert_eq!(stats.builds, 1);
-        assert_eq!(cache.compile_stats().builds, 1);
-        assert_eq!(collector.counter_value("compile.lookups"), 2);
-        assert_eq!(collector.counter_value("compile.builds"), 1);
-        let spans = collector
-            .events()
-            .iter()
-            .filter(
-                |e| matches!(e, procheck_telemetry::Event::Span { name, .. } if name == "compile"),
-            )
-            .count();
-        assert_eq!(spans, 1, "one compile span per compilation");
+        assert_eq!(collector.counter_value("compose.lookups"), 2);
+        assert_eq!(collector.counter_value("compose.builds"), 1);
+        for span in ["compose.build", "compile"] {
+            let spans = collector
+                .events()
+                .iter()
+                .filter(
+                    |e| matches!(e, procheck_telemetry::Event::Span { name, .. } if name == span),
+                )
+                .count();
+            assert_eq!(spans, 1, "one {span} span per build");
+        }
     }
 
     /// A failed exploration (state-limit blowup) is kept on the slot:
@@ -486,8 +453,7 @@ pub(crate) mod tests {
         let cache = ThreatModelCache::new();
         let collector = Collector::enabled();
         let cfg = registry()[0].slice.threat_config();
-        let model = cache.compose(&ue, &mme, &cfg, &collector).expect("compose");
-        let compiled = cache.compile(&model, &cfg, &collector).unwrap();
+        let compiled = cache.compiled(&ue, &mme, &cfg, &collector).unwrap();
         let meter = BudgetMeter::unlimited();
         let a = full_graph(&cache, &compiled, &cfg, 1, &collector)
             .complete(&meter)
@@ -520,8 +486,7 @@ pub(crate) mod tests {
         let cache = ThreatModelCache::new();
         let collector = Collector::disabled();
         let cfg = registry()[0].slice.threat_config();
-        let model = cache.compose(&ue, &mme, &cfg, &collector).expect("compose");
-        let compiled = cache.compile(&model, &cfg, &collector).unwrap();
+        let compiled = cache.compiled(&ue, &mme, &cfg, &collector).unwrap();
         let meter = Budget::unlimited().with_total_states(1).start();
         meter.charge_and_probe(1).expect("exactly at cap");
         let a = full_graph(&cache, &compiled, &cfg, 1_000_000, &collector)
@@ -589,7 +554,7 @@ pub(crate) mod tests {
         let collector = Collector::enabled();
         let cfg_a = registry()[0].slice.threat_config();
         for _ in 0..3 {
-            let _ = cache.compose(&ue, &mme, &cfg_a, &collector);
+            let _ = cache.compiled(&ue, &mme, &cfg_a, &collector);
         }
         let stats = cache.stats();
         assert_eq!(stats.lookups, 3);

@@ -892,15 +892,11 @@ fn check_model_property(
     }
     let threat_cfg = prop.slice.threat_config();
     let semantics = StepSemantics::new(threat_cfg.clone());
-    let model = match cache.compose(&models.ue, &models.mme, &threat_cfg, &cfg.collector) {
-        Ok(model) => model,
-        Err(e) => return ModelCheckResolution::Live(Err(e), None),
-    };
-    // The model is compiled (validated) and the property's vocabulary
-    // checked *before* asking the cache for a graph: an inapplicable
-    // property must report "not applicable", never the state-limit skip
-    // a doomed shared build would produce.
-    let compiled = match cache.compile(&model, &threat_cfg, &cfg.collector) {
+    // The model is composed, compiled (validated) and the property's
+    // vocabulary checked *before* asking the cache for a graph: an
+    // inapplicable property must report "not applicable", never the
+    // state-limit skip a doomed shared build would produce.
+    let compiled = match cache.compiled(&models.ue, &models.mme, &threat_cfg, &cfg.collector) {
         Ok(compiled) => compiled,
         Err(e) => return ModelCheckResolution::Live(Err(e), None),
     };

@@ -174,9 +174,9 @@ mod tests {
     #[test]
     fn interning_totals_reported() {
         let (report, collector) = run(&["S01", "S02"], 1);
-        let builds = collector.counter_value("compile.builds");
+        let builds = collector.counter_value("compose.builds");
         assert!(builds >= 1, "at least one model compiled");
-        assert!(collector.counter_value("compile.lookups") >= builds);
+        assert!(collector.counter_value("compose.lookups") >= builds);
         let value = payload(&report, &collector);
         assert!(
             value.get("spans").and_then(|s| s.get("compile")).is_some(),

@@ -92,11 +92,8 @@ fn render_snapshot() -> String {
             continue;
         };
         let threat_cfg = prop.slice.threat_config();
-        let model = cache
-            .compose(&models.ue, &models.mme, &threat_cfg, &collector)
-            .expect("golden models compose cleanly");
         let semantics = StepSemantics::new(threat_cfg.clone());
-        let compiled = cache.compile(&model, &threat_cfg, &collector);
+        let compiled = cache.compiled(&models.ue, &models.mme, &threat_cfg, &collector);
         if !compiled
             .as_ref()
             .is_ok_and(|c| c.compile_property(p).is_ok())
