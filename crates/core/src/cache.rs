@@ -257,8 +257,11 @@ impl ThreatModelCache {
     /// the extent is then the largest demand any property made, so the
     /// counters are the same at any thread count.
     ///
-    /// Records the extent's counters and span ([`record_extent`]), plus
-    /// the `reduction.*` cone counters for a sliced slot.
+    /// Records `smv.states_explored`, `smv.transitions`,
+    /// `smv.peak_queue`, `explore.levels`, `explore.peak_level`,
+    /// `explore.partial_graphs` (1 for a slot the run never completed)
+    /// and a `graph.build` span timing the slot's exploration — plus the
+    /// `reduction.*` cone counters for a sliced slot.
     pub fn record_graph_extent(
         &self,
         cfg: &ThreatConfig,

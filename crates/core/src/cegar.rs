@@ -168,11 +168,9 @@ pub fn cegar_check(
 /// CPV, and widens the exclusion mask per refinement.
 ///
 /// With an [`ExplicitBackend`](procheck_smv::ExplicitBackend) over an
-/// already-explored graph, or the
-/// per-`ThreatConfig` cache's [`LazyGraph`](procheck_smv::LazyGraph),
-/// refinements never rebuild or re-explore anything: excluding an
-/// adversary command only
-/// sets its bit in a [`procheck_ident::CmdIdSet`] mask for the next
+/// already-explored graph, or the per-`ThreatConfig` cache's
+/// [`LazyGraph`], refinements never rebuild or re-explore anything:
+/// excluding an adversary command only sets its bit in a [`procheck_ident::CmdIdSet`] mask for the next
 /// query, and the checker synthesizes the deadlock stutter exactly where
 /// the filtered model would have one, so verdicts, traces, and
 /// refinement sequences are identical to a loop that re-explored a

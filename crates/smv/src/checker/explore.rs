@@ -435,6 +435,7 @@ pub(super) struct Pacer {
 }
 
 impl Pacer {
+    #[inline]
     pub(super) fn new(limit: usize) -> Self {
         Pacer { limit, charged: 0 }
     }

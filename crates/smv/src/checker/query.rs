@@ -367,18 +367,6 @@ pub(super) fn eval_nodes(g: &ReachGraph, e: &CExpr) -> Vec<bool> {
     node_values(g, e).collect()
 }
 
-/// Rebuilds the BFS-shortest path to `target` from the graph's own
-/// parent pointers (no re-search).
-fn rebuild_graph_path(c: &CompiledModel, g: &ReachGraph, target: u32) -> Vec<TraceStep> {
-    rebuild_path(
-        c,
-        |id, out| g.load_state(id, out),
-        &g.parent_node,
-        &g.parent_cmd,
-        target,
-    )
-}
-
 /// Rebuilds the BFS-shortest path to `target` from BFS parent arrays,
 /// loading each node's state with `load`.
 pub(super) fn rebuild_path(
@@ -425,7 +413,13 @@ pub(super) fn scan_graph(
     let hit = node_values(g, e).position(|v| v == bad);
     stats.nodes_reused += hit.map_or(g.node_count(), |id| id + 1) as u64;
     hit.map(|id| Counterexample {
-        steps: rebuild_graph_path(c, g, id as u32),
+        steps: rebuild_path(
+            c,
+            |id, out| g.load_state(id, out),
+            &g.parent_node,
+            &g.parent_cmd,
+            id as u32,
+        ),
         lasso_start: None,
     })
 }

@@ -9,13 +9,15 @@
 //!   symbolic enum domains (the shape the paper's model generator emits
 //!   as SMV);
 //! * [`expr`] — the boolean expression language over those variables;
-//! * [`checker`] — an explicit-state engine split into an explore phase
-//!   (one interned-state BFS per model, producing a cached
-//!   [`reach::ReachGraph`]) and an evaluate phase (scans for invariants
-//!   and reachability, early-exit searches of the graph for precedence
-//!   and CEGAR re-checks, and product-monitor + SCC response checks
-//!   under optional fairness constraints, all answered as queries over
-//!   that graph);
+//! * [`checker`] — the explicit-state engine in three modules:
+//!   `compile` (models and properties resolved to dense indices once),
+//!   `explore` (one packed-key BFS per model, producing a cached
+//!   [`reach::ReachGraph`], and the pacer every BFS stops and charges
+//!   the budget through) and `query` (scans for invariants and
+//!   reachability, early-exit searches of the graph for precedence and
+//!   CEGAR re-checks, and product-monitor + SCC response checks under
+//!   optional fairness constraints, all answered as queries over that
+//!   graph);
 //! * [`reach`] — the cached reachable-state graph itself: packed state
 //!   arena, CSR successor adjacency, BFS parent pointers;
 //! * [`lazy`] — the same graph explored on demand: an invariant or

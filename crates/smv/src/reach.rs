@@ -16,15 +16,17 @@
 //!   shortest-path tree every safety counterexample is rebuilt from
 //!   without re-search.
 //!
-//! Properties are then answered as *queries* over this graph: direct
-//! scans for invariants and reachability goals, early-exit breadth-first
-//! searches of the adjacency for precedence and for CEGAR-refined
-//! invariant and reachability re-checks, and a product BFS carrying the
-//! obligation bit for response — see [`crate::checker::check_on_graph`]. A [`crate::lazy::LazyGraph`]
-//! builds the same graph on demand, sealing it once its BFS has run to
-//! the end. Queries visit graph nodes by
-//! index; they never touch the interning table, which is dropped once
-//! construction finishes.
+//! The packed explorer in `checker/explore.rs` builds it
+//! ([`crate::checker::build_reach_graph_budgeted`]), and properties are
+//! then answered as *queries* over it by `checker/query.rs`
+//! ([`crate::checker::check_on_graph`]): direct scans for invariants and
+//! reachability goals, early-exit breadth-first searches of the
+//! adjacency for precedence and for CEGAR-refined invariant and
+//! reachability re-checks, and a product BFS carrying the obligation bit
+//! for response. A [`crate::lazy::LazyGraph`] builds the same graph on
+//! demand, sealing it once its BFS has run to the end. Queries visit
+//! graph nodes by index; they never touch the interning table, which is
+//! dropped once construction finishes.
 
 use crate::checker::{CheckError, CheckStats, CompiledModel};
 
