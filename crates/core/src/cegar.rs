@@ -170,8 +170,9 @@ pub fn cegar_check(
 /// With an [`ExplicitBackend`](procheck_smv::ExplicitBackend) over an
 /// already-explored graph, or the per-`ThreatConfig` cache's
 /// [`LazyGraph`], refinements never rebuild or re-explore anything:
-/// excluding an adversary command only sets its bit in a [`procheck_ident::CmdIdSet`] mask for the next
-/// query, and the checker synthesizes the deadlock stutter exactly where
+/// excluding an adversary command only sets its bit in a
+/// [`procheck_ident::CmdIdSet`] mask for the next query, and the checker
+/// synthesizes the deadlock stutter exactly where
 /// the filtered model would have one, so verdicts, traces, and
 /// refinement sequences are identical to a loop that re-explored a
 /// command-filtered model each iteration. The returned outcome's

@@ -4,7 +4,9 @@
 //! in its own bit field, and a model whose fields need more than 64 bits
 //! is rejected with [`CheckError::InvalidModel`] naming each variable's
 //! width (the symbolic backend in `procheck-symbolic` still checks it).
-//! The engine is split into an *explore* phase and an *evaluate* phase:
+//! Models and properties are compiled to dense indices first
+//! (`compile.rs`), and the engine is split into an *explore* phase
+//! (`explore.rs`) and an *evaluate* phase (`query.rs`):
 //!
 //! * [`build_reach_graph_budgeted`] runs one flagless BFS over the model
 //!   and produces a [`ReachGraph`](crate::reach::ReachGraph) — packed state
